@@ -14,11 +14,8 @@ from .spectral import (
     EigenBasis,
     SpectralField,
     Subdomain,
-    eigen_pair,
     evolve,
     gram_subdomain,
-    norms,
-    p_integral,
     project,
     synthesize_initial,
     uniform_grid,
@@ -64,5 +61,3 @@ from .pipeline import (
     select_epsilon,
 )
 from .harness import ExperimentConfig, inject_noise, load_config, run_sweep, save_config
-
-__all__ = [name for name in dir() if not name.startswith("_")]

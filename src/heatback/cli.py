@@ -19,14 +19,16 @@ from .fd import FDGrid, fd_evolve, oracle_gap
 from .filtering import global_backward
 from .harness import (
     ExperimentConfig,
+    _even_ceil,
     build_chain,
+    csv_text,
+    fmt_value,
     inject_noise,
     load_config,
     pipeline_config,
     rows_to_csv,
     run_sweep,
 )
-from .observability import ObservabilityConstants
 from .pipeline import local_reconstruct, observation_weights, select_epsilon
 from .spectral import evolve, gram_subdomain, simpson_weights, synthesize_initial
 
@@ -39,26 +41,15 @@ def _write(path: str | None, text: str):
             fh.write(text)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.16e}"
-    return "" if x is None else str(x)
-
-
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\r\n".join(lines) + "\r\n"
-
-
 def _field_csv(field) -> str:
     rows = [
         (i + 1, float(lam), float(a))
         for i, (lam, a) in enumerate(zip(field.basis.eigenvalues, field.coeffs))
     ]
-    return _csv(("i", "lambda_i", "a_i"), rows)
+    return csv_text(("i", "lambda_i", "a_i"), rows)
+
+
+_REPORT_COLUMNS = ("delta", "epsilon", "effective_delta", "alpha", "bound", "error")
 
 
 def _read_observation(path: str):
@@ -73,10 +64,6 @@ def _read_observation(path: str):
     return data[:, 0], data[:, 1]
 
 
-def _even(n: int) -> int:
-    return n + n % 2
-
-
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
@@ -85,9 +72,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         modes = args.modes
         updates["modes"] = modes
         updates["bank"] = min(cfg.bank, modes)
-        updates["grid"] = max(cfg.grid, _even(16 * modes))
+        updates["grid"] = max(cfg.grid, _even_ceil(16 * modes))
         span = (cfg.omega_b - cfg.omega_a) / cfg.length
-        updates["obs_grid"] = max(cfg.obs_grid, _even(int(16 * modes * span) + 1))
+        updates["obs_grid"] = max(cfg.obs_grid, _even_ceil(int(16 * modes * span) + 1))
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -115,7 +102,7 @@ def _cmd_forward(cfg: ExperimentConfig, args) -> int:
         weights = observation_weights(xs, cfg.subdomain(), basis)
         delta_abs = _first_delta_abs(cfg, u0.l2())
         noisy = inject_noise(uT.evaluate(xs), delta_abs, [cfg.seed, 0, 1], weights)
-        _write(args.emit_observation, _csv(("x", "value"), list(zip(xs, noisy))))
+        _write(args.emit_observation, csv_text(("x", "value"), list(zip(xs, noisy))))
     return 0
 
 
@@ -147,13 +134,8 @@ def _cmd_global_backward(cfg: ExperimentConfig, args) -> int:
     _write(args.out, _field_csv(g))
     error = None if u0 is None else (u0 - g).l2()
     if args.report:
-        _write(
-            args.report,
-            _csv(
-                ("delta", "epsilon", "effective_delta", "alpha", "bound", "error"),
-                [(delta_abs, None, sel.effective_delta, sel.alpha, sel.bound, error)],
-            ),
-        )
+        row = (delta_abs, None, sel.effective_delta, sel.alpha, sel.bound, error)
+        _write(args.report, csv_text(_REPORT_COLUMNS, [row]))
     if error is not None and error > sel.bound:
         raise BoundViolation(f"reconstruction error {error} exceeds certified bound {sel.bound}")
     return 0
@@ -184,14 +166,8 @@ def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
     _write(args.out, _field_csv(report.g))
     error = report.actual_error
     if args.report:
-        _write(
-            args.report,
-            _csv(
-                ("delta", "epsilon", "effective_delta", "alpha", "bound", "error"),
-                [(delta_abs, report.epsilon, report.claimed_delta, report.alpha,
-                  report.bound, error)],
-            ),
-        )
+        row = (delta_abs, report.epsilon, report.claimed_delta, report.alpha, report.bound, error)
+        _write(args.report, csv_text(_REPORT_COLUMNS, [row]))
     if not (report.consistency_ok and report.k_consistent):
         raise BoundViolation(
             f"transfer certificate failed: certified {report.certified_delta} vs "
@@ -211,30 +187,23 @@ def _cmd_control(cfg: ExperimentConfig, args) -> int:
     delta_abs = _first_delta_abs(cfg, u0.l2())
     eps = select_epsilon(delta_abs, cfg.T, chain.c3, chain.c4, u0.l2())
     setup = ControlSetup.from_chain(basis, cfg.T, profile, sub, gram, eps, chain)
-    bank = control_mode_bank(setup, cfg.bank, method="cg")
+    bank = control_mode_bank(setup, cfg.bank)
     rows = []
     for i, sol in enumerate(bank, start=1):
         cert = verify_control_bounds(setup, sol, np.eye(basis.size)[i - 1])
-        rows.append((i, sol.h_norm_omega, cert.psi_norm, cert.psi_ok, cert.h_ok, sol.cg_iters))
-    _write(args.out, _csv(("i", "h_norm", "psi_norm", "eps_bound_ok", "h_bound_ok", "cg_iters"), rows))
+        rows.append((i, sol.h_norm_omega, cert.psi_norm, cert.psi_ok, cert.h_ok))
+    _write(args.out, csv_text(("i", "h_norm", "psi_norm", "eps_bound_ok", "h_bound_ok"), rows))
     return 0
-
-
-def _constants_rows(chain: ObservabilityConstants):
-    rows = []
-    for f in fields(chain):
-        rows.append((f.name, getattr(chain, f.name)))
-    return rows
 
 
 def _cmd_constants(cfg: ExperimentConfig, args) -> int:
     chain = build_chain(cfg)
-    rows = _constants_rows(chain)
+    rows = [(f.name, getattr(chain, f.name)) for f in fields(chain)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        print(f"{name:<{width}}  {_fmt(value) if value is not None else 'n/a'}")
+        print(f"{name:<{width}}  {fmt_value(value) if value is not None else 'n/a'}")
     if args.out:
-        _write(args.out, _csv(("name", "value"), rows))
+        _write(args.out, csv_text(("name", "value"), rows))
     return 0
 
 
@@ -245,7 +214,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if bad:
         raise BoundViolation(
             f"{len(bad)} sweep rows violate certified inequalities "
-            f"(first: method={bad[0]['method']}, delta={bad[0]['delta']})"
+            f"(first: {bad[0]['method']} row at delta={bad[0]['delta']})"
         )
     return 0
 
@@ -262,7 +231,7 @@ def _cmd_oracle_check(cfg: ExperimentConfig, args) -> int:
         tol = 1e-4 * u0.l2()
         rows.append((cfg.profile, t, gap, tol, gap <= tol))
         worst = max(worst, gap / tol)
-    text = _csv(("profile", "t", "gap", "tol", "ok"), rows)
+    text = csv_text(("profile", "t", "gap", "tol", "ok"), rows)
     _write(args.out, text)
     if args.out is not None:
         sys.stdout.write(text)

@@ -80,15 +80,15 @@ class ControlSetup:
 
     @property
     def decay_to_T(self) -> np.ndarray:
-        return np.exp(-self.basis.eigenvalues * self.profile.integral(0.0, self.T))
+        return self.basis.decay(self.profile, 0.0, self.T)
 
     @property
     def decay_to_2T(self) -> np.ndarray:
-        return np.exp(-self.basis.eigenvalues * self.profile.integral(0.0, 2.0 * self.T))
+        return self.basis.decay(self.profile, 0.0, 2.0 * self.T)
 
     @property
     def decay_T_to_2T(self) -> np.ndarray:
-        return np.exp(-self.basis.eigenvalues * self.profile.integral(self.T, 2.0 * self.T))
+        return self.basis.decay(self.profile, self.T, 2.0 * self.T)
 
 
 @dataclass(frozen=True)
@@ -100,84 +100,39 @@ class ControlSolution:
     psi: np.ndarray
     h_norm_omega: float
     identity_residual: float
-    cg_iters: int
-    used_fallback: bool
 
 
-def assemble_control_system(setup: ControlSetup):
-    """Normal-equation matrix M = k^2 D_T G D_T + eps^2 I and rhs map phi0 -> D_2T phi0."""
+def assemble_control_system(setup: ControlSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-equation matrix M = k^2 D_T G D_T + eps^2 I and the rhs factors D_2T."""
     dT = setup.decay_to_T
     M = (setup.k**2) * (dT[:, None] * setup.gram * dT[None, :])
     M[np.diag_indices_from(M)] += setup.eps**2
-    d2T = setup.decay_to_2T
-
-    def rhs(phi0: np.ndarray) -> np.ndarray:
-        return d2T * np.asarray(phi0, dtype=float)
-
-    return M, rhs
+    return M, setup.decay_to_2T
 
 
-def _cg(M: np.ndarray, b: np.ndarray, rel_tol: float, max_iters: int):
-    """Plain conjugate gradients on the SPD system M x = b."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    b_norm = math.sqrt(float(b @ b))
-    if b_norm == 0.0:
-        return x, 0, True
-    for it in range(1, max_iters + 1):
-        Mp = M @ p
-        alpha = rs / float(p @ Mp)
-        x += alpha * p
-        r -= alpha * Mp
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= rel_tol * b_norm:
-            return x, it, True
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, max_iters, False
-
-
-def solve_control(setup: ControlSetup, phi0: np.ndarray, method: str = "cholesky") -> ControlSolution:
+def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     """Solve the normal equations for phi0 and package the control quantities.
 
-    The solve is refined until the residual is small against eps^2 |c| (the
-    scale of psi) or stops improving; the optimality identity psi = eps^2 c
-    then holds as tightly as the conditioning k^2 |D_T G D_T| / eps^2 allows,
-    and the achieved residual is recorded on the solution.  CG falls back to
-    the dense factorization when it fails to converge within 10 N iterations.
+    The Cholesky solve is refined until the residual is small against
+    eps^2 |c| (the scale of psi) or stops improving; the optimality identity
+    psi = eps^2 c then holds as tightly as the conditioning
+    k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is recorded on
+    the solution.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (setup.basis.size,):
         raise ValueError(f"phi0 must have {setup.basis.size} coefficients")
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
-    M, rhs_map = assemble_control_system(setup)
-    rhs = rhs_map(phi0)
-
-    cg_iters = 0
-    used_fallback = False
-    factor = None
+    M, d2T = assemble_control_system(setup)
+    rhs = d2T * phi0
     try:
-        if method == "cg":
-            c, cg_iters, converged = _cg(M, rhs, 1e-12, 10 * setup.basis.size)
-            if not converged:
-                used_fallback = True
-                factor = cho_factor(M)
-                c = cho_solve(factor, rhs)
-        elif method == "cholesky":
-            factor = cho_factor(M)
-            c = cho_solve(factor, rhs)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-
-        if factor is None:
-            factor = cho_factor(M)
+        factor = cho_factor(M)
     except LinAlgError as exc:
         raise ConfigError(
             f"control system numerically singular (eps={setup.eps}, k={setup.k}): {exc}"
         ) from exc
+    c = cho_solve(factor, rhs)
     eps2 = setup.eps**2
     best = math.inf
     for _ in range(30):
@@ -191,10 +146,10 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray, method: str = "cholesky
     dT = setup.decay_to_T
     dTc = dT * c
     b = -(setup.k**2) * (setup.gram @ dTc)
-    psi = setup.decay_to_2T * phi0 + dT * b
+    psi = rhs + dT * b
     h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram @ dTc), 0.0))
     identity_residual = float(np.linalg.norm(psi - eps2 * c))
-    return ControlSolution(c, b, psi, h_norm, identity_residual, cg_iters, used_fallback)
+    return ControlSolution(c, b, psi, h_norm, identity_residual)
 
 
 def physical_terminal(setup: ControlSetup, phi0: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,16 +234,14 @@ def verify_control_bounds(
     )
 
 
-def control_mode_bank(
-    setup: ControlSetup, n_bank: int, method: str = "cholesky"
-) -> list[ControlSolution]:
+def control_mode_bank(setup: ControlSetup, n_bank: int) -> list[ControlSolution]:
     """Controls for the first n_bank unit-mode initial states."""
     if not 1 <= n_bank <= setup.basis.size:
         raise ValueError(f"bank size must lie in [1, {setup.basis.size}], got {n_bank}")
     bank = []
     for i in range(1, n_bank + 1):
         phi0 = SpectralField.unit_mode(setup.basis, i).coeffs
-        bank.append(solve_control(setup, phi0, method=method))
+        bank.append(solve_control(setup, phi0))
     return bank
 
 
@@ -303,11 +256,11 @@ def dual_pairing(
     two_T = 2.0 * setup.T
     if not 0.0 <= t <= two_T:
         raise ValueError("t must lie in [0, 2T]")
-    lam = setup.basis.eigenvalues
+    basis, profile = setup.basis, setup.profile
     if t <= setup.T:
-        phi_t = np.exp(-lam * setup.profile.integral(0.0, t)) * np.asarray(phi0, dtype=float)
+        phi_t = basis.decay(profile, 0.0, t) * np.asarray(phi0, dtype=float)
     else:
         kick = setup.decay_to_T * np.asarray(phi0, dtype=float) + np.asarray(b, dtype=float)
-        phi_t = np.exp(-lam * setup.profile.integral(setup.T, t)) * kick
-    adj = np.exp(-lam * setup.profile.integral(0.0, two_T - t)) * np.asarray(c, dtype=float)
+        phi_t = basis.decay(profile, setup.T, t) * kick
+    adj = basis.decay(profile, 0.0, two_T - t) * np.asarray(c, dtype=float)
     return float(phi_t @ adj)

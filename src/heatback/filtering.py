@@ -44,8 +44,8 @@ def invert_B(y: float) -> float:
     derivative 1/(2x) + 1 exceeds 1 everywhere, so the iteration is
     well-conditioned over the whole range.
     """
-    if y <= 0.0:
-        raise ValueError(f"invert_B needs y > 0, got {y}")
+    if not (math.isfinite(y) and y > 0.0):
+        raise ValueError(f"invert_B needs finite y > 0, got {y}")
     target = math.log(y)
 
     def g(x):

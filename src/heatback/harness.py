@@ -26,6 +26,7 @@ from .observability import (
 )
 from .pipeline import PipelineConfig, local_reconstruct, observation_weights
 from .spectral import (
+    _PROFILE_KINDS,
     DiffusionProfile,
     DomainSpec,
     EigenBasis,
@@ -38,7 +39,6 @@ from .spectral import (
     uniform_grid,
 )
 
-_PROFILE_KINDS = ("constant", "affine", "sinusoidal")
 _CONSTANTS_MODES = ("paper", "empirical")
 _ZETA_MODES = ("paper", "default")
 _SABOTAGE_MODES = ("none", "k")
@@ -222,6 +222,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raw[key] = value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        if key in _FLOAT_KEYS | _LIST_KEYS and not np.all(np.isfinite(raw[key])):
+            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
     return _resolve(raw)
 
 
@@ -305,7 +307,8 @@ def pipeline_config(cfg: ExperimentConfig, l2_prior: float, h01_prior: float) ->
     )
 
 
-def _fmt(value) -> str:
+def fmt_value(value) -> str:
+    """CSV cell: empty for None, true/false, 17 significant digits for floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -315,12 +318,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
-    """RFC-4180-style CSV: header row, CRLF line ends, 17-significant-digit floats."""
+def csv_text(columns, rows) -> str:
+    """RFC-4180-style CSV: header row, CRLF line ends, one value per column."""
     out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(_fmt(row.get(col)) for col in columns))
+    out.extend(",".join(fmt_value(v) for v in row) for row in rows)
     return "\r\n".join(out) + "\r\n"
+
+
+def rows_to_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
+    """CSV of dict rows, one column per key in ``columns``."""
+    return csv_text(columns, ([row.get(col) for col in columns] for row in rows))
 
 
 def _sweep_cell(cfg: ExperimentConfig, shared: dict, delta_idx: int, trial: int) -> list[dict]:
@@ -427,14 +434,10 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
             results = list(pool.map(lambda c: _sweep_cell(cfg, shared, *c), cells))
     else:
         results = [_sweep_cell(cfg, shared, *cell) for cell in cells]
-
-    by_cell = dict(zip(cells, results))
-    method_order = {"global": 0, "local": 1, "baseline": 2}
-    rows = []
-    for di in range(len(cfg.delta_list)):
-        for method in sorted(method_order, key=method_order.get):
-            for trial in range(cfg.trials):
-                for row in by_cell[(di, trial)]:
-                    if row["method"] == method:
-                        rows.append(row)
-    return rows
+    # cells run delta-major; rows go out delta-major, then by method, then by trial
+    return [
+        results[di * cfg.trials + trial][m]
+        for di in range(len(cfg.delta_list))
+        for m in range(3)
+        for trial in range(cfg.trials)
+    ]

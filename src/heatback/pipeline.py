@@ -64,8 +64,7 @@ def control_cost_claim(T: float, c3: float, c4: float, eps: float) -> float:
 def sw_prefactor(basis: EigenBasis, profile: DiffusionProfile, T: float) -> float:
     """Aggregate decay weight (sum_i exp(-2 lambda_i int_{2T}^{3T} p))^{1/2},
     summed directly over the truncated basis."""
-    w = profile.integral(2.0 * T, 3.0 * T)
-    return float(math.sqrt(np.sum(np.exp(-2.0 * basis.eigenvalues * w))))
+    return float(math.sqrt(np.sum(basis.decay(profile, 2.0 * T, 3.0 * T) ** 2)))
 
 
 def effective_delta_3T(
@@ -190,8 +189,7 @@ def assemble_fbar(
     values = np.asarray(values, dtype=float)
     if values.shape != np.asarray(xs).shape:
         raise ValueError("xs and values must match")
-    w23 = setup.profile.integral(2.0 * setup.T, 3.0 * setup.T)
-    decay23 = np.exp(-basis.eigenvalues[:n_bank] * w23)
+    decay23 = basis.decay(setup.profile, 2.0 * setup.T, 3.0 * setup.T)
     coeffs = np.zeros(basis.size)
     psi_norms = np.zeros(n_bank)
     h_qnorms = np.zeros(n_bank)
@@ -217,15 +215,14 @@ def certified_delta_3T(
     |h_i|_quad delta bounds it; unbanked modes contribute at most their
     uncontrolled decay from the initial prior.
     """
-    basis = setup.basis
+    basis, profile, T = setup.basis, setup.profile, setup.T
     n_bank = psi_norms.size
-    w23 = setup.profile.integral(2.0 * setup.T, 3.0 * setup.T)
-    decay23 = np.exp(-basis.eigenvalues[:n_bank] * w23)
+    decay23 = basis.decay(profile, 2.0 * T, 3.0 * T)[:n_bank]
     banked = math.sqrt(
         float(np.sum((decay23 * (psi_norms * l2_prior + h_qnorms * delta)) ** 2))
     )
-    w03 = setup.profile.integral(0.0, 3.0 * setup.T)
-    tail = math.sqrt(float(np.sum(np.exp(-2.0 * basis.eigenvalues[n_bank:] * w03)))) * l2_prior
+    decay03 = basis.decay(profile, 0.0, 3.0 * T)[n_bank:]
+    tail = math.sqrt(float(np.sum(decay03**2))) * l2_prior
     return banked + tail
 
 

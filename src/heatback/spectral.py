@@ -83,10 +83,6 @@ class Subdomain:
             )
         return r
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
 
 _PROFILE_KINDS = ("constant", "affine", "sinusoidal")
 
@@ -167,11 +163,6 @@ class DiffusionProfile:
         )
 
 
-def p_integral(profile: DiffusionProfile, t0: float, t1: float) -> float:
-    """Exact diffusivity integral over [t0, t1]."""
-    return profile.integral(t0, t1)
-
-
 class EigenBasis:
     """First N Dirichlet eigenpairs of -d^2/dx^2 on (0, L).
 
@@ -202,26 +193,16 @@ class EigenBasis:
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
+    def decay(self, profile: DiffusionProfile, t0: float, t1: float) -> np.ndarray:
+        """Propagator factors exp(-lambda_i int_{t0}^{t1} p), one per mode."""
+        return np.exp(-self.eigenvalues * profile.integral(t0, t1))
+
     def eigenfunction_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Matrix E with E[j, i] = e_{i+1}(xs[j])."""
         xs = np.asarray(xs, dtype=float)
         L = self.domain.length
         k = np.arange(1, self.size + 1, dtype=float)
         return math.sqrt(2.0 / L) * np.sin(np.outer(xs, k) * (math.pi / L))
-
-
-def eigen_pair(i: int, domain: DomainSpec):
-    """Return (lambda_i, evaluator) for the i-th Dirichlet sine eigenpair."""
-    if i < 1:
-        raise ValueError(f"mode index must be >= 1, got {i}")
-    L = domain.length
-    lam = (i * math.pi / L) ** 2
-    amp = math.sqrt(2.0 / L)
-
-    def evaluator(x):
-        return amp * np.sin(i * math.pi * np.asarray(x, dtype=float) / L)
-
-    return lam, evaluator
 
 
 @dataclass(frozen=True)
@@ -271,18 +252,12 @@ class SpectralField:
             raise ValueError("basis mismatch")
         return SpectralField(self.basis, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def evolve(
     field: SpectralField, t0: float, t1: float, profile: DiffusionProfile
 ) -> SpectralField:
     """Propagate a field forward from t0 to t1 under du/dt = p(t) u_xx."""
-    w = profile.integral(t0, t1)
-    return SpectralField(field.basis, field.coeffs * np.exp(-field.basis.eigenvalues * w))
+    return SpectralField(field.basis, field.coeffs * field.basis.decay(profile, t0, t1))
 
 
 def uniform_grid(a: float, b: float, panels: int) -> np.ndarray:
@@ -359,12 +334,6 @@ def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
     diag = (sub.b - sub.a) / L - (s(2 * k, sub.b) - s(2 * k, sub.a)) / (2 * k * math.pi)
     np.fill_diagonal(off, diag)
     return 0.5 * (off + off.T)
-
-
-def norms(field: SpectralField, gram: np.ndarray | None = None):
-    """Return (l2, h01, l2_sub); l2_sub is None when no Gram matrix is given."""
-    sub = None if gram is None else field.l2_sub(gram)
-    return field.l2(), field.h01(), sub
 
 
 def synthesize_initial(basis: EigenBasis, decay: float, seed: int) -> SpectralField:

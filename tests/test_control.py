@@ -107,15 +107,6 @@ class TestSolve:
             sol = solve_control(setup, phi0)
             assert sol.identity_residual <= 1e-12 * np.linalg.norm(sol.psi)
 
-    def test_cg_agrees_with_cholesky(self, setup64):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            phi0 = rng.standard_normal(64)
-            a = solve_control(setup64, phi0, method="cholesky")
-            b = solve_control(setup64, phi0, method="cg")
-            assert np.linalg.norm(a.c - b.c) <= 1e-10 * np.linalg.norm(a.c)
-            assert not b.used_fallback
-
     def test_vanishing_weight_disables_control(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis16)

@@ -44,6 +44,11 @@ class TestScalarMachinery:
         assert invert_B(math.e) == pytest.approx(1.0, rel=1e-13)
         assert invert_B(math.sqrt(2.0) * math.e**2) == pytest.approx(2.0, rel=1e-13)
 
+    @pytest.mark.parametrize("y", [math.inf, math.nan, 0.0, -1.0])
+    def test_invert_B_rejects_non_finite_and_nonpositive(self, y):
+        with pytest.raises(ValueError, match="finite y > 0"):
+            invert_B(y)
+
     def test_invert_B_round_trip_over_18_decades(self):
         for y in np.logspace(-6, 12, 55):
             x = invert_B(float(y))

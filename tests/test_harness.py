@@ -7,7 +7,7 @@ import pytest
 
 from heatback import ConfigError, inject_noise, load_config, run_sweep, save_config
 from heatback.cli import main as cli_main
-from heatback.harness import parse_config_text, rows_to_csv
+from heatback.harness import _FLOAT_KEYS, parse_config_text, rows_to_csv
 from heatback.spectral import simpson_weights, uniform_grid
 
 MINIMAL = "length = 1.0\nT = 0.25\ndelta_list = 1e-4, 1e-6\n"
@@ -69,6 +69,19 @@ class TestConfigParsing:
     def test_empty_delta_list_allowed(self):
         cfg = parse_config_text("length = 1.0\nT = 0.25\ndelta_list =\n")
         assert cfg.delta_list == ()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS | {"delta_list"}))
+    def test_non_finite_value_names_key(self, key, bad, tmp_path, capsys):
+        base = {"length": "1.0", "T": "0.25", "delta_list": "1e-4, 1e-6"}
+        base[key] = "1e-4, " + bad if key == "delta_list" else bad
+        text = "".join(f"{k} = {v}\n" for k, v in base.items())
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            parse_config_text(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli_main(["sweep", "--config", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
 
 
 class TestInjectNoise:
@@ -245,7 +258,7 @@ class TestCli:
         out = tmp_path / "ctl.csv"
         assert cli_main(["control", "--config", cfg_path, "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
-        assert header == "i,h_norm,psi_norm,eps_bound_ok,h_bound_ok,cg_iters"
+        assert header == "i,h_norm,psi_norm,eps_bound_ok,h_bound_ok"
         assert len(out.read_text().strip().splitlines()) == 17
 
     def test_external_observation_requires_priors(self, cfg_path, tmp_path, capsys):

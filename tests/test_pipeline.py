@@ -296,7 +296,7 @@ class TestLocalReconstruct:
             b = np.zeros(64)
             b[i] = -dT2T[i]
             psi = setup.decay_to_2T * np.eye(64)[i] + setup.decay_to_T * b
-            bank.append(ControlSolution(np.zeros(64), b, psi, 0.0, 0.0, 0, False))
+            bank.append(ControlSolution(np.zeros(64), b, psi, 0.0, 0.0))
         E = basis64.eigenfunction_matrix(xs)
         w23 = profile_constant.integral(2.0 * T, 3.0 * T)
         decay23 = np.exp(-basis64.eigenvalues * w23)

@@ -11,44 +11,47 @@ from heatback import (
     EigenBasis,
     SpectralField,
     Subdomain,
-    eigen_pair,
     evolve,
     gram_subdomain,
-    norms,
-    p_integral,
     project,
     synthesize_initial,
     uniform_grid,
 )
 
 
+def _mode(domain, i):
+    """(lambda_i, x -> e_i(x)) read off an EigenBasis of size i."""
+    basis = EigenBasis(domain, i)
+    return basis.eigenvalues[i - 1], lambda x: basis.eigenfunction_matrix([x])[0, i - 1]
+
+
 class TestEigenPairs:
     def test_unit_interval_first_mode(self, unit_domain):
-        lam, ev = eigen_pair(1, unit_domain)
+        lam, ev = _mode(unit_domain, 1)
         assert lam == pytest.approx(math.pi**2, rel=1e-15)
         assert ev(0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_second_mode_vanishes_at_center(self, unit_domain):
-        _, ev = eigen_pair(2, unit_domain)
+        _, ev = _mode(unit_domain, 2)
         assert abs(ev(0.5)) < 1e-15
 
     def test_third_mode_on_wider_interval(self):
         # frozen from the closed form; cross-checked by central differences below
-        lam, ev = eigen_pair(3, DomainSpec(2.0, 1.0))
+        lam, ev = _mode(DomainSpec(2.0, 1.0), 3)
         assert lam == pytest.approx((1.5 * math.pi) ** 2, rel=1e-15)
         h, x = 1e-5, 0.37
         fd_lam = -(ev(x + h) - 2 * ev(x) + ev(x - h)) / h**2 / ev(x)
         assert fd_lam == pytest.approx(lam, rel=1e-6)
 
     def test_boundary_values_vanish(self, unit_domain):
+        E = EigenBasis(unit_domain, 7).eigenfunction_matrix(np.array([0.0, 1.0]))
         for i in (1, 2, 7):
-            _, ev = eigen_pair(i, unit_domain)
-            assert abs(ev(0.0)) < 1e-15
-            assert abs(ev(1.0)) < 1e-14
+            assert abs(E[0, i - 1]) < 1e-15
+            assert abs(E[1, i - 1]) < 1e-14
 
     def test_rejects_mode_zero(self, unit_domain):
         with pytest.raises(ValueError):
-            eigen_pair(0, unit_domain)
+            EigenBasis(unit_domain, 0)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -60,26 +63,26 @@ class TestEigenPairs:
 class TestProfiles:
     def test_constant_integral(self):
         p = DiffusionProfile.constant(1.0, 1.0)
-        assert p_integral(p, 0.0, 0.3) == pytest.approx(0.3, rel=1e-15)
+        assert p.integral(0.0, 0.3) == pytest.approx(0.3, rel=1e-15)
 
     def test_sinusoidal_antiderivative(self):
         p = DiffusionProfile.sinusoidal(1.0, 0.2, 1.0, 2.0)
         T = 0.8
-        assert p_integral(p, 0.0, T) == pytest.approx(T + 0.2 * (1.0 - math.cos(T)), rel=1e-14)
+        assert p.integral(0.0, T) == pytest.approx(T + 0.2 * (1.0 - math.cos(T)), rel=1e-14)
 
     def test_affine_closed_form(self):
         # 0.3 + 0.05 (0.25 - 0.04); cross-checked against adaptive quadrature
         p = DiffusionProfile.affine(1.0, 0.1, 1.0)
-        assert p_integral(p, 0.2, 0.5) == pytest.approx(0.3105, rel=1e-14)
+        assert p.integral(0.2, 0.5) == pytest.approx(0.3105, rel=1e-14)
 
     def test_bounds_sandwich_integral(self, profile_sinusoidal):
         p = profile_sinusoidal
-        val = p_integral(p, 0.1, 1.7)
+        val = p.integral(0.1, 1.7)
         assert p.p1 * 1.6 <= val <= p.p2 * 1.6
 
     def test_rejects_reversed_interval(self, profile_constant):
         with pytest.raises(ValueError):
-            p_integral(profile_constant, 0.5, 0.2)
+            profile_constant.integral(0.5, 0.2)
 
     def test_rejects_nonpositive_profile(self):
         with pytest.raises(ValueError):
@@ -118,6 +121,13 @@ class TestEvolve:
         small = expo <= 300.0
         assert small.sum() >= 5
         assert np.all(err[small] <= 1e-13 * np.abs(one_step.coeffs[small]))
+
+    def test_decay_is_the_propagator(self, basis16, profile_affine):
+        d = basis16.decay(profile_affine, 0.2, 0.7)
+        w = profile_affine.integral(0.2, 0.7)
+        np.testing.assert_array_equal(d, np.exp(-basis16.eigenvalues * w))
+        u = synthesize_initial(basis16, 2.0, 3)
+        np.testing.assert_array_equal(evolve(u, 0.2, 0.7, profile_affine).coeffs, u.coeffs * d)
 
     def test_energy_decay_strict(self, basis16, profile_sinusoidal):
         u = synthesize_initial(basis16, 2.0, 1)
@@ -207,21 +217,20 @@ class TestGram:
 
 class TestNorms:
     def test_single_mode(self, basis16):
-        l2, h01, extra = norms(SpectralField.unit_mode(basis16, 1))
-        assert l2 == pytest.approx(1.0)
-        assert h01 == pytest.approx(math.pi, rel=1e-14)
-        assert extra is None
+        u = SpectralField.unit_mode(basis16, 1)
+        assert u.l2() == pytest.approx(1.0)
+        assert u.h01() == pytest.approx(math.pi, rel=1e-14)
 
     def test_zero_field(self, basis16):
-        l2, h01, _ = norms(SpectralField.zero(basis16))
-        assert l2 == 0.0 and h01 == 0.0
+        u = SpectralField.zero(basis16)
+        assert u.l2() == 0.0 and u.h01() == 0.0
 
     def test_subdomain_norm_from_gram(self, basis16):
         # frozen from the half-interval Gram entries above
         G = gram_subdomain(Subdomain(0.0, 0.5), basis16)
         coeffs = np.zeros(16)
         coeffs[:2] = 1.0
-        _, _, sub = norms(SpectralField(basis16, coeffs), G)
+        sub = SpectralField(basis16, coeffs).l2_sub(G)
         assert sub == pytest.approx(math.sqrt(1.0 + 8.0 / (3.0 * math.pi)), rel=1e-13)
 
 
