@@ -19,7 +19,6 @@ from .fd import FDGrid, fd_evolve, oracle_gap
 from .filtering import global_backward
 from .harness import (
     ExperimentConfig,
-    _even_ceil,
     build_chain,
     csv_text,
     fmt_value,
@@ -65,17 +64,17 @@ def _read_observation(path: str):
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "modes", None) is not None:
-        modes = args.modes
-        updates["modes"] = modes
-        updates["bank"] = min(cfg.bank, modes)
-        updates["grid"] = max(cfg.grid, _even_ceil(16 * modes))
-        span = (cfg.omega_b - cfg.omega_a) / cfg.length
-        updates["obs_grid"] = max(cfg.obs_grid, _even_ceil(int(16 * modes * span) + 1))
-    return replace(cfg, **updates) if updates else cfg
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.modes is not None:
+        # the default grids for the new order, unless the config's are finer
+        fresh = replace(
+            cfg, modes=args.modes, bank=min(cfg.bank, args.modes), grid=None, obs_grid=None
+        )
+        cfg = replace(
+            fresh, grid=max(fresh.grid, cfg.grid), obs_grid=max(fresh.obs_grid, cfg.obs_grid)
+        )
+    return cfg
 
 
 def _synthetic_truth(cfg: ExperimentConfig):

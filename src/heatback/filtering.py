@@ -13,6 +13,7 @@ the bound and the solver gates to it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,16 @@ def eval_B(x: float) -> float:
 
 
 def invert_B(y: float) -> float:
-    """Solve sqrt(x) e^x = y.
+    """Solve sqrt(x) e^x = y for finite y > 0.
 
-    Bisection bracket refined by Newton on log B(x) = 0.5 log x + x, whose
-    derivative 1/(2x) + 1 exceeds 1 everywhere, so the iteration is
-    well-conditioned over the whole range.
+    Bisection bracket refined by Newton on g(x) = 0.5 log x + x - log y, whose
+    derivative 1/(2x) + 1 exceeds 1 everywhere.  The bracket ends about 2**-60
+    wide, too wide for roots x below about 1e-19 (y below about 4e-10), from
+    where that Newton step overshoots below zero or stalls.  Such y are solved
+    by Newton on u = log x instead: h(u) = 0.5 u + e^u - log y is convex and
+    increasing, and h(2 log y) = y**2 > 0, so the iterates from u = 2 log y
+    descend monotonically to the root.  A root below the least normal float
+    (y below about 1.5e-154) raises ValueError.
     """
     if not (math.isfinite(y) and y > 0.0):
         raise ValueError(f"invert_B needs finite y > 0, got {y}")
@@ -51,23 +57,34 @@ def invert_B(y: float) -> float:
     def g(x):
         return 0.5 * math.log(x) + x - target
 
-    lo = min((y / 3.0) ** 2, 0.5)
-    while g(lo) > 0.0:
-        lo *= 0.25
-    hi = max(1.0, target + 1.0)
-    while g(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-4 * hi:
-            break
-    x = 0.5 * (lo + hi)
+    if y >= 1e-10:  # below, Newton on x fails for every y
+        lo = 0.5 if y >= 3.0 else min((y / 3.0) ** 2, 0.5)  # (y/3)**2 overflows for huge y
+        while g(lo) > 0.0:
+            lo *= 0.25
+        hi = max(1.0, target + 1.0)
+        while g(hi) < 0.0:
+            hi *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if g(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-4 * hi:
+                break
+        x = 0.5 * (lo + hi)
+        for _ in range(8):
+            x -= g(x) / (0.5 / x + 1.0)
+            if x <= 0.0:
+                break
+        if x > 0.0 and abs(g(x)) <= 1e-12:
+            return x
+    u = 2.0 * target
     for _ in range(8):
-        x -= g(x) / (0.5 / x + 1.0)
+        u -= (0.5 * u + math.exp(u) - target) / (0.5 + math.exp(u))
+    x = math.exp(u)
+    if x < sys.float_info.min:
+        raise ValueError(f"invert_B({y!r}) underflows: its root exp({u!r}) is not a normal float")
     return x
 
 

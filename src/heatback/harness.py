@@ -1,18 +1,19 @@
 """Experiment configuration, calibrated noise injection, and sweep orchestration.
 
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
-are rejected and every default is resolved at load time so that emitting and
-reloading a config reproduces it exactly.  Sweeps run the global solver, the
-local pipeline, and a spectral-truncation baseline over a noise-level grid
-and emit one deterministic CSV; any falsified certified inequality is
-reported per row and escalated by the CLI.
+are rejected and every default is filled in when a config is built, so that
+emitting and reloading a config reproduces it exactly.  Sweeps run the global
+solver, the local pipeline, and a spectral-truncation baseline over a
+noise-level grid and emit one deterministic CSV; any falsified certified
+inequality is reported per row and escalated by the CLI.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -39,43 +40,101 @@ from .spectral import (
     uniform_grid,
 )
 
-_CONSTANTS_MODES = ("paper", "empirical")
-_ZETA_MODES = ("paper", "default")
-_SABOTAGE_MODES = ("none", "k")
-
 SWEEP_COLUMNS = ("delta", "method", "epsilon", "alpha", "bound", "error", "bound_ok", "runtime_ms")
+
+_CHOICES = {
+    "profile": _PROFILE_KINDS,
+    "constants_mode": ("paper", "empirical"),
+    "zeta_mode": ("paper", "default"),
+    "sabotage": ("none", "k"),
+}
+
+
+def _even_ceil(x: float) -> int:
+    n = int(math.ceil(x))
+    return n + n % 2
+
+
+def _check(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description; every field has a concrete value."""
+    """One experiment; each field is the config key of the same name and type.
+
+    A field without a default is a required key.  The keys whose default
+    depends on other keys (``x0``, ``omega_b``, ``bank``, ``grid``,
+    ``obs_grid``) default to None and are filled in on construction, which
+    also checks every value, so neither parsing nor ``dataclasses.replace``
+    can build a config that fails a check.  ``delta``, ``prior_l2``,
+    ``prior_h01`` and ``out`` may stay unset.
+    """
 
     length: float
     T: float
     delta_list: tuple[float, ...]
-    x0: float
-    profile: str
-    p_base: float
-    p_slope: float
-    p_amp: float
-    p_freq: float
-    omega_a: float
-    omega_b: float
-    modes: int
-    bank: int
-    decay: float
-    seed: int
-    trials: int
-    constants_mode: str
-    zeta_mode: str
-    xi: float
-    grid: int
-    obs_grid: int
-    sabotage: str
-    delta: float | None
-    prior_l2: float | None
-    prior_h01: float | None
-    out: str | None
+    x0: float | None = None
+    profile: str = "constant"
+    p_base: float = 1.0
+    p_slope: float = 0.1
+    p_amp: float = 0.2
+    p_freq: float = 1.0
+    omega_a: float = 0.0
+    omega_b: float | None = None
+    modes: int = 64
+    bank: int | None = None
+    decay: float = 3.0
+    seed: int = 0
+    trials: int = 3
+    constants_mode: str = "paper"
+    zeta_mode: str = "paper"
+    xi: float = 0.5
+    grid: int | None = None
+    obs_grid: int | None = None
+    sabotage: str = "none"
+    delta: float | None = None
+    prior_l2: float | None = None
+    prior_h01: float | None = None
+    out: str | None = None
+
+    def __post_init__(self):
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name in _FLOAT_KEYS]
+        for key, v in floats + [("delta_list", d) for d in self.delta_list]:
+            normal = v is None or math.isfinite(v) and (v == 0.0 or abs(v) >= sys.float_info.min)
+            _check(normal, f"{key!r} must be finite and normal, got {v!r}")
+        _check(self.length > 0.0, f"length must be positive, got {self.length}")
+        _check(self.T > 0.0, f"T must be positive, got {self.T}")
+        for d in self.delta_list:
+            _check(
+                0.0 < d < 1.0, f"delta_list entries are relative noise levels in (0, 1), got {d}"
+            )
+        modes = self.modes
+        _check(modes >= 1, "modes must be >= 1")
+        self._fill(x0=0.5 * self.length, omega_b=self.length, bank=min(32, modes))
+        _check(1 <= self.bank <= modes, f"bank must lie in [1, modes={modes}], got {self.bank}")
+        _check(0.0 < self.xi < 1.0, f"xi must lie in (0, 1), got {self.xi}")
+        for key, allowed in _CHOICES.items():
+            value = getattr(self, key)
+            _check(value in allowed, f"{key} must be one of {allowed}, got {value!r}")
+        _check(self.trials >= 1, "trials must be >= 1")
+        a, b = self.omega_a, self.omega_b
+        _check(0.0 <= a < b <= self.length, f"need 0 <= omega_a < omega_b <= length, got {a, b}")
+        self._fill(
+            grid=_even_ceil(16 * modes),
+            obs_grid=max(64, _even_ceil(16 * modes * (b - a) / self.length)),
+        )
+        _check(
+            self.grid % 2 == 0 and self.grid >= 8 * modes,
+            f"grid must be even and >= 8*modes = {8 * modes}, got {self.grid}",
+        )
+        _check(self.obs_grid % 2 == 0, f"obs_grid must be even, got {self.obs_grid}")
+
+    def _fill(self, **defaults):
+        for key, value in defaults.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
 
     # -- derived builders -------------------------------------------------
     def domain(self) -> DomainSpec:
@@ -102,100 +161,15 @@ class ExperimentConfig:
         return uniform_grid(self.omega_a, self.omega_b, self.obs_grid)
 
 
-_REQUIRED = ("length", "T", "delta_list")
-
-_FLOAT_KEYS = {
-    "length", "T", "x0", "p_base", "p_slope", "p_amp", "p_freq",
-    "omega_a", "omega_b", "decay", "xi", "delta", "prior_l2", "prior_h01",
+# each key's type is its field's annotation; "| None" marks a key that may stay unset
+_KINDS = {f.name: f.type.split(" | ")[0] for f in fields(ExperimentConfig)}
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()),
 }
-_INT_KEYS = {"modes", "bank", "seed", "trials", "grid", "obs_grid"}
-_STR_KEYS = {"profile", "constants_mode", "zeta_mode", "sabotage", "out"}
-_LIST_KEYS = {"delta_list"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
-
-
-def _even_ceil(x: float) -> int:
-    n = int(math.ceil(x))
-    return n + n % 2
-
-
-def _resolve(raw: dict) -> ExperimentConfig:
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    length = raw["length"]
-    if length <= 0.0:
-        raise ConfigError(f"length must be positive, got {length}")
-    T = raw["T"]
-    if T <= 0.0:
-        raise ConfigError(f"T must be positive, got {T}")
-    deltas = tuple(raw["delta_list"])
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise ConfigError(f"delta_list entries are relative noise levels in (0, 1), got {d}")
-    modes = raw.get("modes", 64)
-    if modes < 1:
-        raise ConfigError("modes must be >= 1")
-    bank = raw.get("bank", min(32, modes))
-    if not 1 <= bank <= modes:
-        raise ConfigError(f"bank must lie in [1, modes={modes}], got {bank}")
-    xi = raw.get("xi", 0.5)
-    if not 0.0 < xi < 1.0:
-        raise ConfigError(f"xi must lie in (0, 1), got {xi}")
-    profile = raw.get("profile", "constant")
-    if profile not in _PROFILE_KINDS:
-        raise ConfigError(f"profile must be one of {_PROFILE_KINDS}, got {profile!r}")
-    constants_mode = raw.get("constants_mode", "paper")
-    if constants_mode not in _CONSTANTS_MODES:
-        raise ConfigError(f"constants_mode must be one of {_CONSTANTS_MODES}")
-    zeta_mode = raw.get("zeta_mode", "paper")
-    if zeta_mode not in _ZETA_MODES:
-        raise ConfigError(f"zeta_mode must be one of {_ZETA_MODES}")
-    sabotage = raw.get("sabotage", "none")
-    if sabotage not in _SABOTAGE_MODES:
-        raise ConfigError(f"sabotage must be one of {_SABOTAGE_MODES}")
-    trials = raw.get("trials", 3)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    omega_a = raw.get("omega_a", 0.0)
-    omega_b = raw.get("omega_b", length)
-    if not 0.0 <= omega_a < omega_b <= length:
-        raise ConfigError(f"need 0 <= omega_a < omega_b <= length, got ({omega_a}, {omega_b})")
-    grid = raw.get("grid", _even_ceil(16 * modes))
-    if grid % 2 != 0 or grid < 8 * modes:
-        raise ConfigError(f"grid must be even and >= 8*modes = {8 * modes}, got {grid}")
-    obs_default = max(64, _even_ceil(16 * modes * (omega_b - omega_a) / length))
-    obs_grid = raw.get("obs_grid", obs_default)
-    if obs_grid % 2 != 0:
-        raise ConfigError(f"obs_grid must be even, got {obs_grid}")
-    return ExperimentConfig(
-        length=length,
-        T=T,
-        delta_list=deltas,
-        x0=raw.get("x0", 0.5 * length),
-        profile=profile,
-        p_base=raw.get("p_base", 1.0),
-        p_slope=raw.get("p_slope", 0.1),
-        p_amp=raw.get("p_amp", 0.2),
-        p_freq=raw.get("p_freq", 1.0),
-        omega_a=omega_a,
-        omega_b=omega_b,
-        modes=modes,
-        bank=bank,
-        decay=raw.get("decay", 3.0),
-        seed=raw.get("seed", 0),
-        trials=trials,
-        constants_mode=constants_mode,
-        zeta_mode=zeta_mode,
-        xi=xi,
-        grid=grid,
-        obs_grid=obs_grid,
-        sabotage=sabotage,
-        delta=raw.get("delta"),
-        prior_l2=raw.get("prior_l2"),
-        prior_h01=raw.get("prior_h01"),
-        out=raw.get("out"),
-    )
+_FLOAT_KEYS = {key for key, kind in _KINDS.items() if kind == "float"}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -207,24 +181,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in payload:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in payload.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _LIST_KEYS:
-                raw[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-            elif key in _FLOAT_KEYS:
-                raw[key] = float(value)
-            elif key in _INT_KEYS:
-                raw[key] = int(value)
-            else:
-                raw[key] = value
+            raw[key] = _PARSERS[_KINDS[key]](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        if key in _FLOAT_KEYS | _LIST_KEYS and not np.all(np.isfinite(raw[key])):
-            raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
-    return _resolve(raw)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"missing required key {f.name!r}")
+    return ExperimentConfig(**raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -345,6 +313,11 @@ def _sweep_cell(cfg: ExperimentConfig, shared: dict, delta_idx: int, trial: int)
     delta_abs = delta_rel * l2
     uT = evolve(u0, 0.0, cfg.T, profile)
 
+    def row(method, epsilon, alpha, bound, error, bound_ok) -> dict:
+        # runtime_ms stays 0 so that the CSV is bit-reproducible
+        values = (delta_abs, method, epsilon, alpha, bound, error, bound_ok, 0)
+        return dict(zip(SWEEP_COLUMNS, values))
+
     noisy_full = inject_noise(
         uT.evaluate(xs_full), delta_abs, [cfg.seed + trial, delta_idx, 0], w_full
     )
@@ -352,18 +325,7 @@ def _sweep_cell(cfg: ExperimentConfig, shared: dict, delta_idx: int, trial: int)
         xs_full, noisy_full, basis, cfg.T, profile, delta_abs, l2, h01
     )
     err_global = (u0 - g_global).l2()
-    rows = [
-        {
-            "delta": delta_abs,
-            "method": "global",
-            "epsilon": None,
-            "alpha": sel.alpha,
-            "bound": sel.bound,
-            "error": err_global,
-            "bound_ok": err_global <= sel.bound,
-            "runtime_ms": 0,
-        }
-    ]
+    rows = [row("global", None, sel.alpha, sel.bound, err_global, err_global <= sel.bound)]
 
     pcfg: PipelineConfig = shared["pipeline_proto"]
     pcfg = replace(pcfg, l2_prior=l2, h01_prior=h01)
@@ -373,20 +335,8 @@ def _sweep_cell(cfg: ExperimentConfig, shared: dict, delta_idx: int, trial: int)
     report = local_reconstruct(xs_omega, noisy_omega, delta_abs, pcfg)
     report = replace(report, actual_error=(u0 - report.g).l2())
     err_local = report.actual_error
-    rows.append(
-        {
-            "delta": delta_abs,
-            "method": "local",
-            "epsilon": report.epsilon,
-            "alpha": report.alpha,
-            "bound": report.bound,
-            "error": err_local,
-            "bound_ok": (
-                err_local <= report.bound and report.consistency_ok and report.k_consistent
-            ),
-            "runtime_ms": 0,
-        }
-    )
+    local_ok = err_local <= report.bound and report.consistency_ok and report.k_consistent
+    rows.append(row("local", report.epsilon, report.alpha, report.bound, err_local, local_ok))
 
     observed = project(xs_full, noisy_full, basis)
     if sel.gate_zero:
@@ -395,18 +345,7 @@ def _sweep_cell(cfg: ExperimentConfig, shared: dict, delta_idx: int, trial: int)
         w0T = profile.integral(0.0, cfg.T)
         cutoff = max(1, int(np.sum(basis.eigenvalues * w0T <= math.log(sel.alpha))))
     g_base = truncation_baseline(observed, cutoff, cfg.T, profile)
-    rows.append(
-        {
-            "delta": delta_abs,
-            "method": "baseline",
-            "epsilon": None,
-            "alpha": None,
-            "bound": None,
-            "error": (u0 - g_base).l2(),
-            "bound_ok": True,
-            "runtime_ms": 0,
-        }
-    )
+    rows.append(row("baseline", None, None, None, (u0 - g_base).l2(), True))
     return rows
 
 

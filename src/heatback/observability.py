@@ -193,6 +193,11 @@ def fit_empirical_constants(
         z = math.log(v0.l2())
         xs.append(math.log(l2_omega) - z)
         ys.append(math.log(vT.l2()) - z)
+    if not xs:
+        raise ValueError(
+            f"empirical constants: every sampled field decays to zero by T = {T}, "
+            "so there is nothing to fit"
+        )
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     xc = xs - xs.mean()

@@ -53,6 +53,16 @@ class TestScalarMachinery:
         for y in np.logspace(-6, 12, 55):
             x = invert_B(float(y))
             assert abs(eval_B(x) - y) <= 1e-12 * y
+        # in log form out to both ends: (y/3)**2 overflows above ~5e154, and
+        # below ~4e-10 Newton on x overshoots below zero
+        for y in np.concatenate([np.logspace(-150, 300, 901), np.logspace(-10, -9, 201)]):
+            x = invert_B(float(y))
+            assert abs(0.5 * math.log(x) + x - math.log(y)) <= 1e-12
+
+    @pytest.mark.parametrize("y", [1e-155, 1e-200, 5e-324])
+    def test_invert_B_rejects_underflowing_root(self, y):
+        with pytest.raises(ValueError, match="underflows"):
+            invert_B(y)
 
     def test_invert_A_known_points(self):
         assert invert_A_increasing(math.e / 3.0, 0.0) == pytest.approx(1.0, rel=1e-12)

@@ -1,13 +1,18 @@
 """Config parsing, calibrated noise, sweep orchestration, CLI exit codes."""
 
 import math
+import re
+import warnings
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatback import ConfigError, inject_noise, load_config, run_sweep, save_config
+from heatback.cli import _apply_overrides, build_parser
 from heatback.cli import main as cli_main
-from heatback.harness import _FLOAT_KEYS, parse_config_text, rows_to_csv
+from heatback.harness import _FLOAT_KEYS, ExperimentConfig, parse_config_text, rows_to_csv
 from heatback.spectral import simpson_weights, uniform_grid
 
 MINIMAL = "length = 1.0\nT = 0.25\ndelta_list = 1e-4, 1e-6\n"
@@ -70,7 +75,7 @@ class TestConfigParsing:
         cfg = parse_config_text("length = 1.0\nT = 0.25\ndelta_list =\n")
         assert cfg.delta_list == ()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e-320"])
     @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS | {"delta_list"}))
     def test_non_finite_value_names_key(self, key, bad, tmp_path, capsys):
         base = {"length": "1.0", "T": "0.25", "delta_list": "1e-4, 1e-6"}
@@ -82,6 +87,64 @@ class TestConfigParsing:
         path.write_text(text)
         assert cli_main(["sweep", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
+
+
+class TestOverrides:
+    @staticmethod
+    def overridden(text, *flags):
+        args = build_parser().parse_args(["sweep", "--config", "unused.cfg", *flags])
+        return _apply_overrides(parse_config_text(text), args)
+
+    @pytest.mark.parametrize("geometry", ["", "omega_a = 0.3\nomega_b = 0.7\n"])
+    def test_modes_gives_the_grids_of_the_config_key(self, geometry):
+        cfg = self.overridden(MINIMAL + geometry + "modes = 8\n", "--modes", "40")
+        parsed = parse_config_text(MINIMAL + geometry + "modes = 40\nbank = 8\n")
+        assert cfg == parsed
+
+    def test_modes_obs_grid_matches_parsing(self):
+        # the override used to round 16 * modes * span up twice: 82 here
+        text = MINIMAL + "omega_a = 0.25\nomega_b = 0.75\n"
+        cfg = self.overridden(text + "modes = 8\n", "--modes", "10")
+        parsed = parse_config_text(text + "modes = 10\n")
+        assert (cfg.grid, cfg.obs_grid) == (parsed.grid, parsed.obs_grid) == (160, 80)
+
+    def test_modes_keeps_bank_cap_and_finer_grids(self):
+        cfg = self.overridden(MINIMAL + "modes = 32\nbank = 20\ngrid = 2000\n", "--modes", "16")
+        assert (cfg.modes, cfg.bank, cfg.grid, cfg.obs_grid) == (16, 16, 2000, 512)
+
+    def test_seed_changes_only_seed(self):
+        base = parse_config_text(SWEEP_CFG)
+        assert self.overridden(SWEEP_CFG, "--seed", "7") == replace(base, seed=7)
+        assert self.overridden(SWEEP_CFG) == base
+
+    def test_replace_is_validated(self):
+        cfg = parse_config_text(SWEEP_CFG)
+        with pytest.raises(ConfigError, match="modes"):
+            replace(cfg, modes=0)
+        with pytest.raises(ConfigError, match="'T' must be finite"):
+            replace(cfg, T=math.nan)
+        with pytest.raises(ConfigError, match="zeta_mode"):
+            replace(cfg, zeta_mode="bogus")
+
+    def test_modes_zero_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL)
+        assert cli_main(["sweep", "--config", str(path), "--modes", "0"]) == 1
+        assert "modes" in capsys.readouterr().err
+
+
+def test_readme_config_keys_match_the_dataclass():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    required = re.findall(r"`(\w+)`", re.search(r"^Required keys: (.*)$", section, re.M).group(1))
+    table = [
+        name
+        for row in section.splitlines()
+        if row.startswith("| `")
+        for name in re.findall(r"`(\w+)`", row.split("|")[1])
+    ]
+    assert required == [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+    assert sorted(required + table) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 class TestInjectNoise:
@@ -229,6 +292,15 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text(SWEEP_CFG + "xi = 1.5\n")
         assert cli_main(["sweep", "--config", str(path)]) == 1
+
+    def test_empirical_fit_without_samples_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "decayed.cfg"
+        path.write_text(SWEEP_CFG.replace("modes = 32\nbank = 16", "modes = 16") + "p_base = 1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["sweep", "--config", str(path)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "decays to zero" in capsys.readouterr().err
 
     def test_missing_config_file_exits_one(self, capsys):
         assert cli_main(["sweep", "--config", "/nonexistent.cfg"]) == 1
