@@ -158,7 +158,7 @@ def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
             [cfg.seed, 0, 1],
             weights,
         )
-    pcfg = pipeline_config(cfg, l2, h01)
+    pcfg = pipeline_config(cfg, basis, l2, h01)
     report = local_reconstruct(xs, values, delta_abs, pcfg)
     if u0 is not None:
         report = replace(report, actual_error=(u0 - report.g).l2())

@@ -195,7 +195,12 @@ def select_alpha(
         )
     theta = 1.0 / (1.0 + 2.0 * x_bar)  # = alpha e^{-x_bar}
     if not 0.0 < theta < 1.0:
-        raise ConfigError(f"convex weight theta={theta} outside (0, 1)")
+        # theta rounds to 1 only for x_bar below roundoff; with delta < l2 <= h01 / sqrt(lambda1)
+        # that needs lambda1 p2 tau below roundoff, i.e. a vanishing horizon
+        raise ConfigError(
+            f"T too small: convex weight theta={theta} outside (0, 1) at horizon {horizon} "
+            f"(lambda1 p2 tau = {lambda1 * p2tau:.6g})"
+        )
     return FilterSelection(
         False, alpha, z, bound, log_arg, threshold, effective_delta,
         lambda_bar=x_bar / p2tau, theta=theta,

@@ -257,8 +257,10 @@ def build_chain(cfg: ExperimentConfig) -> ObservabilityConstants:
         raise ConfigError(str(exc)) from exc
 
 
-def pipeline_config(cfg: ExperimentConfig, l2_prior: float, h01_prior: float) -> PipelineConfig:
-    basis = cfg.basis()
+def pipeline_config(
+    cfg: ExperimentConfig, basis: EigenBasis, l2_prior: float, h01_prior: float
+) -> PipelineConfig:
+    """Pipeline data for ``cfg`` on the caller's basis, which keeps its sine matrices."""
     sub = cfg.subdomain()
     return PipelineConfig(
         basis=basis,
@@ -365,7 +367,7 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
         "w_full": simpson_weights(xs_full.size, xs_full[1] - xs_full[0]),
         "xs_omega": xs_omega,
         "w_omega": observation_weights(xs_omega, sub, basis),
-        "pipeline_proto": pipeline_config(cfg, 1.0, 1.0),
+        "pipeline_proto": pipeline_config(cfg, basis, 1.0, 1.0),
     }
     cells = [(di, trial) for di in range(len(cfg.delta_list)) for trial in range(cfg.trials)]
     if parallel > 1:

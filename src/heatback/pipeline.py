@@ -21,6 +21,7 @@ consistency gate that validates the reported error bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ from .spectral import (
     simpson_weights,
 )
 
+_LN_MAX = math.log(sys.float_info.max)
+
 
 def select_epsilon(delta: float, T: float, c3: float, c4: float, l2_prior: float) -> float:
     """Minimizer (c4 c3 e^{c3/T} delta / l2)^{1/(1+c4)} of the transfer error,
@@ -53,6 +56,10 @@ def select_epsilon(delta: float, T: float, c3: float, c4: float, l2_prior: float
     ln_eps = (math.log(c4) + math.log(c3) + c3 / T + math.log(delta) - math.log(l2_prior)) / (
         1.0 + c4
     )
+    if not ln_eps <= _LN_MAX:
+        raise ConfigError(
+            f"T = {T} too small: the control accuracy eps = exp({ln_eps:.6g}) overflows"
+        )
     return math.exp(ln_eps)
 
 

@@ -11,6 +11,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,9 @@ class DiffusionProfile:
         )
 
 
+_SINE_CACHE_SIZE = 4  # grids whose sine matrix each basis keeps; a sweep uses 2
+
+
 class EigenBasis:
     """First N Dirichlet eigenpairs of -d^2/dx^2 on (0, L).
 
@@ -176,8 +180,16 @@ class EigenBasis:
         self.domain = domain
         self.size = size
         k = np.arange(1, size + 1, dtype=float)
-        self.eigenvalues = (k * math.pi / domain.length) ** 2
+        with np.errstate(over="ignore"):
+            self.eigenvalues = (k * math.pi / domain.length) ** 2
+        if not math.isfinite(self.eigenvalues[-1]):
+            raise ValueError(
+                f"length = {domain.length} too small for {size} modes: "
+                f"the eigenvalue ({size} pi / length)^2 overflows"
+            )
         self.eigenvalues.flags.writeable = False
+        self._sines: dict[bytes, np.ndarray] = {}  # grid bytes -> matrix, oldest first
+        self._sines_lock = threading.Lock()
 
     def __eq__(self, other):
         return (
@@ -198,11 +210,30 @@ class EigenBasis:
         return np.exp(-self.eigenvalues * profile.integral(t0, t1))
 
     def eigenfunction_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Matrix E with E[j, i] = e_{i+1}(xs[j])."""
-        xs = np.asarray(xs, dtype=float)
+        """Read-only matrix E with E[j, i] = e_{i+1}(xs.flat[j]).
+
+        The matrices of the last few grids are kept, keyed by the grid's
+        float64 bytes, so a fixed grid builds its matrix once per basis.  Two
+        threads may both build a missing matrix; the values are identical.
+        """
+        xs = np.ascontiguousarray(xs, dtype=float)
+        key = xs.tobytes()
+        with self._sines_lock:
+            E = self._sines.get(key)
+        if E is not None:
+            return E
         L = self.domain.length
-        k = np.arange(1, self.size + 1, dtype=float)
-        return math.sqrt(2.0 / L) * np.sin(np.outer(xs, k) * (math.pi / L))
+        # in place: one array of the result's size, no same-size temporaries
+        E = np.outer(xs, np.arange(1, self.size + 1, dtype=float))
+        E *= math.pi / L
+        np.sin(E, out=E)
+        E *= math.sqrt(2.0 / L)
+        E.flags.writeable = False
+        with self._sines_lock:
+            self._sines[key] = E
+            while len(self._sines) > _SINE_CACHE_SIZE:
+                del self._sines[next(iter(self._sines))]
+        return E
 
 
 @dataclass(frozen=True)

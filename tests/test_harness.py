@@ -223,6 +223,11 @@ class TestSweep:
         threaded = rows_to_csv(run_sweep(cfg, parallel=4))
         assert serial == threaded
 
+    def test_parallel_matches_serial_at_64_modes(self):
+        cfg = parse_config_text(SWEEP_CFG.replace("modes = 32\nbank = 16", "modes = 64"))
+        serial = rows_to_csv(run_sweep(cfg, parallel=1))
+        assert rows_to_csv(run_sweep(cfg, parallel=2)) == serial
+
     def test_sabotage_flags_rows(self):
         cfg = parse_config_text(SWEEP_CFG + "sabotage = k\n")
         rows = run_sweep(cfg)
@@ -301,6 +306,29 @@ class TestCli:
             assert cli_main(["sweep", "--config", str(path)]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "decays to zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["local-backward", "control", "sweep", "global-backward"])
+    def test_vanishing_T_names_T(self, command, tmp_path, capsys):
+        path = tmp_path / "tiny_T.cfg"
+        path.write_text(
+            SWEEP_CFG.replace("T = 0.25", "T = 1e-300").replace("modes = 32\nbank = 16", "modes = 16")
+        )
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert "T = 1e-300 too small" in err or "T too small" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["global-backward", "forward", "sweep"])
+    def test_vanishing_length_names_length(self, command, tmp_path, capsys):
+        path = tmp_path / "tiny_length.cfg"
+        path.write_text("length = 1e-300\nT = 0.25\ndelta_list = 1e-4\nmodes = 16\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "length = 1e-300 too small" in err and "Traceback" not in err
 
     def test_missing_config_file_exits_one(self, capsys):
         assert cli_main(["sweep", "--config", "/nonexistent.cfg"]) == 1

@@ -1,6 +1,9 @@
 """Eigenbasis, profiles, propagator, projection and Gram geometry."""
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from heatback import (
     synthesize_initial,
     uniform_grid,
 )
+from heatback.spectral import _SINE_CACHE_SIZE
 
 
 def _mode(domain, i):
@@ -58,6 +62,109 @@ class TestEigenPairs:
             DomainSpec(1.0, 1.5)
         with pytest.raises(ValueError):
             DomainSpec(-1.0, 0.3)
+
+    def test_rejects_overflowing_eigenvalue(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="length = 1e-300"):
+                EigenBasis(DomainSpec(1e-300, 5e-301), 16)
+        # the same length still holds a basis whose largest eigenvalue is finite
+        assert EigenBasis(DomainSpec(1e-150, 5e-151), 16).eigenvalues[-1] < math.inf
+
+
+def _sines(basis, xs):
+    """The closed form sqrt(2/L) sin(k pi x / L), built without the cache."""
+    L = basis.domain.length
+    k = np.arange(1, basis.size + 1, dtype=float)
+    return math.sqrt(2.0 / L) * np.sin(np.outer(np.asarray(xs, dtype=float), k) * (math.pi / L))
+
+
+class TestSineMatrixCache:
+    def test_same_grid_returns_same_object(self, unit_domain):
+        basis = EigenBasis(unit_domain, 16)
+        xs = uniform_grid(0.0, 1.0, 256)
+        E = basis.eigenfunction_matrix(xs)
+        assert basis.eigenfunction_matrix(xs) is E
+        assert basis.eigenfunction_matrix(xs.copy()) is E
+
+    @pytest.mark.parametrize(
+        "length, modes, grid",
+        [
+            (1.0, 256, (0.0, 1.0, 4096)),
+            (1.0, 256, (0.3, 0.7, 1640)),
+            (2.0, 32, (0.0, 2.0, 512)),
+            (2.0, 32, (0.25, 1.5, 200)),
+        ],
+    )
+    def test_bit_equal_to_formula_and_read_only(self, length, modes, grid):
+        basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
+        xs = uniform_grid(*grid)
+        E = basis.eigenfunction_matrix(xs)
+        assert np.array_equal(E, _sines(basis, xs))
+        with pytest.raises(ValueError):
+            E[0, 0] = 1.0
+
+    def test_list_scalar_and_array_agree(self, unit_domain):
+        basis = EigenBasis(unit_domain, 8)
+        from_array = basis.eigenfunction_matrix(np.array([0.3]))
+        assert np.array_equal(basis.eigenfunction_matrix([0.3]), from_array)
+        assert np.array_equal(basis.eigenfunction_matrix(0.3), from_array)
+        assert np.array_equal(from_array, _sines(basis, [0.3]))
+
+    def test_keeps_only_the_latest_grids(self, unit_domain):
+        basis = EigenBasis(unit_domain, 8)
+        grids = [uniform_grid(0.0, 1.0, 64 + 2 * j) for j in range(_SINE_CACHE_SIZE + 1)]
+        built = [basis.eigenfunction_matrix(xs) for xs in grids]
+        assert len(basis._sines) == _SINE_CACHE_SIZE
+        for xs, E in zip(grids[1:], built[1:]):
+            assert basis.eigenfunction_matrix(xs) is E
+        # the oldest grid was evicted and is built afresh
+        again = basis.eigenfunction_matrix(grids[0])
+        assert again is not built[0] and np.array_equal(again, built[0])
+        assert len(basis._sines) == _SINE_CACHE_SIZE
+
+    def test_bases_never_share_a_matrix(self, unit_domain):
+        xs = uniform_grid(0.0, 1.0, 256)
+        bases = [
+            EigenBasis(unit_domain, 16),
+            EigenBasis(unit_domain, 32),
+            EigenBasis(DomainSpec(2.0, 1.0), 16),
+        ]
+        mats = [basis.eigenfunction_matrix(xs) for basis in bases]
+        for basis, E in zip(bases, mats):
+            assert np.array_equal(E, _sines(basis, xs))
+        assert mats[0].shape != mats[1].shape
+        assert not np.array_equal(mats[0], mats[2])
+
+    def test_threads_racing_over_more_grids_than_kept(self, unit_domain):
+        basis = EigenBasis(unit_domain, 16)
+        grids = [uniform_grid(0.0, 1.0, 64 + 2 * j) for j in range(_SINE_CACHE_SIZE + 2)]
+        expected = [_sines(basis, xs) for xs in grids]
+        wrong, done = [], []
+
+        def worker(offset):
+            try:
+                for n in range(200):
+                    j = (n + offset) % len(grids)
+                    if not np.array_equal(basis.eigenfunction_matrix(grids[j]), expected[j]):
+                        wrong.append(j)
+            except Exception as exc:  # a thread's exception would otherwise be lost
+                wrong.append(exc)
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(8)) and wrong == []
+        assert len(basis._sines) <= _SINE_CACHE_SIZE
 
 
 class TestProfiles:
