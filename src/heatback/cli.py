@@ -17,19 +17,9 @@ from .control import ControlSetup, control_mode_bank, verify_control_bounds
 from .errors import BoundViolation, ConfigError
 from .fd import FDGrid, fd_evolve, oracle_gap
 from .filtering import global_backward
-from .harness import (
-    ExperimentConfig,
-    build_chain,
-    csv_text,
-    fmt_value,
-    inject_noise,
-    load_config,
-    pipeline_config,
-    rows_to_csv,
-    run_sweep,
-)
-from .pipeline import local_reconstruct, observation_weights, select_epsilon
-from .spectral import evolve, gram_subdomain, simpson_weights, synthesize_initial
+from .harness import ExperimentConfig, Run, csv_text, fmt_value, load_config, rows_to_csv, run_sweep
+from .pipeline import local_reconstruct, select_epsilon
+from .spectral import evolve
 
 
 def _write(path: str | None, text: str):
@@ -77,13 +67,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _synthetic_truth(cfg: ExperimentConfig):
-    basis = cfg.basis()
-    profile = cfg.profile_obj()
-    u0 = synthesize_initial(basis, cfg.decay, cfg.seed)
-    return basis, profile, u0
-
-
 def _first_delta_abs(cfg: ExperimentConfig, l2: float) -> float:
     if cfg.delta is not None:
         return cfg.delta
@@ -93,43 +76,40 @@ def _first_delta_abs(cfg: ExperimentConfig, l2: float) -> float:
 
 
 def _cmd_forward(cfg: ExperimentConfig, args) -> int:
-    basis, profile, u0 = _synthetic_truth(cfg)
-    uT = evolve(u0, 0.0, cfg.T, profile)
+    run = Run(cfg)
+    u0 = run.truth()
+    uT = evolve(u0, 0.0, cfg.T, run.profile)
     _write(args.out, _field_csv(uT))
     if args.emit_observation:
-        xs = cfg.omega_grid()
-        weights = observation_weights(xs, cfg.subdomain(), basis)
         delta_abs = _first_delta_abs(cfg, u0.l2())
-        noisy = inject_noise(uT.evaluate(xs), delta_abs, [cfg.seed, 0, 1], weights)
+        xs, noisy = run.observe(uT, delta_abs, [cfg.seed, 0], local=True)
         _write(args.emit_observation, csv_text(("x", "value"), list(zip(xs, noisy))))
     return 0
 
 
-def _priors_for_external(cfg: ExperimentConfig):
-    if cfg.prior_l2 is None or cfg.prior_h01 is None or cfg.delta is None:
-        raise ConfigError(
-            "external observations need prior_l2, prior_h01 and delta keys in the config"
-        )
-    return cfg.prior_l2, cfg.prior_h01, cfg.delta
+def _observation(run: Run, args, local: bool):
+    """``(u0, xs, values, l2, h01, delta)``: the --observation file with the
+    config's priors, or noisy samples of the seeded truth (then ``u0`` is set)."""
+    cfg = run.cfg
+    if args.observation:
+        xs, values = _read_observation(args.observation)
+        if cfg.prior_l2 is None or cfg.prior_h01 is None or cfg.delta is None:
+            raise ConfigError(
+                "external observations need prior_l2, prior_h01 and delta keys in the config"
+            )
+        return None, xs, values, cfg.prior_l2, cfg.prior_h01, cfg.delta
+    u0 = run.truth()
+    l2 = u0.l2()
+    delta_abs = _first_delta_abs(cfg, l2)
+    uT = evolve(u0, 0.0, cfg.T, run.profile)
+    xs, values = run.observe(uT, delta_abs, [cfg.seed, 0], local)
+    return u0, xs, values, l2, u0.h01(), delta_abs
 
 
 def _cmd_global_backward(cfg: ExperimentConfig, args) -> int:
-    basis = cfg.basis()
-    profile = cfg.profile_obj()
-    if args.observation:
-        xs, values = _read_observation(args.observation)
-        l2, h01, delta_abs = _priors_for_external(cfg)
-        u0 = None
-    else:
-        basis, profile, u0 = _synthetic_truth(cfg)
-        l2, h01 = u0.l2(), u0.h01()
-        delta_abs = _first_delta_abs(cfg, l2)
-        xs = cfg.full_grid()
-        weights = simpson_weights(xs.size, xs[1] - xs[0])
-        values = inject_noise(
-            evolve(u0, 0.0, cfg.T, profile).evaluate(xs), delta_abs, [cfg.seed, 0, 0], weights
-        )
-    g, sel = global_backward(xs, values, basis, cfg.T, profile, delta_abs, l2, h01)
+    run = Run(cfg)
+    u0, xs, values, l2, h01, delta_abs = _observation(run, args, local=False)
+    g, sel = global_backward(xs, values, run.basis, cfg.T, run.profile, delta_abs, l2, h01)
     _write(args.out, _field_csv(g))
     error = None if u0 is None else (u0 - g).l2()
     if args.report:
@@ -141,29 +121,11 @@ def _cmd_global_backward(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
-    if args.observation:
-        xs, values = _read_observation(args.observation)
-        l2, h01, delta_abs = _priors_for_external(cfg)
-        u0 = None
-        basis = cfg.basis()
-    else:
-        basis, profile, u0 = _synthetic_truth(cfg)
-        l2, h01 = u0.l2(), u0.h01()
-        delta_abs = _first_delta_abs(cfg, l2)
-        xs = cfg.omega_grid()
-        weights = observation_weights(xs, cfg.subdomain(), basis)
-        values = inject_noise(
-            evolve(u0, 0.0, cfg.T, cfg.profile_obj()).evaluate(xs),
-            delta_abs,
-            [cfg.seed, 0, 1],
-            weights,
-        )
-    pcfg = pipeline_config(cfg, basis, l2, h01)
-    report = local_reconstruct(xs, values, delta_abs, pcfg)
-    if u0 is not None:
-        report = replace(report, actual_error=(u0 - report.g).l2())
+    run = Run(cfg)
+    u0, xs, values, l2, h01, delta_abs = _observation(run, args, local=True)
+    report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
     _write(args.out, _field_csv(report.g))
-    error = report.actual_error
+    error = None if u0 is None else (u0 - report.g).l2()
     if args.report:
         row = (delta_abs, report.epsilon, report.claimed_delta, report.alpha, report.bound, error)
         _write(args.report, csv_text(_REPORT_COLUMNS, [row]))
@@ -179,24 +141,25 @@ def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_control(cfg: ExperimentConfig, args) -> int:
-    basis, profile, u0 = _synthetic_truth(cfg)
-    sub = cfg.subdomain()
-    gram = gram_subdomain(sub, basis)
-    chain = build_chain(cfg)
+    run = Run(cfg)
+    u0 = run.truth()
+    chain = run.chain
     delta_abs = _first_delta_abs(cfg, u0.l2())
     eps = select_epsilon(delta_abs, cfg.T, chain.c3, chain.c4, u0.l2())
-    setup = ControlSetup.from_chain(basis, cfg.T, profile, sub, gram, eps, chain)
+    setup = ControlSetup.from_chain(
+        run.basis, cfg.T, run.profile, run.subdomain, run.gram, eps, chain
+    )
     bank = control_mode_bank(setup, cfg.bank)
     rows = []
     for i, sol in enumerate(bank, start=1):
-        cert = verify_control_bounds(setup, sol, np.eye(basis.size)[i - 1])
+        cert = verify_control_bounds(setup, sol, np.eye(run.basis.size)[i - 1])
         rows.append((i, sol.h_norm_omega, cert.psi_norm, cert.psi_ok, cert.h_ok))
     _write(args.out, csv_text(("i", "h_norm", "psi_norm", "eps_bound_ok", "h_bound_ok"), rows))
     return 0
 
 
 def _cmd_constants(cfg: ExperimentConfig, args) -> int:
-    chain = build_chain(cfg)
+    chain = Run(cfg).chain
     rows = [(f.name, getattr(chain, f.name)) for f in fields(chain)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -219,13 +182,14 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_oracle_check(cfg: ExperimentConfig, args) -> int:
-    basis, profile, u0 = _synthetic_truth(cfg)
-    grid = FDGrid(cfg.domain(), 2000)
+    run = Run(cfg)
+    u0 = run.truth()
+    grid = FDGrid(run.domain, 2000)
     rows = []
     worst = 0.0
     for t in (cfg.T / 5.0, cfg.T):
-        spectral = evolve(u0, 0.0, t, profile)
-        fd_vals = fd_evolve(grid, grid.sample(u0), profile, t, 2000)
+        spectral = evolve(u0, 0.0, t, run.profile)
+        fd_vals = fd_evolve(grid, grid.sample(u0), run.profile, t, 2000)
         gap = oracle_gap(grid, spectral, fd_vals)
         tol = 1e-4 * u0.l2()
         rows.append((cfg.profile, t, gap, tol, gap <= tol))

@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
 are rejected and every default is filled in when a config is built, so that
-emitting and reloading a config reproduces it exactly.  Sweeps run the global
+emitting and reloading a config reproduces it exactly.  A ``Run`` builds the
+basis, profile, grids, noisy samples, Gram matrix and constants chain that a
+config describes, once for each command or sweep.  Sweeps run the global
 solver, the local pipeline, and a spectral-truncation baseline over a
 noise-level grid and emit one deterministic CSV; any falsified certified
 inequality is reported per row and escalated by the CLI.
@@ -13,7 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .spectral import (
     DiffusionProfile,
     DomainSpec,
     EigenBasis,
+    SpectralField,
     Subdomain,
     evolve,
     gram_subdomain,
@@ -106,9 +110,12 @@ class ExperimentConfig:
             _check(normal, f"{key!r} must be finite and normal, got {v!r}")
         _check(self.length > 0.0, f"length must be positive, got {self.length}")
         _check(self.T > 0.0, f"T must be positive, got {self.T}")
+        # below float64 roundoff the noise is smaller than the error already in u(T)
+        lowest = sys.float_info.epsilon
         for d in self.delta_list:
             _check(
-                0.0 < d < 1.0, f"delta_list entries are relative noise levels in (0, 1), got {d}"
+                lowest <= d < 1.0,
+                f"delta_list entries are relative noise levels in [{lowest!r}, 1), got {d}",
             )
         modes = self.modes
         _check(modes >= 1, "modes must be >= 1")
@@ -135,30 +142,6 @@ class ExperimentConfig:
         for key, value in defaults.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
-
-    # -- derived builders -------------------------------------------------
-    def domain(self) -> DomainSpec:
-        return DomainSpec(self.length, self.x0)
-
-    def basis(self) -> EigenBasis:
-        return EigenBasis(self.domain(), self.modes)
-
-    def subdomain(self) -> Subdomain:
-        return Subdomain(self.omega_a, self.omega_b)
-
-    def profile_obj(self) -> DiffusionProfile:
-        horizon = 3.0 * self.T
-        if self.profile == "constant":
-            return DiffusionProfile.constant(self.p_base, horizon)
-        if self.profile == "affine":
-            return DiffusionProfile.affine(self.p_base, self.p_slope, horizon)
-        return DiffusionProfile.sinusoidal(self.p_base, self.p_amp, self.p_freq, horizon)
-
-    def full_grid(self) -> np.ndarray:
-        return uniform_grid(0.0, self.length, self.grid)
-
-    def omega_grid(self) -> np.ndarray:
-        return uniform_grid(self.omega_a, self.omega_b, self.obs_grid)
 
 
 # each key's type is its field's annotation; "| None" marks a key that may stay unset
@@ -239,42 +222,77 @@ def inject_noise(
     return values + scale * noise
 
 
-def build_chain(cfg: ExperimentConfig) -> ObservabilityConstants:
-    """Constants chain for the configured geometry and mode."""
-    domain = cfg.domain()
-    sub = cfg.subdomain()
-    profile = cfg.profile_obj()
-    if cfg.constants_mode == "empirical":
-        basis = cfg.basis()
-        gram = gram_subdomain(sub, basis)
-        return fit_empirical_constants(basis, sub, gram, cfg.T, profile)
-    if sub.is_full(domain):
-        return chain_full_domain()
-    try:
-        r = sub.ball_radius(domain)
-        return constants_convex(domain, r, profile, cfg.xi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+class Run:
+    """The objects one config describes: domain, basis, profile and subdomain.
 
+    Each command and the sweep build one ``Run`` and share it.  The Gram
+    matrix and the constants chain are built on first use and then kept, so
+    a command that needs neither never builds them; touch them before threads
+    share a ``Run``, so that each is built once.
+    """
 
-def pipeline_config(
-    cfg: ExperimentConfig, basis: EigenBasis, l2_prior: float, h01_prior: float
-) -> PipelineConfig:
-    """Pipeline data for ``cfg`` on the caller's basis, which keeps its sine matrices."""
-    sub = cfg.subdomain()
-    return PipelineConfig(
-        basis=basis,
-        T=cfg.T,
-        profile=cfg.profile_obj(),
-        subdomain=sub,
-        gram=gram_subdomain(sub, basis),
-        n_bank=cfg.bank,
-        chain=build_chain(cfg),
-        l2_prior=l2_prior,
-        h01_prior=h01_prior,
-        zeta_mode=cfg.zeta_mode,
-        k_scale=1e-9 if cfg.sabotage == "k" else 1.0,
-    )
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.domain = DomainSpec(cfg.length, cfg.x0)
+        self.basis = EigenBasis(self.domain, cfg.modes)
+        self.subdomain = Subdomain(cfg.omega_a, cfg.omega_b)
+        # each kind reads only its own parameters; the horizon is the local method's 3T
+        self.profile = DiffusionProfile(
+            cfg.profile, cfg.p_base, cfg.p_slope, cfg.p_amp, cfg.p_freq, 3.0 * cfg.T
+        )
+
+    def truth(self, trial: int = 0) -> SpectralField:
+        """The seeded synthetic initial state of ``trial``."""
+        return synthesize_initial(self.basis, self.cfg.decay, self.cfg.seed + trial)
+
+    def observe(self, uT: SpectralField, delta_abs: float, seed, local: bool):
+        """``(xs, noisy samples of uT)`` on the omega grid or the full grid.
+
+        The noise has quadrature norm ``delta_abs`` and is seeded by
+        ``[*seed, 1]`` on omega and ``[*seed, 0]`` on the whole domain.
+        """
+        cfg = self.cfg
+        if local:
+            xs = uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid)
+            weights = observation_weights(xs, self.subdomain, self.basis)
+        else:
+            xs = uniform_grid(0.0, cfg.length, cfg.grid)
+            weights = simpson_weights(xs.size, xs[1] - xs[0])
+        return xs, inject_noise(uT.evaluate(xs), delta_abs, [*seed, int(local)], weights)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return gram_subdomain(self.subdomain, self.basis)
+
+    @cached_property
+    def chain(self) -> ObservabilityConstants:
+        """Constants chain for the configured geometry and mode."""
+        cfg, domain, sub = self.cfg, self.domain, self.subdomain
+        if cfg.constants_mode == "empirical":
+            return fit_empirical_constants(self.basis, sub, self.gram, cfg.T, self.profile)
+        if sub.is_full(domain):
+            return chain_full_domain()
+        try:
+            return constants_convex(domain, sub.ball_radius(domain), self.profile, cfg.xi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def pipeline(self, l2_prior: float, h01_prior: float) -> PipelineConfig:
+        """Data of one local reconstruction under the given priors."""
+        cfg = self.cfg
+        return PipelineConfig(
+            basis=self.basis,
+            T=cfg.T,
+            profile=self.profile,
+            subdomain=self.subdomain,
+            gram=self.gram,
+            n_bank=cfg.bank,
+            chain=self.chain,
+            l2_prior=l2_prior,
+            h01_prior=h01_prior,
+            zeta_mode=cfg.zeta_mode,
+            k_scale=1e-9 if cfg.sabotage == "k" else 1.0,
+        )
 
 
 def fmt_value(value) -> str:
@@ -300,43 +318,30 @@ def rows_to_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
     return csv_text(columns, ([row.get(col) for col in columns] for row in rows))
 
 
-def _sweep_cell(cfg: ExperimentConfig, shared: dict, delta_idx: int, trial: int) -> list[dict]:
+def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
     """Run the three methods for one (delta, seed) cell; rows in method order."""
-    basis: EigenBasis = shared["basis"]
-    profile: DiffusionProfile = shared["profile"]
-    xs_full: np.ndarray = shared["xs_full"]
-    w_full: np.ndarray = shared["w_full"]
-    xs_omega: np.ndarray = shared["xs_omega"]
-    w_omega: np.ndarray = shared["w_omega"]
-
-    delta_rel = cfg.delta_list[delta_idx]
-    u0 = synthesize_initial(basis, cfg.decay, cfg.seed + trial)
+    cfg, basis, profile = run.cfg, run.basis, run.profile
+    u0 = run.truth(trial)
     l2, h01 = u0.l2(), u0.h01()
-    delta_abs = delta_rel * l2
+    delta_abs = cfg.delta_list[delta_idx] * l2
     uT = evolve(u0, 0.0, cfg.T, profile)
+    seed = [cfg.seed + trial, delta_idx]
 
     def row(method, epsilon, alpha, bound, error, bound_ok) -> dict:
         # runtime_ms stays 0 so that the CSV is bit-reproducible
         values = (delta_abs, method, epsilon, alpha, bound, error, bound_ok, 0)
         return dict(zip(SWEEP_COLUMNS, values))
 
-    noisy_full = inject_noise(
-        uT.evaluate(xs_full), delta_abs, [cfg.seed + trial, delta_idx, 0], w_full
-    )
+    xs_full, noisy_full = run.observe(uT, delta_abs, seed, local=False)
     g_global, sel = global_backward(
         xs_full, noisy_full, basis, cfg.T, profile, delta_abs, l2, h01
     )
     err_global = (u0 - g_global).l2()
     rows = [row("global", None, sel.alpha, sel.bound, err_global, err_global <= sel.bound)]
 
-    pcfg: PipelineConfig = shared["pipeline_proto"]
-    pcfg = replace(pcfg, l2_prior=l2, h01_prior=h01)
-    noisy_omega = inject_noise(
-        uT.evaluate(xs_omega), delta_abs, [cfg.seed + trial, delta_idx, 1], w_omega
-    )
-    report = local_reconstruct(xs_omega, noisy_omega, delta_abs, pcfg)
-    report = replace(report, actual_error=(u0 - report.g).l2())
-    err_local = report.actual_error
+    xs_omega, noisy_omega = run.observe(uT, delta_abs, seed, local=True)
+    report = local_reconstruct(xs_omega, noisy_omega, delta_abs, run.pipeline(l2, h01))
+    err_local = (u0 - report.g).l2()
     local_ok = err_local <= report.bound and report.consistency_ok and report.k_consistent
     rows.append(row("local", report.epsilon, report.alpha, report.bound, err_local, local_ok))
 
@@ -355,26 +360,14 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
     """All (delta, seed) cells, three methods each, in deterministic order."""
     if not cfg.delta_list:
         return []
-    basis = cfg.basis()
-    sub = cfg.subdomain()
-    profile = cfg.profile_obj()
-    xs_full = cfg.full_grid()
-    xs_omega = cfg.omega_grid()
-    shared = {
-        "basis": basis,
-        "profile": profile,
-        "xs_full": xs_full,
-        "w_full": simpson_weights(xs_full.size, xs_full[1] - xs_full[0]),
-        "xs_omega": xs_omega,
-        "w_omega": observation_weights(xs_omega, sub, basis),
-        "pipeline_proto": pipeline_config(cfg, basis, 1.0, 1.0),
-    }
+    run = Run(cfg)
+    run.pipeline(1.0, 1.0)  # builds the chain and the Gram matrix before the cells share them
     cells = [(di, trial) for di in range(len(cfg.delta_list)) for trial in range(cfg.trials)]
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(lambda c: _sweep_cell(cfg, shared, *c), cells))
+            results = list(pool.map(lambda c: _sweep_cell(run, *c), cells))
     else:
-        results = [_sweep_cell(cfg, shared, *cell) for cell in cells]
+        results = [_sweep_cell(run, *cell) for cell in cells]
     # cells run delta-major; rows go out delta-major, then by method, then by trial
     return [
         results[di * cfg.trials + trial][m]

@@ -58,7 +58,10 @@ def select_epsilon(delta: float, T: float, c3: float, c4: float, l2_prior: float
     )
     if not ln_eps <= _LN_MAX:
         raise ConfigError(
-            f"T = {T} too small: the control accuracy eps = exp({ln_eps:.6g}) overflows"
+            f"T = {T} too small for the constants chain (c3 = {c3:.6g}, c4 = {c4:.6g}): "
+            f"the control accuracy eps = exp({ln_eps:.6g}) overflows; on a proper subinterval "
+            "the worst-case chain of constants_mode = paper always does, and "
+            "constants_mode = empirical fits a far smaller one"
         )
     return math.exp(ln_eps)
 
@@ -128,7 +131,6 @@ class ReconstructionReport:
     certified_delta: float
     h_norm_max: float
     psi_norm_max: float
-    actual_error: float | None = None
 
     @property
     def bound(self) -> float:

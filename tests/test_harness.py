@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 
 from heatback import ConfigError, inject_noise, load_config, run_sweep, save_config
+from heatback import harness
 from heatback.cli import _apply_overrides, build_parser
 from heatback.cli import main as cli_main
-from heatback.harness import _FLOAT_KEYS, ExperimentConfig, parse_config_text, rows_to_csv
-from heatback.spectral import simpson_weights, uniform_grid
+from heatback.harness import (
+    _FLOAT_KEYS,
+    ExperimentConfig,
+    fmt_value,
+    parse_config_text,
+    rows_to_csv,
+)
+from heatback.spectral import DiffusionProfile, EigenBasis, simpson_weights, uniform_grid
 
 MINIMAL = "length = 1.0\nT = 0.25\ndelta_list = 1e-4, 1e-6\n"
 
@@ -26,6 +33,17 @@ omega_b = 0.7
 modes = 32
 bank = 16
 trials = 2
+constants_mode = empirical
+"""
+
+# the README demo.cfg geometry at 16 modes
+DEMO_16 = """
+length = 1.0
+T = 0.25
+delta_list = 1e-4
+omega_a = 0.3
+omega_b = 0.7
+modes = 16
 constants_mode = empirical
 """
 
@@ -87,6 +105,22 @@ class TestConfigParsing:
         path.write_text(text)
         assert cli_main(["sweep", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["sweep", "global-backward", "local-backward"])
+    def test_noise_below_roundoff_names_delta_list(self, command, tmp_path, capsys):
+        # such noise is smaller than the roundoff already in u(T), so the bound missed it
+        path = tmp_path / "tiny_delta.cfg"
+        path.write_text(DEMO_16.replace("delta_list = 1e-4", "delta_list = 1e-19"))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "delta_list" in err and "1e-19" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "global-backward", "local-backward"])
+    def test_noise_just_above_roundoff_runs(self, command, tmp_path, capsys):
+        path = tmp_path / "small_delta.cfg"
+        path.write_text(DEMO_16.replace("delta_list = 1e-4", "delta_list = 2.3e-16"))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
 
 
 class TestOverrides:
@@ -329,6 +363,68 @@ class TestCli:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "length = 1e-300 too small" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["local-backward", "control", "sweep"])
+    def test_worst_case_chain_on_subinterval_names_chain(self, command, tmp_path, capsys):
+        path = tmp_path / "paper_sub.cfg"
+        path.write_text(DEMO_16.replace("constants_mode = empirical", ""))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "T = 0.25 too small for the constants chain (c3 = 7.46482e+271" in err
+        assert "constants_mode = empirical" in err and "Traceback" not in err
+
+    def test_reports_match_the_sweep_rows(self, cfg_path, tmp_path, sweep_rows):
+        # trial 0 at the first noise level: the same seeds as a synthetic CLI run
+        for command, row in (("global-backward", sweep_rows[0]), ("local-backward", sweep_rows[2])):
+            rep = tmp_path / f"{command}.csv"
+            args = [command, "--config", cfg_path, "--out", str(tmp_path / "g.csv")]
+            assert cli_main(args + ["--report", str(rep)]) == 0
+            delta, epsilon, _, alpha, bound, error = rep.read_text().splitlines()[1].split(",")
+            assert row["method"] == command.split("-")[0]
+            keys = ("delta", "epsilon", "alpha", "bound", "error")
+            assert [delta, epsilon, alpha, bound, error] == [fmt_value(row[k]) for k in keys]
+
+    @pytest.mark.parametrize("command", ["global-backward", "forward"])
+    def test_commands_without_omega_grid_ignore_obs_grid(self, command, tmp_path, capsys):
+        path = tmp_path / "coarse.cfg"
+        path.write_text(MINIMAL + "modes = 32\nobs_grid = 20\n")
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert cli_main(["local-backward", "--config", str(path)]) == 1
+        assert "too coarse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, rc", [
+        ("global-backward", 0), ("local-backward", 1), ("constants", 1),
+    ])
+    def test_only_chain_commands_need_a_ball(self, command, rc, tmp_path, capsys):
+        path = tmp_path / "no_ball.cfg"
+        path.write_text(MINIMAL + "omega_a = 0.0\nomega_b = 0.3\nmodes = 16\n")
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == rc
+        if rc:
+            assert "does not contain a ball around x0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "forward", "global-backward", "local-backward", "control", "constants", "sweep",
+        "oracle-check",
+    ])
+    def test_each_command_builds_one_basis_profile_and_gram(
+        self, command, cfg_path, tmp_path, monkeypatch, capsys
+    ):
+        built = {"basis": 0, "profile": 0, "gram": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                built[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(EigenBasis, "__init__", counting("basis", EigenBasis.__init__))
+        monkeypatch.setattr(
+            DiffusionProfile, "__post_init__", counting("profile", DiffusionProfile.__post_init__)
+        )
+        monkeypatch.setattr(harness, "gram_subdomain", counting("gram", harness.gram_subdomain))
+        assert cli_main([command, "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 0
+        needs_gram = command in ("local-backward", "control", "constants", "sweep")
+        assert built == {"basis": 1, "profile": 1, "gram": int(needs_gram)}
 
     def test_missing_config_file_exits_one(self, capsys):
         assert cli_main(["sweep", "--config", "/nonexistent.cfg"]) == 1
