@@ -56,6 +56,7 @@ from .pipeline import (
     PipelineConfig,
     ReconstructionReport,
     assemble_fbar,
+    control_setup,
     effective_delta_3T,
     local_reconstruct,
     select_epsilon,

@@ -13,12 +13,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .control import ControlSetup, control_mode_bank, verify_control_bounds
+from .control import control_mode_bank, verify_control_bounds
 from .errors import BoundViolation, ConfigError
 from .fd import FDGrid, fd_evolve, oracle_gap
 from .filtering import global_backward
 from .harness import ExperimentConfig, Run, csv_text, fmt_value, load_config, rows_to_csv, run_sweep
-from .pipeline import local_reconstruct, select_epsilon
+from .pipeline import control_setup, local_reconstruct
 from .spectral import evolve
 
 
@@ -124,10 +124,11 @@ def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
     run = Run(cfg)
     u0, xs, values, l2, h01, delta_abs = _observation(run, args, local=True)
     report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
+    sel = report.selection
     _write(args.out, _field_csv(report.g))
     error = None if u0 is None else (u0 - report.g).l2()
     if args.report:
-        row = (delta_abs, report.epsilon, report.claimed_delta, report.alpha, report.bound, error)
+        row = (delta_abs, report.epsilon, report.claimed_delta, sel.alpha, sel.bound, error)
         _write(args.report, csv_text(_REPORT_COLUMNS, [row]))
     if not (report.consistency_ok and report.k_consistent):
         raise BoundViolation(
@@ -135,20 +136,16 @@ def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
             f"claimed {report.claimed_delta}, bank weight {report.k_used} vs chain "
             f"{report.k_chain}"
         )
-    if error is not None and error > report.bound:
-        raise BoundViolation(f"reconstruction error {error} exceeds certified bound {report.bound}")
+    if error is not None and error > sel.bound:
+        raise BoundViolation(f"reconstruction error {error} exceeds certified bound {sel.bound}")
     return 0
 
 
 def _cmd_control(cfg: ExperimentConfig, args) -> int:
     run = Run(cfg)
     u0 = run.truth()
-    chain = run.chain
-    delta_abs = _first_delta_abs(cfg, u0.l2())
-    eps = select_epsilon(delta_abs, cfg.T, chain.c3, chain.c4, u0.l2())
-    setup = ControlSetup.from_chain(
-        run.basis, cfg.T, run.profile, run.subdomain, run.gram, eps, chain
-    )
+    l2 = u0.l2()
+    setup = control_setup(run.pipeline(l2, u0.h01()), _first_delta_abs(cfg, l2))
     bank = control_mode_bank(setup, cfg.bank)
     rows = []
     for i, sol in enumerate(bank, start=1):

@@ -14,7 +14,8 @@ The impulse added at time T is h = -k^2 * (evolution of c to T), supported on
 omega with coefficient vector b = -k^2 G D_T c, and the duality residual
 psi = D_2T phi0 + D_T b equals eps^2 c identically; psi is the quantity the
 local reconstruction consumes, and it coincides with the physical terminal
-state phi(2T) whenever p is constant.
+state phi(2T) whenever p is constant.  Which (eps, k) to solve for is the
+pipeline's choice (pipeline.control_setup); this module takes them as given.
 """
 
 from __future__ import annotations
@@ -26,25 +27,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError
-from .observability import ObservabilityConstants
-from .spectral import DiffusionProfile, EigenBasis, SpectralField, Subdomain
+from .spectral import DiffusionProfile, EigenBasis, SpectralField
 
 _REL_SLACK = 1e-12  # float slack on certified inequalities
-
-
-def weight_from_chain(chain: ObservabilityConstants, T: float, eps: float) -> float:
-    """Observability weight k = sqrt(c1 e^{c1/T}) / eps^{c2}."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not math.isfinite(chain.c1):
-        raise ConfigError(
-            "constant chain overflows double range for this geometry; "
-            "use the empirical constants mode"
-        )
-    ln_k = 0.5 * (chain.ln_c1 + chain.c1 / T) - chain.c2 * math.log(eps)
-    if ln_k > 350.0:
-        raise ConfigError(f"control weight exp({ln_k:.3g}) not representable")
-    return math.exp(ln_k)
 
 
 @dataclass(frozen=True)
@@ -54,7 +39,6 @@ class ControlSetup:
     basis: EigenBasis
     T: float
     profile: DiffusionProfile
-    subdomain: Subdomain
     gram: np.ndarray
     eps: float
     k: float
@@ -64,19 +48,6 @@ class ControlSetup:
             raise ValueError("T, eps and k must be positive")
         if 2.0 * self.T > self.profile.horizon * (1.0 + 1e-12):
             raise ValueError("profile horizon shorter than the control window (0, 2T)")
-
-    @classmethod
-    def from_chain(
-        cls,
-        basis: EigenBasis,
-        T: float,
-        profile: DiffusionProfile,
-        subdomain: Subdomain,
-        gram: np.ndarray,
-        eps: float,
-        chain: ObservabilityConstants,
-    ) -> "ControlSetup":
-        return cls(basis, T, profile, subdomain, gram, eps, weight_from_chain(chain, T, eps))
 
     @property
     def decay_to_T(self) -> np.ndarray:

@@ -237,10 +237,9 @@ def invert_field(
     delta: float,
     l2_prior: float,
     h01_prior: float,
-    zeta: float | None = None,
 ) -> tuple[SpectralField, FilterSelection]:
     """Filter inversion of coefficient data at time tau; returns (g, selection)."""
-    sel = select_alpha(tau, profile, observed.basis.lambda1, h01_prior, delta, l2_prior, zeta)
+    sel = select_alpha(tau, profile, observed.basis.lambda1, h01_prior, delta, l2_prior)
     if sel.gate_zero:
         return SpectralField.zero(observed.basis), sel
     return apply_filter(observed, sel.alpha, tau, profile), sel
@@ -255,11 +254,10 @@ def global_backward(
     delta: float,
     l2_prior: float,
     h01_prior: float,
-    zeta: float | None = None,
 ) -> tuple[SpectralField, FilterSelection]:
     """Reconstruct the initial state from noisy full-domain samples at time tau."""
     observed = project(xs, values, basis)
-    return invert_field(observed, tau, profile, delta, l2_prior, h01_prior, zeta)
+    return invert_field(observed, tau, profile, delta, l2_prior, h01_prior)
 
 
 def truncation_baseline(

@@ -341,9 +341,9 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
 
     xs_omega, noisy_omega = run.observe(uT, delta_abs, seed, local=True)
     report = local_reconstruct(xs_omega, noisy_omega, delta_abs, run.pipeline(l2, h01))
-    err_local = (u0 - report.g).l2()
-    local_ok = err_local <= report.bound and report.consistency_ok and report.k_consistent
-    rows.append(row("local", report.epsilon, report.alpha, report.bound, err_local, local_ok))
+    err_local, bound = (u0 - report.g).l2(), report.selection.bound
+    local_ok = err_local <= bound and report.consistency_ok and report.k_consistent
+    rows.append(row("local", report.epsilon, report.selection.alpha, bound, err_local, local_ok))
 
     observed = project(xs_full, noisy_full, basis)
     if sel.gate_zero:

@@ -170,22 +170,19 @@ def fit_empirical_constants(
     gram: np.ndarray,
     T: float,
     profile: DiffusionProfile,
-    n_fields: int = 60,
-    base_seed: int = 1000,
-    margin: float = math.log(2.0),
-    mu_clip: tuple[float, float] = (0.05, 0.95),
 ) -> ObservabilityConstants:
     """Fit (K, mu) so the observation estimate covers a seeded field sample.
 
     Regresses log|v(T)|_Omega - log|v(0)| on log|v(T)|_omega - log|v(0)| for
-    evolved random fields, clips the slope to mu_clip, sets the intercept to
-    the worst sample plus a safety margin, and solves K e^{K/T} = intercept.
-    Diagnostic only; the certified route is constants_convex.
+    60 evolved random fields (seeds 1000..1059), clips the slope to
+    [0.05, 0.95], sets the intercept to the worst sample plus a safety margin
+    ln 2, and solves K e^{K/T} = intercept.  Diagnostic only; the certified
+    route is constants_convex.
     """
     decays = (1.5, 2.0, 3.0, 4.0)
     xs, ys = [], []
-    for j in range(n_fields):
-        v0 = synthesize_initial(basis, decays[j % len(decays)], base_seed + j)
+    for j in range(60):
+        v0 = synthesize_initial(basis, decays[j % len(decays)], 1000 + j)
         vT = evolve(v0, 0.0, T, profile)
         l2_omega = vT.l2_sub(gram)
         if l2_omega <= 0.0 or vT.l2() <= 0.0:
@@ -203,8 +200,8 @@ def fit_empirical_constants(
     xc = xs - xs.mean()
     denom = float(xc @ xc)
     slope = float(xc @ (ys - ys.mean())) / denom if denom > 0.0 else 1.0
-    mu = min(max(slope, mu_clip[0]), mu_clip[1])
-    intercept = float(np.max(ys - mu * xs)) + margin
+    mu = min(max(slope, 0.05), 0.95)
+    intercept = float(np.max(ys - mu * xs)) + math.log(2.0)
     # solve ln K + K / T = intercept; increasing in K
     lo, hi = 1e-12, 1.0
     while math.log(hi) + hi / T < intercept:

@@ -4,7 +4,8 @@ The route is indirect: a bank of impulse controls transfers the subdomain
 data into surrogate full-domain data at horizon 3T, which the capped-gain
 filter then inverts.  Stages:
 
-  1. pick the control accuracy eps minimizing eps |u0| + c3 e^{c3/T} eps^{-c4} delta,
+  1. pick the control accuracy eps minimizing eps |u0| + c3 e^{c3/T} eps^{-c4} delta
+     and the weight k from the chain (control_setup),
   2. solve the control problem for each of the first n_bank unit modes on the
      window (0, 2T),
   3. assemble surrogate coefficients fbar_i = -exp(-lambda_i int_{2T}^{3T} p)
@@ -22,17 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (
-    ControlSetup,
-    ControlSolution,
-    control_mode_bank,
-    h_values,
-    weight_from_chain,
-)
+from .control import ControlSetup, ControlSolution, control_mode_bank, h_values
 from .errors import ConfigError
 from .filtering import FilterSelection, apply_filter, default_zeta, select_alpha
 from .observability import ObservabilityConstants
@@ -66,15 +61,23 @@ def select_epsilon(delta: float, T: float, c3: float, c4: float, l2_prior: float
     return math.exp(ln_eps)
 
 
-def control_cost_claim(T: float, c3: float, c4: float, eps: float) -> float:
-    """Certified ceiling c3 e^{c3/T} eps^{-c4} on every bank control norm."""
-    return math.exp(math.log(c3) + c3 / T - c4 * math.log(eps))
+def weight_from_chain(chain: ObservabilityConstants, T: float, eps: float) -> float:
+    """Observability weight k = sqrt(c1 e^{c1/T}) / eps^{c2}."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    ln_k = 0.5 * (chain.ln_c1 + chain.c1 / T) - chain.c2 * math.log(eps)
+    if ln_k > 350.0:
+        raise ConfigError(f"control weight exp({ln_k:.3g}) not representable")
+    return math.exp(ln_k)
 
 
 def sw_prefactor(basis: EigenBasis, profile: DiffusionProfile, T: float) -> float:
     """Aggregate decay weight (sum_i exp(-2 lambda_i int_{2T}^{3T} p))^{1/2},
     summed directly over the truncated basis."""
-    return float(math.sqrt(np.sum(basis.decay(profile, 2.0 * T, 3.0 * T) ** 2)))
+    total = np.sum(basis.decay(profile, 2.0 * T, 3.0 * T) ** 2)
+    if total == 0.0:
+        raise ConfigError(f"T = {T} too large: every decay factor from 2T to 3T underflows to 0")
+    return float(math.sqrt(total))
 
 
 def effective_delta_3T(
@@ -87,10 +90,10 @@ def effective_delta_3T(
     c3: float,
     c4: float,
 ) -> float:
-    """Claimed bound on |u(3T) - fbar|: S_w (eps l2 + c3 e^{c3/T} eps^{-c4} delta)."""
-    return sw_prefactor(basis, profile, T) * (
-        epsilon * l2_prior + control_cost_claim(T, c3, c4, epsilon) * delta
-    )
+    """Claimed bound on |u(3T) - fbar|: S_w (eps l2 + c3 e^{c3/T} eps^{-c4} delta),
+    where c3 e^{c3/T} eps^{-c4} is the certified ceiling on every bank control norm."""
+    cost = math.exp(math.log(c3) + c3 / T - c4 * math.log(epsilon))
+    return sw_prefactor(basis, profile, T) * (epsilon * l2_prior + cost * delta)
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,17 @@ class PipelineConfig:
             raise ValueError("priors must be positive")
 
 
+def control_setup(cfg: PipelineConfig, delta: float) -> ControlSetup:
+    """The control problem the chain certifies at noise level delta: eps from
+    select_epsilon and k from weight_from_chain."""
+    chain = cfg.chain
+    if not math.isfinite(chain.c1):  # c3 overflows only when c1 does
+        raise ConfigError("constant chain overflows double range; use constants_mode = empirical")
+    eps = select_epsilon(delta, cfg.T, chain.c3, chain.c4, cfg.l2_prior)
+    k = weight_from_chain(chain, cfg.T, eps)
+    return ControlSetup(cfg.basis, cfg.T, cfg.profile, cfg.gram, eps, k)
+
+
 @dataclass(frozen=True)
 class ReconstructionReport:
     """Everything one local reconstruction run produced and certified."""
@@ -129,20 +143,6 @@ class ReconstructionReport:
     selection: FilterSelection
     claimed_delta: float
     certified_delta: float
-    h_norm_max: float
-    psi_norm_max: float
-
-    @property
-    def bound(self) -> float:
-        return self.selection.bound
-
-    @property
-    def gate_zero(self) -> bool:
-        return self.selection.gate_zero
-
-    @property
-    def alpha(self) -> float | None:
-        return self.selection.alpha
 
     @property
     def consistency_ok(self) -> bool:
@@ -263,20 +263,14 @@ def local_reconstruct(
         raise ValueError("delta must be positive")
     if not delta < cfg.l2_prior:
         raise ConfigError(f"needs delta < |u0|_L2 prior, got {delta} >= {cfg.l2_prior}")
-    chain = cfg.chain
-    if not (math.isfinite(chain.c3) and math.isfinite(chain.c1)):
-        raise ConfigError("constant chain overflows double range; use empirical mode")
     weights = observation_weights(xs, cfg.subdomain, cfg.basis)
-
-    eps = select_epsilon(delta, cfg.T, chain.c3, chain.c4, cfg.l2_prior)
-    k_chain = weight_from_chain(chain, cfg.T, eps)
-    k_used = k_chain * cfg.k_scale
-    setup = ControlSetup(
-        cfg.basis, cfg.T, cfg.profile, cfg.subdomain, cfg.gram, eps, k_used
-    )
+    chain_setup = control_setup(cfg, delta)
+    eps, k_chain = chain_setup.eps, chain_setup.k
+    setup = replace(chain_setup, k=k_chain * cfg.k_scale)
     bank = control_mode_bank(setup, cfg.n_bank)
     fbar, psi_norms, h_qnorms = assemble_fbar(bank, setup, xs, values, weights)
 
+    chain = cfg.chain
     claimed = effective_delta_3T(
         delta, eps, cfg.T, cfg.profile, cfg.l2_prior, cfg.basis, chain.c3, chain.c4
     )
@@ -297,11 +291,9 @@ def local_reconstruct(
     return ReconstructionReport(
         g=g,
         epsilon=eps,
-        k_used=k_used,
+        k_used=setup.k,
         k_chain=k_chain,
         selection=sel,
         claimed_delta=claimed,
         certified_delta=certified,
-        h_norm_max=float(np.max(h_qnorms)),
-        psi_norm_max=float(np.max(psi_norms)),
     )

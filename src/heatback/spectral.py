@@ -68,8 +68,8 @@ class Subdomain:
         if self.b > domain.length + 1e-12:
             raise ValueError(f"subinterval ({self.a}, {self.b}) exceeds (0, {domain.length})")
 
-    def is_full(self, domain: DomainSpec, tol: float = 1e-12) -> bool:
-        return abs(self.a) <= tol and abs(self.b - domain.length) <= tol
+    def is_full(self, domain: DomainSpec) -> bool:
+        return abs(self.a) <= 1e-12 and abs(self.b - domain.length) <= 1e-12
 
     def ball_radius(self, domain: DomainSpec) -> float:
         """Radius of the largest ball around x0 contained in (a, b).
@@ -376,4 +376,5 @@ def synthesize_initial(basis: EigenBasis, decay: float, seed: int) -> SpectralFi
     mags = 1.0 - 0.5 * rng.random(n)
     signs = 2.0 * rng.integers(0, 2, n) - 1.0
     i = np.arange(1, n + 1, dtype=float)
-    return SpectralField(basis, signs * mags / i**decay)
+    with np.errstate(over="ignore"):  # i**decay = inf: that mode is 0
+        return SpectralField(basis, signs * mags / i**decay)

@@ -42,7 +42,7 @@ from heatback import (
 )
 from heatback.control import ControlSetup, functional_J, gradient_J
 from heatback.harness import inject_noise, parse_config_text, rows_to_csv, run_sweep
-from heatback.pipeline import PipelineConfig, observation_weights
+from heatback.pipeline import PipelineConfig, observation_weights, weight_from_chain
 from heatback.spectral import simpson_weights
 
 DOMAIN = DomainSpec.unit()
@@ -62,8 +62,9 @@ def report(num, ok, label, detail):
 def test_criterion_01_optimality_identity():
     worst = 0.0
     for prof in (P_CONST, P_SINUS):
-        setup = ControlSetup.from_chain(
-            BASIS, 0.5, prof, SUB, GRAM, eps=0.3, chain=chain_full_domain()
+        setup = ControlSetup(
+            BASIS, 0.5, prof, GRAM,
+            eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
         )
         rng = np.random.default_rng(101)
         for _ in range(20):
@@ -74,8 +75,9 @@ def test_criterion_01_optimality_identity():
 
 
 def test_criterion_02_variational_correctness():
-    setup = ControlSetup.from_chain(
-        BASIS, 0.5, P_CONST, SUB, GRAM, eps=0.3, chain=chain_full_domain()
+    setup = ControlSetup(
+        BASIS, 0.5, P_CONST, GRAM,
+        eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
     )
     rng = np.random.default_rng(102)
     worst = 0.0
@@ -198,7 +200,9 @@ def test_criterion_07_local_backward():
             err = (u0 - rep.g).l2()
             errs.append(err)
             envelopes.append(err * math.sqrt(math.log(l2 / dabs)))
-            violations += err > rep.bound or not (rep.consistency_ok and rep.k_consistent)
+            violations += (
+                err > rep.selection.bound or not (rep.consistency_ok and rep.k_consistent)
+            )
         medians.append(float(np.median(errs)))
     env_ratio = max(envelopes) / min(envelopes)
     monotone = all(a >= b - 1e-12 for a, b in zip(medians, medians[1:]))
@@ -215,8 +219,9 @@ def test_criterion_08_control_certificates():
     rng = np.random.default_rng(108)
     paper_ok = True
     for eps in (0.5, 0.1, 0.02):
-        setup = ControlSetup.from_chain(
-            BASIS, 0.5, P_CONST, sub_full, gram_full, eps=eps, chain=chain_full_domain()
+        setup = ControlSetup(
+            BASIS, 0.5, P_CONST, gram_full,
+            eps=eps, k=weight_from_chain(chain_full_domain(), 0.5, eps),
         )
         for sol, phi0 in [(s, SpectralField.unit_mode(BASIS, i + 1).coeffs)
                           for i, s in enumerate(control_mode_bank(setup, 16))] + [
@@ -231,7 +236,7 @@ def test_criterion_08_control_certificates():
     chain = fit_empirical_constants(BASIS, SUB, GRAM, T, P_CONST)
     held = total = 0
     for eps in (0.1, 0.01, 1e-3, 1e-4):
-        setup = ControlSetup.from_chain(BASIS, T, P_CONST, SUB, GRAM, eps=eps, chain=chain)
+        setup = ControlSetup(BASIS, T, P_CONST, GRAM, eps=eps, k=weight_from_chain(chain, T, eps))
         for _ in range(10):
             phi0 = rng.standard_normal(64)
             cert = verify_control_bounds(setup, solve_control(setup, phi0), phi0)

@@ -23,8 +23,8 @@ from heatback.control import (
     functional_J,
     gradient_J,
     h_values,
-    weight_from_chain,
 )
+from heatback.pipeline import weight_from_chain
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +35,9 @@ def sub_mid():
 @pytest.fixture(scope="module")
 def setup64(basis64, sub_mid, profile_constant):
     gram = gram_subdomain(sub_mid, basis64)
-    return ControlSetup.from_chain(
-        basis64, 0.5, profile_constant, sub_mid, gram, eps=0.3, chain=chain_full_domain()
+    return ControlSetup(
+        basis64, 0.5, profile_constant, gram,
+        eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
     )
 
 
@@ -44,7 +45,7 @@ class TestAssembly:
     def test_diagonal_when_full_domain(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis16)
-        setup = ControlSetup(basis16, 0.4, profile_constant, sub, G, eps=0.2, k=5.0)
+        setup = ControlSetup(basis16, 0.4, profile_constant, G, eps=0.2, k=5.0)
         M, _ = assemble_control_system(setup)
         dT = setup.decay_to_T
         expect = 25.0 * dT**2 + 0.04
@@ -63,8 +64,7 @@ class TestAssembly:
         A = rng.standard_normal((3, 3))
         G16 = np.zeros((16, 16))
         G16[:3, :3] = A @ A.T / 10.0 + np.eye(3)  # SPD block, rest zero
-        sub = Subdomain.full(unit_domain)
-        setup = ControlSetup(basis16, 0.2, profile_affine, sub, G16, eps=0.5, k=3.0)
+        setup = ControlSetup(basis16, 0.2, profile_affine, G16, eps=0.5, k=3.0)
         M, _ = assemble_control_system(setup)
         phi0 = rng.standard_normal(16)
         z = rng.standard_normal(16)
@@ -86,7 +86,7 @@ class TestSolve:
     def test_diagonal_closed_form(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis16)
-        setup = ControlSetup(basis16, 0.3, profile_constant, sub, G, eps=0.2, k=4.0)
+        setup = ControlSetup(basis16, 0.3, profile_constant, G, eps=0.2, k=4.0)
         rng = np.random.default_rng(4)
         phi0 = rng.standard_normal(16)
         sol = solve_control(setup, phi0)
@@ -98,8 +98,9 @@ class TestSolve:
                                  profile_sinusoidal):
         prof = {"constant": profile_constant, "sinusoidal": profile_sinusoidal}[profile_name]
         gram = gram_subdomain(sub_mid, basis64)
-        setup = ControlSetup.from_chain(
-            basis64, 0.5, prof, sub_mid, gram, eps=0.3, chain=chain_full_domain()
+        setup = ControlSetup(
+            basis64, 0.5, prof, gram,
+            eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
         )
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -110,7 +111,7 @@ class TestSolve:
     def test_vanishing_weight_disables_control(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis16)
-        setup = ControlSetup(basis16, 0.3, profile_constant, sub, G, eps=0.5, k=1e-12)
+        setup = ControlSetup(basis16, 0.3, profile_constant, G, eps=0.5, k=1e-12)
         phi0 = np.ones(16)
         sol = solve_control(setup, phi0)
         free = setup.decay_to_2T * phi0 / 0.25
@@ -172,8 +173,9 @@ class TestPhysicalTerminal:
 
     def test_differs_for_time_asymmetric_profile(self, basis64, sub_mid, profile_affine):
         gram = gram_subdomain(sub_mid, basis64)
-        setup = ControlSetup.from_chain(
-            basis64, 0.5, profile_affine, sub_mid, gram, eps=0.3, chain=chain_full_domain()
+        setup = ControlSetup(
+            basis64, 0.5, profile_affine, gram,
+            eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
         )
         phi0 = np.random.default_rng(31).standard_normal(64)
         sol = solve_control(setup, phi0)
@@ -193,8 +195,9 @@ class TestCertificates:
     def test_full_domain_certificates(self, basis64, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis64)
-        setup = ControlSetup.from_chain(
-            basis64, 0.5, profile_constant, sub, G, eps=0.1, chain=chain_full_domain()
+        setup = ControlSetup(
+            basis64, 0.5, profile_constant, G,
+            eps=0.1, k=weight_from_chain(chain_full_domain(), 0.5, 0.1),
         )
         rng = np.random.default_rng(41)
         for _ in range(10):
@@ -207,7 +210,7 @@ class TestModeBank:
     def test_diagonal_bank_single_mode_support(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis16)
-        setup = ControlSetup(basis16, 0.3, profile_constant, sub, G, eps=0.2, k=4.0)
+        setup = ControlSetup(basis16, 0.3, profile_constant, G, eps=0.2, k=4.0)
         bank = control_mode_bank(setup, 8)
         for i, sol in enumerate(bank):
             others = np.delete(np.abs(sol.b), i)
@@ -215,8 +218,9 @@ class TestModeBank:
 
     def test_per_mode_identity_and_range(self, basis64, sub_mid, profile_sinusoidal):
         gram = gram_subdomain(sub_mid, basis64)
-        setup = ControlSetup.from_chain(
-            basis64, 0.5, profile_sinusoidal, sub_mid, gram, eps=0.2, chain=chain_full_domain()
+        setup = ControlSetup(
+            basis64, 0.5, profile_sinusoidal, gram,
+            eps=0.2, k=weight_from_chain(chain_full_domain(), 0.5, 0.2),
         )
         bank = control_mode_bank(setup, 32)
         for sol in bank:

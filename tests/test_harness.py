@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatback import ConfigError, inject_noise, load_config, run_sweep, save_config
+from heatback import (
+    ConfigError,
+    control_setup,
+    evolve,
+    inject_noise,
+    load_config,
+    local_reconstruct,
+    run_sweep,
+    save_config,
+)
 from heatback import harness
 from heatback.cli import _apply_overrides, build_parser
 from heatback.cli import main as cli_main
@@ -372,6 +381,65 @@ class TestCli:
         err = capsys.readouterr().err
         assert "T = 0.25 too small for the constants chain (c3 = 7.46482e+271" in err
         assert "constants_mode = empirical" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["local-backward", "control", "sweep"])
+    def test_overflowing_chain_names_the_chain(self, command, tmp_path, capsys):
+        # on this narrow window c1 and c3 overflow; control used to blame T
+        path = tmp_path / "narrow.cfg"
+        path.write_text(MINIMAL + "omega_a = 0.45\nomega_b = 0.55\nmodes = 16\n")
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "constant chain overflows double range" in err and "too small" not in err
+        assert "constants_mode = empirical" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("zeta_mode", ["paper", "default"])
+    @pytest.mark.parametrize("command, rc", [
+        ("sweep", 1), ("local-backward", 1), ("global-backward", 0),
+    ])
+    def test_huge_T_names_T(self, command, rc, zeta_mode, tmp_path, capsys):
+        # every decay factor from 2T to 3T underflows, so the transfer weight S_w is 0
+        path = tmp_path / "huge_T.cfg"
+        path.write_text(
+            MINIMAL.replace("T = 0.25", "T = 1e6")
+            + f"modes = 16\ntrials = 1\nzeta_mode = {zeta_mode}\n"
+        )
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert "T = 1000000.0 too large" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "global-backward"])
+    def test_huge_decay_leaves_one_mode(self, command, tmp_path):
+        # i**decay overflows past the first mode; under the suite's filter a
+        # RuntimeWarning would fail the run
+        path = tmp_path / "steep.cfg"
+        path.write_text(MINIMAL + "modes = 16\ntrials = 1\ndecay = 1e300\n")
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        coeffs = harness.Run(load_config(str(path))).truth().coeffs
+        assert coeffs[0] != 0.0 and np.all(coeffs[1:] == 0.0)
+
+    def test_control_and_local_backward_pick_the_same_eps_and_k(self):
+        cfg = parse_config_text(DEMO_16)
+        run = harness.Run(cfg)
+        u0 = run.truth()
+        l2, h01 = u0.l2(), u0.h01()
+        delta_abs = cfg.delta_list[0] * l2
+        setup = control_setup(run.pipeline(l2, h01), delta_abs)
+        uT = evolve(u0, 0.0, cfg.T, run.profile)
+        xs, values = run.observe(uT, delta_abs, [cfg.seed, 0], local=True)
+        report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
+        assert (setup.eps, setup.k) == (report.epsilon, report.k_chain)
+
+    def test_control_certifies_the_chain_weight_under_sabotage(self, tmp_path):
+        # sabotage scales only the local reconstruction's bank weight
+        outs = []
+        for sabotage in ("none", "k"):
+            path = tmp_path / f"{sabotage}.cfg"
+            path.write_text(DEMO_16 + f"sabotage = {sabotage}\n")
+            out = tmp_path / f"{sabotage}.csv"
+            assert cli_main(["control", "--config", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_reports_match_the_sweep_rows(self, cfg_path, tmp_path, sweep_rows):
         # trial 0 at the first noise level: the same seeds as a synthetic CLI run

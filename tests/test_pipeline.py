@@ -30,6 +30,7 @@ from heatback.pipeline import (
     observation_weights,
     paper_zeta,
     sw_prefactor,
+    weight_from_chain,
 )
 from heatback.spectral import EigenBasis, project, simpson_weights
 
@@ -121,9 +122,9 @@ class TestAggregatePrefactor:
 
 class TestAssembleFbar:
     def test_zero_observation_gives_zero(self, basis64, sub_mid, profile_constant, local_setup):
-        setup = ControlSetup.from_chain(
-            basis64, local_setup["T"], profile_constant, sub_mid, local_setup["gram"],
-            eps=1e-3, chain=local_setup["chain"],
+        setup = ControlSetup(
+            basis64, local_setup["T"], profile_constant, local_setup["gram"],
+            eps=1e-3, k=weight_from_chain(local_setup["chain"], local_setup["T"], 1e-3),
         )
         from heatback.control import control_mode_bank
 
@@ -141,9 +142,9 @@ class TestAssembleFbar:
         u0 = synthesize_initial(basis64, 3.0, 17)
         l2 = u0.l2()
         eps = 1e-4
-        setup = ControlSetup.from_chain(
-            basis64, T, profile_constant, sub_mid, local_setup["gram"],
-            eps=eps, chain=local_setup["chain"],
+        setup = ControlSetup(
+            basis64, T, profile_constant, local_setup["gram"],
+            eps=eps, k=weight_from_chain(local_setup["chain"], T, eps),
         )
         from heatback.control import control_mode_bank
 
@@ -160,9 +161,9 @@ class TestAssembleFbar:
     ):
         T = local_setup["T"]
         eps = 1e-3
-        setup = ControlSetup.from_chain(
-            basis64, T, profile_constant, sub_mid, local_setup["gram"],
-            eps=eps, chain=local_setup["chain"],
+        setup = ControlSetup(
+            basis64, T, profile_constant, local_setup["gram"],
+            eps=eps, k=weight_from_chain(local_setup["chain"], T, eps),
         )
         from heatback.control import control_mode_bank
 
@@ -198,10 +199,10 @@ class TestLocalReconstruct:
                 rep = local_reconstruct(xs, noisy, dabs, cfg)
                 err = (u0 - rep.g).l2()
                 errs.append(err)
-                assert err <= rep.bound
+                assert err <= rep.selection.bound
                 assert rep.consistency_ok and rep.k_consistent
                 if seed == 0:
-                    bounds_seed0.append(rep.bound)
+                    bounds_seed0.append(rep.selection.bound)
             medians.append(float(np.median(errs)))
         # seed-median error must not increase as delta shrinks, and the
         # reported bound must strictly decrease with it
@@ -225,7 +226,7 @@ class TestLocalReconstruct:
                 cfg = PipelineConfig(basis64, T, prof, sub_mid, gram, 32, chain, l2, h01)
                 noisy = inject_noise(evolve(u0, 0.0, T, prof).evaluate(xs), dabs, [1, 0, 1], w)
                 rep = local_reconstruct(xs, noisy, dabs, cfg)
-                assert (u0 - rep.g).l2() <= rep.bound
+                assert (u0 - rep.g).l2() <= rep.selection.bound
                 assert rep.consistency_ok and rep.k_consistent
 
     def test_linearity_in_observation(self, basis64, sub_mid, profile_constant, local_setup):
@@ -253,8 +254,8 @@ class TestLocalReconstruct:
             evolve(u0, 0.0, local_setup["T"], profile_constant).evaluate(xs), dabs, [5, 0, 1], w
         )
         rep = local_reconstruct(xs, noisy, dabs, cfg)
-        assert rep.gate_zero and rep.g.l2() == 0.0
-        assert (u0 - rep.g).l2() <= rep.bound
+        assert rep.selection.gate_zero and rep.g.l2() == 0.0
+        assert (u0 - rep.g).l2() <= rep.selection.bound
 
     def test_full_domain_matches_global_within_factor(
         self, basis64, unit_domain, profile_constant
@@ -285,7 +286,7 @@ class TestLocalReconstruct:
         sub = Subdomain.full(unit_domain)
         gram = gram_subdomain(sub, basis64)
         T = 0.25
-        setup = ControlSetup(basis64, T, profile_constant, sub, gram, eps=1e-3, k=1.0)
+        setup = ControlSetup(basis64, T, profile_constant, gram, eps=1e-3, k=1.0)
         xs = uniform_grid(0.0, 1.0, 1024)
         w = simpson_weights(xs.size, xs[1] - xs[0])
         u0 = synthesize_initial(basis64, 3.0, 11)
