@@ -1,8 +1,10 @@
 """Crank-Nicolson finite-difference solver used as an independent forward oracle.
 
 Second order in space and time, unconditionally stable, with the diffusivity
-sampled at step midpoints.  Exists only to cross-check the spectral
-propagator; it shares no code path with it.
+sampled at step midpoints.  The first two steps are backward Euler over a
+quarter step each (a Rannacher start): they damp the stiff components that
+Crank-Nicolson alone carries with a factor near -1 when dt is large.  Exists
+only to cross-check the spectral propagator; it shares no code path with it.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ def fd_evolve(
     t: float,
     steps: int,
 ) -> np.ndarray:
-    """Advance interior values from time 0 to t by Crank-Nicolson.
+    """Advance interior values from time 0 to t in `steps` banded solves.
 
-    Each step solves (I + r A) u_new = (I - r A) u_old with
-    A = tridiag(-1, 2, -1)/dx^2 and r = 0.5 * dt * p(midpoint).
+    With dt = t / steps, the first two steps (one if steps = 2, none if
+    steps = 1) are backward Euler over dt / 4, solving (I + 2r A) u_new =
+    u_old; a quarter step keeps their O(dt^2) start error a sixteenth of that
+    of full steps, which would match Crank-Nicolson's own on smooth data.
+    The rest are Crank-Nicolson of equal length over the remaining time,
+    solving (I + r A) u_new = (I - r A) u_old.  Here A = tridiag(-1, 2, -1)/dx^2
+    and r = 0.5 * step * p(step midpoint).
     """
     u = np.asarray(initial, dtype=float).copy()
     if u.shape != (grid.interior,):
@@ -61,19 +68,25 @@ def fd_evolve(
         return u
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    dt = t / steps
+    n_implicit = min(2, steps - 1)
+    dt_implicit = 0.25 * t / steps
+    dt_cn = (t - n_implicit * dt_implicit) / (steps - n_implicit)
     dx2 = grid.dx**2
     m = grid.interior
     ab = np.zeros((3, m))
+    start = 0.0
     for n in range(steps):
-        r = 0.5 * dt * float(profile((n + 0.5) * dt)) / dx2
-        rhs = (1.0 - 2.0 * r) * u
-        rhs[:-1] += r * u[1:]
-        rhs[1:] += r * u[:-1]
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-1] = -r
+        dt = dt_implicit if n < n_implicit else dt_cn
+        r = dt * float(profile(start + 0.5 * dt)) / dx2
+        r_new, r_old = (r, 0.0) if n < n_implicit else (0.5 * r, 0.5 * r)
+        rhs = (1.0 - 2.0 * r_old) * u
+        rhs[:-1] += r_old * u[1:]
+        rhs[1:] += r_old * u[:-1]
+        ab[0, 1:] = -r_new
+        ab[1, :] = 1.0 + 2.0 * r_new
+        ab[2, :-1] = -r_new
         u = solve_banded((1, 1), ab, rhs)
+        start += dt
     return u
 
 

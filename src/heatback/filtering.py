@@ -38,50 +38,37 @@ def eval_B(x: float) -> float:
     return math.sqrt(x) * math.exp(x)
 
 
+def newton_down(f, df, x: float) -> float:
+    """Root of f by Newton's method from a point x where f(x) >= 0.
+
+    f must be convex and increasing between its root and x; the iterates then
+    decrease monotonically to the root.  Stops at the first step that does not
+    decrease x, or after 100 steps.
+    """
+    for _ in range(100):
+        step = x - f(x) / df(x)
+        if not step < x:
+            break
+        x = step
+    return x
+
+
 def invert_B(y: float) -> float:
     """Solve sqrt(x) e^x = y for finite y > 0.
 
-    Bisection bracket refined by Newton on g(x) = 0.5 log x + x - log y, whose
-    derivative 1/(2x) + 1 exceeds 1 everywhere.  The bracket ends about 2**-60
-    wide, too wide for roots x below about 1e-19 (y below about 4e-10), from
-    where that Newton step overshoots below zero or stalls.  Such y are solved
-    by Newton on u = log x instead: h(u) = 0.5 u + e^u - log y is convex and
-    increasing, and h(2 log y) = y**2 > 0, so the iterates from u = 2 log y
-    descend monotonically to the root.  A root below the least normal float
-    (y below about 1.5e-154) raises ValueError.
+    Newton on u = log x: h(u) = 0.5 u + e^u - log y is convex and increasing,
+    and positive at u = 2 log y when log y <= 1 (h = y**2) and at
+    u = log log y otherwise (h = 0.5 log log y).  A root below the least
+    normal float (y below about 1.5e-154) raises ValueError.
     """
     if not (math.isfinite(y) and y > 0.0):
         raise ValueError(f"invert_B needs finite y > 0, got {y}")
     target = math.log(y)
-
-    def g(x):
-        return 0.5 * math.log(x) + x - target
-
-    if y >= 1e-10:  # below, Newton on x fails for every y
-        lo = 0.5 if y >= 3.0 else min((y / 3.0) ** 2, 0.5)  # (y/3)**2 overflows for huge y
-        while g(lo) > 0.0:
-            lo *= 0.25
-        hi = max(1.0, target + 1.0)
-        while g(hi) < 0.0:
-            hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-4 * hi:
-                break
-        x = 0.5 * (lo + hi)
-        for _ in range(8):
-            x -= g(x) / (0.5 / x + 1.0)
-            if x <= 0.0:
-                break
-        if x > 0.0 and abs(g(x)) <= 1e-12:
-            return x
-    u = 2.0 * target
-    for _ in range(8):
-        u -= (0.5 * u + math.exp(u) - target) / (0.5 + math.exp(u))
+    u = newton_down(
+        lambda u: 0.5 * u + math.exp(u) - target,
+        lambda u: 0.5 + math.exp(u),
+        2.0 * target if target <= 1.0 else math.log(target),
+    )
     x = math.exp(u)
     if x < sys.float_info.min:
         raise ValueError(f"invert_B({y!r}) underflows: its root exp({u!r}) is not a normal float")
@@ -92,7 +79,9 @@ def invert_A_increasing(beta: float, lower: float = 0.0) -> float:
     """Inverse of A on its increasing branch x >= max(lower, 1/2).
 
     A decreases on [0, 1/2] and increases beyond, so the branch floor keeps
-    the inverse single valued; beta below A(floor) is rejected.
+    the inverse single valued; beta below A(floor) is rejected.  Newton on
+    g(x) = x - log(1 + 2x) - log beta, convex and increasing on the branch,
+    starts from max(floor, 2 log beta + 3), where g > 0 for beta >= A(1/2).
     """
     if lower < 0.0:
         raise ValueError("lower must be nonnegative")
@@ -105,23 +94,11 @@ def invert_A_increasing(beta: float, lower: float = 0.0) -> float:
     if beta <= beta_floor:
         return floor
     target = math.log(beta)
-
-    def g(x):
-        return x - math.log1p(2.0 * x) - target
-
-    lo = floor
-    hi = max(2.0 * floor, 1.0)
-    while g(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    return newton_down(
+        lambda x: x - math.log1p(2.0 * x) - target,
+        lambda x: 1.0 - 2.0 / (1.0 + 2.0 * x),
+        max(floor, 2.0 * target + 3.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -165,6 +142,11 @@ def select_alpha(
     Otherwise alpha = A(B^{-1}(sqrt(p2 tau) h01 / delta)), and the bound is
     sqrt((1+zeta) p2 tau) h01 / sqrt(log(sqrt(2 zeta lambda_1 p2 tau) l2 / delta)).
     """
+    for name, value in (("horizon", horizon), ("lambda1", lambda1), ("h01_prior", h01_prior),
+                        ("effective_delta", effective_delta), ("l2_prior", l2_prior),
+                        ("zeta", zeta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"select_alpha: {name} = {value} is not finite")
     if effective_delta <= 0.0 or h01_prior <= 0.0 or l2_prior <= 0.0:
         raise ValueError("noise level and priors must be positive")
     if horizon <= 0.0:

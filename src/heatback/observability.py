@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filtering import newton_down
 from .spectral import (
     DiffusionProfile,
     DomainSpec,
@@ -202,20 +203,11 @@ def fit_empirical_constants(
     slope = float(xc @ (ys - ys.mean())) / denom if denom > 0.0 else 1.0
     mu = min(max(slope, 0.05), 0.95)
     intercept = float(np.max(ys - mu * xs)) + math.log(2.0)
-    # solve ln K + K / T = intercept; increasing in K
-    lo, hi = 1e-12, 1.0
-    while math.log(hi) + hi / T < intercept:
-        hi *= 2.0
-    while math.log(lo) + lo / T > intercept:
-        lo *= 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.log(mid) + mid / T < intercept:
-            lo = mid
-        else:
-            hi = mid
-    K = 0.5 * (lo + hi)
-    return _build("empirical", 0.0, 0.0, None, None, None, math.log(K), mu)
+    # ln K + K / T = intercept in v = ln(K / T): v + e^v = intercept - ln T, scale-free in T
+    c = intercept - math.log(T)
+    v = newton_down(lambda v: v + math.exp(v) - c, lambda v: 1.0 + math.exp(v),
+                    c if c <= 1.0 else math.log(c))
+    return _build("empirical", 0.0, 0.0, None, None, None, v + math.log(T), mu)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,31 @@ class TestFDEvolve:
             after = grid.norm(fd_evolve(grid, v, profile_sinusoidal, t, steps))
             assert after < before
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 50])
+    def test_grid_mode_follows_the_step_schedule(self, grid, profile_constant, steps):
+        # a grid sine mode is an eigenvector of tridiag(-1, 2, -1)/dx^2, so each
+        # step scales it by its amplification factor: backward Euler over dt/4
+        # for the first two steps (fewer when steps < 3), Crank-Nicolson after
+        t, k = 0.1, 3
+        theta = k * np.pi * grid.dx / grid.domain.length
+        mu = 4.0 / grid.dx**2 * np.sin(0.5 * theta) ** 2
+        n_be = min(2, steps - 1)
+        dt_be = 0.25 * t / steps
+        dt_cn = (t - n_be * dt_be) / (steps - n_be)
+        factor = (1.0 + mu * dt_be) ** -n_be * (
+            (1.0 - 0.5 * mu * dt_cn) / (1.0 + 0.5 * mu * dt_cn)
+        ) ** (steps - n_be)
+        v = np.sin(theta * np.arange(1, grid.interior + 1))
+        out = fd_evolve(grid, v, profile_constant, t, steps)
+        np.testing.assert_allclose(out, factor * v, rtol=0.0, atol=1e-12)
+
+    def test_stiff_step_is_damped(self, grid, profile_constant):
+        # mu dt ~ 1e6 for the top grid mode: Crank-Nicolson alone keeps it at
+        # nearly full size with alternating sign, the backward-Euler start removes it
+        v = np.sin(np.pi * grid.interior / (grid.interior + 1) * np.arange(1, grid.interior + 1))
+        out = fd_evolve(grid, v, profile_constant, 1.0, 20)
+        assert grid.norm(out) < 1e-6 * grid.norm(v)
+
     def test_rejects_bad_steps(self, grid, profile_constant):
         with pytest.raises(ValueError):
             fd_evolve(grid, np.zeros(grid.interior), profile_constant, 0.1, 0)

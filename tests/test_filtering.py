@@ -119,6 +119,17 @@ class TestSelectAlpha:
         sel = select_alpha(0.5, profile_constant, lam1, 2.0, 1.0, 1.0, zeta=zeta)
         assert sel.gate_zero
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        "horizon", "lambda1", "h01_prior", "effective_delta", "l2_prior", "zeta",
+    ])
+    def test_rejects_non_finite_input_naming_it(self, name, bad, basis64, profile_constant):
+        args = dict(horizon=0.5, lambda1=basis64.lambda1, h01_prior=2.0,
+                    effective_delta=1e-4, l2_prior=1.0, zeta=None)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"select_alpha: {name} = .* is not finite"):
+            select_alpha(profile=profile_constant, **args)
+
     def test_default_zeta_matches_simplified_bound(self, basis64, profile_constant):
         # with zeta = 1/(2 lambda1 p2 T) the log argument is exactly l2/delta
         T, h01, l2, delta = 0.5, 2.0, 1.0, 1e-4

@@ -408,6 +408,15 @@ class TestCli:
         if rc:
             assert "T = 1000000.0 too large" in err and "Traceback" not in err
 
+    def test_oracle_check_at_huge_T_exits_zero(self, tmp_path):
+        # dt = 500: Crank-Nicolson alone keeps the stiff grid modes at a factor
+        # near -1 per step, which the backward-Euler start damps
+        path = tmp_path / "huge_T.cfg"
+        path.write_text(MINIMAL.replace("T = 0.25", "T = 1e6") + "modes = 16\ntrials = 1\n")
+        out = tmp_path / "o.csv"
+        assert cli_main(["oracle-check", "--config", str(path), "--out", str(out)]) == 0
+        assert out.read_text().count("true") == 2
+
     @pytest.mark.parametrize("command", ["sweep", "global-backward"])
     def test_huge_decay_leaves_one_mode(self, command, tmp_path):
         # i**decay overflows past the first mode; under the suite's filter a

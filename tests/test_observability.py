@@ -207,6 +207,20 @@ class TestEmpiricalFit:
         )
         assert holds >= 95
 
+    def test_fit_solves_its_equation_at_tiny_T(self, basis16, profile_constant):
+        # below T ~ 1e-20 no mode decays, so ln K + K / T equals the same fitted
+        # intercept at every T; it is checked to within the change that one
+        # float step of ln_K makes, (1 + K/T) ulp(ln_K)
+        sub = Subdomain(0.3, 0.7)
+        G = gram_subdomain(sub, basis16)
+        ref = None
+        for T in (1e-20, 1e-100, 1e-200):
+            chain = fit_empirical_constants(basis16, sub, G, T, profile_constant)
+            level = chain.ln_K + chain.K / T
+            ref = level if ref is None else ref
+            assert abs(level - ref) <= (1.0 + chain.K / T) * math.ulp(chain.ln_K)
+        assert ref == pytest.approx(0.718139, abs=1e-6)
+
     def test_deterministic(self, basis64, profile_constant):
         sub = Subdomain(0.3, 0.7)
         G = gram_subdomain(sub, basis64)
