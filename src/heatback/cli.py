@@ -1,7 +1,8 @@
 """Batch CLI: forward runs, reconstructions, constants, sweeps, oracle checks.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 a certified
-inequality failed at runtime (a hard failure CI can distinguish from misuse).
+inequality failed at runtime (a hard failure CI can distinguish from misuse),
+3 an internal error (any other exception, reported on one line).
 All outputs are CSV with a header row and 17-significant-digit floats.
 """
 
@@ -277,6 +278,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect, not misuse: keep it apart from exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,12 @@ psi = D_2T phi0 + D_T b equals eps^2 c identically; psi is the quantity the
 local reconstruction consumes, and it coincides with the physical terminal
 state phi(2T) whenever p is constant.  Which (eps, k) to solve for is the
 pipeline's choice (pipeline.control_setup); this module takes them as given.
+
+Only the first m = ControlSetup.active modes reach time T: beyond them D_T
+underflows to exactly 0.0, so in float64 the system is exactly
+block-diagonal, [[M_a, 0], [0, eps^2 I]], with a zero right-hand side below
+the block (D_2T <= D_T).  The solve therefore runs on the m x m block M_a,
+which is the same linear system, not an approximation.
 """
 
 from __future__ import annotations
@@ -61,6 +67,12 @@ class ControlSetup:
     def decay_T_to_2T(self) -> np.ndarray:
         return self.basis.decay(self.profile, self.T, 2.0 * self.T)
 
+    @property
+    def active(self) -> int:
+        """Number of modes whose decay to T is nonzero; D_T decreases in j, so
+        they are the leading ones."""
+        return int(np.count_nonzero(self.decay_to_T))
+
 
 @dataclass(frozen=True)
 class ControlSolution:
@@ -74,9 +86,12 @@ class ControlSolution:
 
 
 def assemble_control_system(setup: ControlSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-equation matrix M = k^2 D_T G D_T + eps^2 I and the rhs factors D_2T."""
-    dT = setup.decay_to_T
-    M = (setup.k**2) * (dT[:, None] * setup.gram * dT[None, :])
+    """Active block M_a = k^2 D_T G D_T + eps^2 I of the normal-equation matrix
+    (rows and columns of the first setup.active modes) and the rhs factors D_2T
+    of every mode."""
+    m = setup.active
+    dT = setup.decay_to_T[:m]
+    M = (setup.k**2) * (dT[:, None] * setup.gram[:m, :m] * dT[None, :])
     M[np.diag_indices_from(M)] += setup.eps**2
     return M, setup.decay_to_2T
 
@@ -84,11 +99,12 @@ def assemble_control_system(setup: ControlSetup) -> tuple[np.ndarray, np.ndarray
 def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     """Solve the normal equations for phi0 and package the control quantities.
 
-    The Cholesky solve is refined until the residual is small against
-    eps^2 |c| (the scale of psi) or stops improving; the optimality identity
-    psi = eps^2 c then holds as tightly as the conditioning
-    k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is recorded on
-    the solution.
+    The Cholesky solve runs on the active block; below it the system reads
+    eps^2 c = D_2T phi0 (zero in float64).  It is refined until the residual
+    is small against eps^2 |c| (the scale of psi) or stops improving; the
+    optimality identity psi = eps^2 c then holds as tightly as the
+    conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is
+    recorded on the solution.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (setup.basis.size,):
@@ -96,6 +112,7 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
     M, d2T = assemble_control_system(setup)
+    m = M.shape[0]
     rhs = d2T * phi0
     try:
         factor = cho_factor(M)
@@ -103,22 +120,23 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         raise ConfigError(
             f"control system numerically singular (eps={setup.eps}, k={setup.k}): {exc}"
         ) from exc
-    c = cho_solve(factor, rhs)
     eps2 = setup.eps**2
+    c = rhs / eps2
+    c[:m] = cho_solve(factor, rhs[:m])
     best = math.inf
     for _ in range(30):
-        resid = rhs - M @ c
+        resid = rhs[:m] - M @ c[:m]
         res_norm = float(np.linalg.norm(resid))
         if res_norm <= 0.25e-12 * eps2 * float(np.linalg.norm(c)) or res_norm >= 0.5 * best:
             break
         best = res_norm
-        c = c + cho_solve(factor, resid)
+        c[:m] += cho_solve(factor, resid)
 
     dT = setup.decay_to_T
-    dTc = dT * c
-    b = -(setup.k**2) * (setup.gram @ dTc)
+    dTc = dT[:m] * c[:m]
+    b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
     psi = rhs + dT * b
-    h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram @ dTc), 0.0))
+    h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
     identity_residual = float(np.linalg.norm(psi - eps2 * c))
     return ControlSolution(c, b, psi, h_norm, identity_residual)
 
@@ -151,9 +169,11 @@ def gradient_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> np.ndarr
 
 
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
-    """Impulse profile h(x) = -k^2 sum_j (D_T c)_j e_j(x), valid on omega."""
-    dTc = setup.decay_to_T * sol.c
-    return -(setup.k**2) * (setup.basis.eigenfunction_matrix(xs) @ dTc)
+    """Impulse profile h(x) = -k^2 sum_j (D_T c)_j e_j(x), valid on omega; the
+    sum runs over the active modes, the only ones with nonzero (D_T c)_j."""
+    m = setup.active
+    dTc = setup.decay_to_T[:m] * sol.c[:m]
+    return -(setup.k**2) * (setup.basis.eigenfunction_matrix(xs)[:, :m] @ dTc)
 
 
 @dataclass(frozen=True)
@@ -193,8 +213,11 @@ def verify_control_bounds(
     d2Tc_norm = float(np.linalg.norm(d2Tc))
     cauchy_ok = s <= phi0_norm * d2Tc_norm * (1.0 + _REL_SLACK) + 1e-300
 
-    dTc = setup.decay_to_T * sol.c
-    surrogate_rhs = setup.k**2 * float(dTc @ setup.gram @ dTc) + eps2 * float(sol.c @ sol.c)
+    m = setup.active
+    dTc = setup.decay_to_T[:m] * sol.c[:m]
+    surrogate_rhs = (
+        setup.k**2 * float(dTc @ setup.gram[:m, :m] @ dTc) + eps2 * float(sol.c @ sol.c)
+    )
     surrogate_ok = d2Tc_norm**2 <= surrogate_rhs * (1.0 + _REL_SLACK) + 1e-300
 
     h_ok = sol.h_norm_omega <= setup.k * phi0_norm * (1.0 + _REL_SLACK)

@@ -126,6 +126,20 @@ def default_zeta(lambda1: float, p2: float, horizon: float) -> float:
     return 1.0 / (2.0 * lambda1 * p2 * horizon)
 
 
+def require_finite(where: str, **named) -> None:
+    """Raise a ValueError naming the first argument, or array entry, that is
+    nan or infinite; a None argument is skipped."""
+    for name, value in named.items():
+        if value is None or isinstance(value, float) and math.isfinite(value):
+            continue  # the common scalar case, without building an array
+        arr = np.asarray(value, dtype=float)
+        finite = np.isfinite(arr).ravel()
+        if not finite.all():
+            i = int(np.argmin(finite))
+            label = name if arr.ndim == 0 else f"{name}[{i}]"
+            raise ValueError(f"{where}: {label} = {arr.flat[i]} is not finite")
+
+
 def select_alpha(
     horizon: float,
     profile: DiffusionProfile,
@@ -142,11 +156,10 @@ def select_alpha(
     Otherwise alpha = A(B^{-1}(sqrt(p2 tau) h01 / delta)), and the bound is
     sqrt((1+zeta) p2 tau) h01 / sqrt(log(sqrt(2 zeta lambda_1 p2 tau) l2 / delta)).
     """
-    for name, value in (("horizon", horizon), ("lambda1", lambda1), ("h01_prior", h01_prior),
-                        ("effective_delta", effective_delta), ("l2_prior", l2_prior),
-                        ("zeta", zeta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"select_alpha: {name} = {value} is not finite")
+    require_finite(
+        "select_alpha", horizon=horizon, lambda1=lambda1, h01_prior=h01_prior,
+        effective_delta=effective_delta, l2_prior=l2_prior, zeta=zeta,
+    )
     if effective_delta <= 0.0 or h01_prior <= 0.0 or l2_prior <= 0.0:
         raise ValueError("noise level and priors must be positive")
     if horizon <= 0.0:
@@ -238,6 +251,7 @@ def global_backward(
     h01_prior: float,
 ) -> tuple[SpectralField, FilterSelection]:
     """Reconstruct the initial state from noisy full-domain samples at time tau."""
+    require_finite("global_backward", xs=xs, values=values, delta=delta)
     observed = project(xs, values, basis)
     return invert_field(observed, tau, profile, delta, l2_prior, h01_prior)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .control import ControlSetup, ControlSolution, control_mode_bank, h_values
 from .errors import ConfigError
-from .filtering import FilterSelection, apply_filter, default_zeta, select_alpha
+from .filtering import FilterSelection, apply_filter, default_zeta, require_finite, select_alpha
 from .observability import ObservabilityConstants
 from .spectral import (
     DiffusionProfile,
@@ -259,6 +259,7 @@ def local_reconstruct(
     cfg: PipelineConfig,
 ) -> ReconstructionReport:
     """Full pipeline: eps selection, bank, surrogate at 3T, capped-gain inversion."""
+    require_finite("local_reconstruct", xs=xs, values=values, delta=delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if not delta < cfg.l2_prior:

@@ -353,16 +353,18 @@ def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
     k = np.arange(1, n + 1, dtype=float)
     diff = k[:, None] - k[None, :]
     summ = k[:, None] + k[None, :]
+    # every sin(m pi x / L) needed has an integer m in [1 - n, 2 n]: tabulate those 3 n
+    ms = np.arange(1 - n, 2 * n + 1, dtype=float)
+    sin_a, sin_b = (np.sin(ms * math.pi * x / L) for x in (sub.a, sub.b))
 
-    def s(m, x):
-        return np.sin(m * math.pi * x / L)
+    def ds(m):  # [sin(m pi x / L)]_a^b
+        i = m.astype(np.intp) + (n - 1)
+        return sin_b[i] - sin_a[i]
 
     # off-diagonal: [sin(d pi x/L)/(d pi) - sin(s pi x/L)/(s pi)]_a^b
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = (s(diff, sub.b) - s(diff, sub.a)) / (diff * math.pi) - (
-            s(summ, sub.b) - s(summ, sub.a)
-        ) / (summ * math.pi)
-    diag = (sub.b - sub.a) / L - (s(2 * k, sub.b) - s(2 * k, sub.a)) / (2 * k * math.pi)
+        off = ds(diff) / (diff * math.pi) - ds(summ) / (summ * math.pi)
+    diag = (sub.b - sub.a) / L - ds(2 * k) / (2 * k * math.pi)
     np.fill_diagonal(off, diag)
     return 0.5 * (off + off.T)
 

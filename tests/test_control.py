@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatback import (
     ConfigError,
+    DiffusionProfile,
+    DomainSpec,
+    EigenBasis,
     SpectralField,
     Subdomain,
     assemble_control_system,
@@ -47,7 +52,7 @@ class TestAssembly:
         G = gram_subdomain(sub, basis16)
         setup = ControlSetup(basis16, 0.4, profile_constant, G, eps=0.2, k=5.0)
         M, _ = assemble_control_system(setup)
-        dT = setup.decay_to_T
+        dT = setup.decay_to_T[: setup.active]
         expect = 25.0 * dT**2 + 0.04
         np.testing.assert_allclose(np.diag(M), expect, rtol=1e-12)
         off = M - np.diag(np.diag(M))
@@ -280,3 +285,45 @@ class TestImpulseEvaluator:
         E = basis64.eigenfunction_matrix(xs)
         b_quad = E.T @ (w * h)
         assert np.linalg.norm(b_quad - sol.b) <= 1e-8 * np.linalg.norm(sol.b)
+
+
+class TestActiveBlock:
+    """The solve on the first setup.active modes is the full system, exactly."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        length=st.floats(0.5, 3.0),
+        log_T=st.floats(-3.0, 0.0),
+        modes=st.integers(1, 96),
+        kind=st.sampled_from(["constant", "affine", "sinusoidal"]),
+        omega=st.tuples(st.floats(0.0, 0.95), st.floats(0.05, 1.0)),
+        log_eps=st.floats(-8.0, 0.0),
+        log_kappa=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reduction_is_exact(self, length, log_T, modes, kind, omega, log_eps, log_kappa,
+                                seed):
+        T = 10.0**log_T
+        a, b = omega[0] * length, min(max(omega[1], omega[0] + 0.05), 1.0) * length
+        basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
+        G = gram_subdomain(Subdomain(a, b), basis)
+        profile = DiffusionProfile(kind, 1.0, 0.1, 0.2, 1.0, 2.0 * T)
+        dT = basis.decay(profile, 0.0, T)
+        # k from the drawn condition number k^2 |D_T G D_T| / eps^2, up to 1e3, a
+        # range in which the optimality identity is resolvable in float64
+        eps = 10.0**log_eps
+        k = eps * math.sqrt(10.0**log_kappa / np.linalg.norm(dT[:, None] * G * dT[None, :], 2))
+        setup = ControlSetup(basis, T, profile, G, eps, k)
+        m = setup.active
+
+        M = k**2 * (dT[:, None] * G * dT[None, :])
+        M[np.diag_indices_from(M)] += eps**2
+        assert np.array_equal(M[m:, m:], eps**2 * np.eye(modes - m))
+        assert not np.any(M[:m, m:]) and not np.any(M[m:, :m])
+        assert np.array_equal(assemble_control_system(setup)[0], M[:m, :m])
+
+        phi0 = np.random.default_rng(seed).standard_normal(modes)
+        sol = solve_control(setup, phi0)
+        resid = setup.decay_to_2T * phi0 - M @ sol.c
+        assert not np.any(sol.c[m:]) and not np.any(sol.psi[m:]) and not np.any(resid[m:])
+        assert np.linalg.norm(sol.psi - eps**2 * sol.c) <= 1e-12 * np.linalg.norm(sol.psi)

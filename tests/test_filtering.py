@@ -229,6 +229,22 @@ class TestGlobalBackward:
         assert terms["noise_term"] <= terms["noise_cap"] * (1.0 + 1e-9)
         assert terms["tail_term"] <= terms["tail_cap"] * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["xs", "values", "delta"])
+    def test_rejects_non_finite_input(self, arg, bad, basis64, profile_constant):
+        args = {"xs": uniform_grid(0.0, 1.0, 1024), "values": np.ones(1025), "delta": 1e-4}
+        if arg == "delta":
+            args["delta"] = bad
+            label = "delta"
+        else:
+            args[arg][3] = bad
+            label = rf"{arg}\[3\]"
+        with pytest.raises(ValueError, match=rf"global_backward: {label} = .* is not finite"):
+            global_backward(
+                args["xs"], args["values"], basis64, 0.5, profile_constant, args["delta"],
+                1.0, math.pi,
+            )
+
     def test_worst_tail_factor_is_supremum(self, basis64):
         # dense scan oracle over lambda
         lam1, p2t = basis64.lambda1, 0.45

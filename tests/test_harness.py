@@ -566,3 +566,40 @@ class TestCli:
         assert rc == 0
         row = rep.read_text().splitlines()[1].split(",")
         assert row[-1] == ""  # no ground truth, so no error column entry
+
+    @pytest.mark.parametrize("command", ["local-backward", "global-backward"])
+    def test_non_finite_observation_exits_one(self, command, cfg_path, tmp_path, capsys):
+        # one nan sample used to give a NaN field CSV and a finite bound with exit 0
+        if command == "local-backward":
+            obs = tmp_path / "obs.csv"
+            assert cli_main(["forward", "--config", cfg_path, "--out", str(tmp_path / "f.csv"),
+                             "--emit-observation", str(obs)]) == 0
+            lines = obs.read_text().splitlines()
+            x = lines[5].split(",")[0]
+            lines[5] = f"{x},nan"
+            obs.write_text("\n".join(lines) + "\n")
+        else:
+            xs = uniform_grid(0.0, 1.0, 512)
+            values = np.sin(math.pi * xs)
+            values[5] = math.nan
+            obs = tmp_path / "obs.csv"
+            obs.write_text("x,value\n" + "".join(f"{x},{v}\n" for x, v in zip(xs, values)))
+        with_priors = tmp_path / "priors.cfg"
+        with_priors.write_text(SWEEP_CFG + "delta = 1e-5\nprior_l2 = 1.0\nprior_h01 = 4.0\n")
+        out = tmp_path / "r.csv"
+        rc = cli_main([command, "--config", str(with_priors), "--observation", str(obs),
+                       "--out", str(out)])
+        assert rc == 1
+        assert re.search(r"values\[\d+\] = nan is not finite", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_internal_error_exits_three(self, cfg_path, monkeypatch, capsys):
+        from heatback import cli
+
+        def broken(cfg, args):
+            raise RuntimeError("solver state lost")
+
+        monkeypatch.setitem(cli._COMMANDS, "sweep", broken)
+        assert cli_main(["sweep", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: solver state lost\n"

@@ -334,6 +334,22 @@ class TestLocalReconstruct:
         with pytest.raises(ConfigError, match="coarse"):
             local_reconstruct(xs, np.zeros(xs.size), 1e-4, cfg)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["xs", "values", "delta"])
+    def test_rejects_non_finite_input(self, arg, bad, basis64, sub_mid, profile_constant,
+                                      local_setup):
+        args = {"xs": local_setup["xs"].copy(), "values": np.ones(local_setup["xs"].size),
+                "delta": 1e-4}
+        if arg == "delta":
+            args["delta"] = bad
+            label = "delta"
+        else:
+            args[arg][7] = bad
+            label = rf"{arg}\[7\]"
+        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, 1.0, math.pi)
+        with pytest.raises(ValueError, match=rf"local_reconstruct: {label} = .* is not finite"):
+            local_reconstruct(args["xs"], args["values"], args["delta"], cfg)
+
 
 class TestPaperZeta:
     def test_log_argument_simplifies(self, basis64, sub_mid, profile_constant, local_setup):

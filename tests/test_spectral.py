@@ -321,6 +321,29 @@ class TestGram:
             assert -1e-12 * (a @ a) <= q <= (a @ a) * (1.0 + 1e-12)
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-12
 
+    @pytest.mark.parametrize(
+        "length, a, b, n",
+        [(1.0, 0.3, 0.7, 256), (2.0, 0.0, 2.0, 32), (1.0, 0.1, 0.5, 64), (3.7, 0.11, 2.9, 512)],
+    )
+    def test_sine_table_equals_closed_form(self, length, a, b, n):
+        # the closed form with its 4 N^2 sines, kept as the reference: the
+        # 3 N-entry table evaluates the same expressions, so equality is exact
+        basis = EigenBasis(DomainSpec(length, length / 2.0), n)
+        k = np.arange(1, n + 1, dtype=float)
+        diff = k[:, None] - k[None, :]
+        summ = k[:, None] + k[None, :]
+
+        def s(m, x):
+            return np.sin(m * math.pi * x / length)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            off = (s(diff, b) - s(diff, a)) / (diff * math.pi) - (
+                s(summ, b) - s(summ, a)
+            ) / (summ * math.pi)
+        diag = (b - a) / length - (s(2 * k, b) - s(2 * k, a)) / (2 * k * math.pi)
+        np.fill_diagonal(off, diag)
+        assert np.array_equal(gram_subdomain(Subdomain(a, b), basis), 0.5 * (off + off.T))
+
 
 class TestNorms:
     def test_single_mode(self, basis16):
