@@ -46,7 +46,6 @@ from .observability import (
 from .control import (
     ControlSetup,
     ControlSolution,
-    assemble_control_system,
     control_mode_bank,
     physical_terminal,
     solve_control,

@@ -20,7 +20,7 @@ from .fd import FDGrid, fd_evolve, oracle_gap
 from .filtering import global_backward
 from .harness import ExperimentConfig, Run, csv_text, fmt_value, load_config, rows_to_csv, run_sweep
 from .pipeline import control_setup, local_reconstruct
-from .spectral import evolve
+from .spectral import SpectralField, evolve
 
 
 def _write(path: str | None, text: str):
@@ -150,7 +150,7 @@ def _cmd_control(cfg: ExperimentConfig, args) -> int:
     bank = control_mode_bank(setup, cfg.bank)
     rows = []
     for i, sol in enumerate(bank, start=1):
-        cert = verify_control_bounds(setup, sol, np.eye(run.basis.size)[i - 1])
+        cert = verify_control_bounds(setup, sol, SpectralField.unit_mode(run.basis, i).coeffs)
         rows.append((i, sol.h_norm_omega, cert.psi_norm, cert.psi_ok, cert.h_ok))
     _write(args.out, csv_text(("i", "h_norm", "psi_norm", "eps_bound_ok", "h_bound_ok"), rows))
     return 0

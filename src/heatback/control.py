@@ -27,7 +27,7 @@ which is the same linear system, not an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -40,7 +40,9 @@ _REL_SLACK = 1e-12  # float slack on certified inequalities
 
 @dataclass(frozen=True)
 class ControlSetup:
-    """Fixed data of one control problem on the window (0, 2T)."""
+    """Fixed data of one control problem on the window (0, 2T).  The
+    propagators, the active count and M_a do not depend on phi0: they are
+    computed once, on construction, and stored read-only."""
 
     basis: EigenBasis
     T: float
@@ -48,30 +50,32 @@ class ControlSetup:
     gram: np.ndarray
     eps: float
     k: float
+    decay_to_T: np.ndarray = field(init=False)
+    decay_to_2T: np.ndarray = field(init=False)
+    decay_T_to_2T: np.ndarray = field(init=False)
+    active: int = field(init=False)
+    system: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.T <= 0.0 or self.eps <= 0.0 or self.k <= 0.0:
             raise ValueError("T, eps and k must be positive")
         if 2.0 * self.T > self.profile.horizon * (1.0 + 1e-12):
             raise ValueError("profile horizon shorter than the control window (0, 2T)")
-
-    @property
-    def decay_to_T(self) -> np.ndarray:
-        return self.basis.decay(self.profile, 0.0, self.T)
-
-    @property
-    def decay_to_2T(self) -> np.ndarray:
-        return self.basis.decay(self.profile, 0.0, 2.0 * self.T)
-
-    @property
-    def decay_T_to_2T(self) -> np.ndarray:
-        return self.basis.decay(self.profile, self.T, 2.0 * self.T)
-
-    @property
-    def active(self) -> int:
-        """Number of modes whose decay to T is nonzero; D_T decreases in j, so
-        they are the leading ones."""
-        return int(np.count_nonzero(self.decay_to_T))
+        basis, p, T = self.basis, self.profile, self.T
+        dT = basis.decay(p, 0.0, T)
+        m = int(np.count_nonzero(dT))  # D_T decreases in j, so the active modes lead
+        # active block M_a = k^2 D_T G D_T + eps^2 I of the normal-equation matrix
+        M = (self.k**2) * (dT[:m, None] * self.gram[:m, :m] * dT[None, :m])
+        M[np.diag_indices_from(M)] += self.eps**2
+        for name, arr in (
+            ("decay_to_T", dT),
+            ("decay_to_2T", basis.decay(p, 0.0, 2.0 * T)),
+            ("decay_T_to_2T", basis.decay(p, T, 2.0 * T)),
+            ("system", M),
+        ):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "active", m)
 
 
 @dataclass(frozen=True)
@@ -83,17 +87,6 @@ class ControlSolution:
     psi: np.ndarray
     h_norm_omega: float
     identity_residual: float
-
-
-def assemble_control_system(setup: ControlSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Active block M_a = k^2 D_T G D_T + eps^2 I of the normal-equation matrix
-    (rows and columns of the first setup.active modes) and the rhs factors D_2T
-    of every mode."""
-    m = setup.active
-    dT = setup.decay_to_T[:m]
-    M = (setup.k**2) * (dT[:, None] * setup.gram[:m, :m] * dT[None, :])
-    M[np.diag_indices_from(M)] += setup.eps**2
-    return M, setup.decay_to_2T
 
 
 def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
@@ -111,9 +104,8 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         raise ValueError(f"phi0 must have {setup.basis.size} coefficients")
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
-    M, d2T = assemble_control_system(setup)
-    m = M.shape[0]
-    rhs = d2T * phi0
+    M, m = setup.system, setup.active
+    rhs = setup.decay_to_2T * phi0
     try:
         factor = cho_factor(M)
     except LinAlgError as exc:

@@ -181,12 +181,15 @@ def select_alpha(
     if effective_delta >= threshold:
         return FilterSelection(True, None, z, bound, log_arg, threshold, effective_delta)
 
-    x_bar = invert_B(math.sqrt(p2tau) * h01_prior / effective_delta)
+    ratio = math.sqrt(p2tau) * h01_prior / effective_delta
+    x_bar = invert_B(ratio)
     alpha = eval_A(x_bar)
     # cap validity: the critical-point equation needs alpha above A(lambda_1 p2 tau)
     if alpha <= eval_A(lambda1 * p2tau) * (1.0 - 1e-12):
         raise ConfigError(
-            f"selected cap alpha={alpha} not above A(lambda1 p2 tau)={eval_A(lambda1 * p2tau)}"
+            f"horizon tau={horizon} too short for noise level {effective_delta} and H1 prior "
+            f"{h01_prior}: cap alpha={alpha} from sqrt(p2 tau) |u0|_H1 / delta = {ratio} is not "
+            f"above A(lambda1 p2 tau)={eval_A(lambda1 * p2tau)}; raise T or lower the noise"
         )
     theta = 1.0 / (1.0 + 2.0 * x_bar)  # = alpha e^{-x_bar}
     if not 0.0 < theta < 1.0:

@@ -1,5 +1,6 @@
 """Impulse-control solver: optimality identities, certificates, mode bank."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from heatback import (
     EigenBasis,
     SpectralField,
     Subdomain,
-    assemble_control_system,
     chain_full_domain,
     control_mode_bank,
     gram_subdomain,
@@ -51,7 +51,7 @@ class TestAssembly:
         sub = Subdomain.full(unit_domain)
         G = gram_subdomain(sub, basis16)
         setup = ControlSetup(basis16, 0.4, profile_constant, G, eps=0.2, k=5.0)
-        M, _ = assemble_control_system(setup)
+        M = setup.system
         dT = setup.decay_to_T[: setup.active]
         expect = 25.0 * dT**2 + 0.04
         np.testing.assert_allclose(np.diag(M), expect, rtol=1e-12)
@@ -59,7 +59,7 @@ class TestAssembly:
         assert np.max(np.abs(off)) < 1e-12
 
     def test_spd_floor(self, setup64):
-        M, _ = assemble_control_system(setup64)
+        M = setup64.system
         eigs = np.linalg.eigvalsh(M)
         assert np.min(eigs) >= setup64.eps**2 * (1.0 - 1e-10)
 
@@ -70,7 +70,7 @@ class TestAssembly:
         G16 = np.zeros((16, 16))
         G16[:3, :3] = A @ A.T / 10.0 + np.eye(3)  # SPD block, rest zero
         setup = ControlSetup(basis16, 0.2, profile_affine, G16, eps=0.5, k=3.0)
-        M, _ = assemble_control_system(setup)
+        M = setup.system
         phi0 = rng.standard_normal(16)
         z = rng.standard_normal(16)
         h = 0.05  # J is quadratic, so central second differences are exact
@@ -85,6 +85,42 @@ class TestAssembly:
                     + functional_J(setup, z - ei - ej, phi0)
                 ) / (4.0 * h * h)
         assert np.linalg.norm(H - M) <= 1e-8 * np.linalg.norm(M)
+
+
+
+class TestDerivedFields:
+    """Propagators, active count and M_a are computed once, on construction."""
+
+    @pytest.mark.parametrize("n_bank", [1, 16])
+    def test_bank_makes_no_decay_call(self, setup64, monkeypatch, n_bank):
+        calls = []
+        decay = EigenBasis.decay
+
+        def counted(self, *args):
+            calls.append(args)
+            return decay(self, *args)
+
+        monkeypatch.setattr(EigenBasis, "decay", counted)
+        assert len(control_mode_bank(setup64, n_bank)) == n_bank
+        assert calls == []
+
+    def test_fields_are_read_only(self, setup64):
+        for name in ("decay_to_T", "decay_to_2T", "decay_T_to_2T", "active", "system"):
+            value = getattr(setup64, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(setup64, name, value)
+            if name != "active":
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[0] = 0.0
+
+    def test_replace_rebuilds_system(self, setup64):
+        scaled = dataclasses.replace(setup64, k=2.0 * setup64.k)
+        m = scaled.active
+        dT = scaled.decay_to_T[:m]
+        expect = 4.0 * setup64.k**2 * (dT[:, None] * setup64.gram[:m, :m] * dT[None, :])
+        expect[np.diag_indices_from(expect)] += setup64.eps**2
+        np.testing.assert_allclose(scaled.system, expect, rtol=1e-14)
 
 
 class TestSolve:
@@ -320,7 +356,7 @@ class TestActiveBlock:
         M[np.diag_indices_from(M)] += eps**2
         assert np.array_equal(M[m:, m:], eps**2 * np.eye(modes - m))
         assert not np.any(M[:m, m:]) and not np.any(M[m:, :m])
-        assert np.array_equal(assemble_control_system(setup)[0], M[:m, :m])
+        assert np.array_equal(setup.system, M[:m, :m])
 
         phi0 = np.random.default_rng(seed).standard_normal(modes)
         sol = solve_control(setup, phi0)

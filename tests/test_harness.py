@@ -1,13 +1,18 @@
 """Config parsing, calibrated noise, sweep orchestration, CLI exit codes."""
 
+import contextlib
+import io
 import math
 import re
+import tempfile
 import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatback import (
     ConfigError,
@@ -408,6 +413,20 @@ class TestCli:
         if rc:
             assert "T = 1000000.0 too large" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "global-backward"])
+    def test_short_horizon_cap_names_horizon_noise_and_prior(self, command, tmp_path, capsys):
+        # on a long interval B^{-1}(sqrt(p2 T) |u0|_H1 / delta) stays below A's
+        # increasing branch, so the cap fails its validity check
+        path = tmp_path / "long.cfg"
+        path.write_text(
+            "length = 1e4\nT = 0.25\ndelta_list = 1e-4\nmodes = 32\ntrials = 1\n"
+        )
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: horizon tau=0.25 too short for noise level ")
+        assert "H1 prior" in err and "raise T or lower the noise" in err
+        assert "Traceback" not in err
+
     def test_oracle_check_at_huge_T_exits_zero(self, tmp_path):
         # dt = 500: Crank-Nicolson alone keeps the stiff grid modes at a factor
         # near -1 per step, which the backward-Euler start damps
@@ -603,3 +622,50 @@ class TestCli:
         assert cli_main(["sweep", "--config", cfg_path]) == 3
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: solver state lost\n"
+
+
+@st.composite
+def small_configs(draw):
+    """Config text for a random small run: every profile kind, both chains."""
+    length = draw(st.floats(0.5, 3.0))
+    a = draw(st.floats(0.0, 0.8, allow_subnormal=False)) * length
+    b = a + draw(st.floats(0.1, 1.0)) * (length - a)
+    lines = {
+        "length": length,
+        "T": 10.0 ** draw(st.floats(-2.0, 0.0)),
+        "delta_list": ", ".join(
+            repr(10.0 ** e) for e in draw(st.lists(st.floats(-12.0, math.log10(0.3)),
+                                                   min_size=1, max_size=2))
+        ),
+        "omega_a": a,
+        "omega_b": b,
+        "x0": 0.5 * (a + b),
+        "profile": draw(st.sampled_from(["constant", "affine", "sinusoidal"])),
+        "modes": draw(st.integers(1, 32)),
+        "trials": 1,
+        "constants_mode": draw(st.sampled_from(["paper", "empirical"])),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(text=small_configs())
+def test_cli_exits_only_with_an_answer_or_a_named_failure(text):
+    # exit 0 with finite output, 1 for a config the mathematics cannot serve,
+    # 2 for a failed certificate; an internal error (3) is a defect
+    prefixes = {1: "configuration error: ", 2: "certified inequality violated: "}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text)
+        for command in ("sweep", "control"):
+            out = Path(tmp) / f"{command}.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli_main([command, "--config", str(path), "--out", str(out)])
+            if rc == 0:
+                body = out.read_text().lower()
+                assert "nan" not in body and "inf" not in body, (command, text)
+            else:
+                assert rc in prefixes, (command, text, err.getvalue())
+                assert err.getvalue().startswith(prefixes[rc]), (command, text, err.getvalue())
