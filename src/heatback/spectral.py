@@ -64,12 +64,15 @@ class Subdomain:
     def full(cls, domain: DomainSpec) -> "Subdomain":
         return cls(0.0, domain.length)
 
+    # endpoint tolerances are relative to the domain length, so a geometry
+    # means the same at every scale
     def validate_inside(self, domain: DomainSpec):
-        if self.b > domain.length + 1e-12:
+        if self.b > domain.length * (1.0 + 1e-12):
             raise ValueError(f"subinterval ({self.a}, {self.b}) exceeds (0, {domain.length})")
 
     def is_full(self, domain: DomainSpec) -> bool:
-        return abs(self.a) <= 1e-12 and abs(self.b - domain.length) <= 1e-12
+        tol = 1e-12 * domain.length
+        return abs(self.a) <= tol and abs(self.b - domain.length) <= tol
 
     def ball_radius(self, domain: DomainSpec) -> float:
         """Radius of the largest ball around x0 contained in (a, b).
@@ -222,18 +225,52 @@ class EigenBasis:
             E = self._sines.get(key)
         if E is not None:
             return E
-        L = self.domain.length
-        # in place: one array of the result's size, no same-size temporaries
-        E = np.outer(xs, np.arange(1, self.size + 1, dtype=float))
-        E *= math.pi / L
-        np.sin(E, out=E)
-        E *= math.sqrt(2.0 / L)
+        E = _sine_matrix(xs.ravel(), self.size, self.domain.length)
         E.flags.writeable = False
         with self._sines_lock:
             self._sines[key] = E
             while len(self._sines) > _SINE_CACHE_SIZE:
                 del self._sines[next(iter(self._sines))]
         return E
+
+
+def _sine_matrix(xs: np.ndarray, n: int, L: float) -> np.ndarray:
+    """sqrt(2/L) sin(k theta_j), theta_j = pi xs[j] / L, k = 1..n, by angle addition.
+
+    With n = q r + s, q = isqrt(n), mode k = h + l splits into h in
+    {0, q, ..., r q} and l in {1, ..., q}, so sin(k theta) = sin(h theta)
+    cos(l theta) + cos(h theta) sin(l theta): each point needs the sines and
+    cosines of about 2 sqrt(n) angles, not n sines, and each block of rows is
+    one batched rank-2 product written straight into the C-ordered result.
+    """
+    q = math.isqrt(n)
+    r, s = divmod(n, q)  # r full groups of q columns, then s < q columns
+    h = q * np.arange(r + 1.0)
+    l = np.arange(1.0, q + 1.0)
+    E = np.empty((xs.size, n))
+    # the three scratch tables hold at most ~8192 doubles together and are
+    # reused by every block: a freed temporary of 128 KiB or more raises
+    # glibc's mmap threshold and changes how fast every later allocation of
+    # the process runs
+    rows = max(1, min(xs.size, 8192 // (3 * (q + r) + 4)))
+    hs = np.empty((rows, r + 1, 2))
+    ls = np.empty((rows, 2, q))
+    angles = np.empty((rows, max(r + 1, q)))
+    for a in range(0, xs.size, rows):
+        theta = xs[a:a + rows, None] * (math.pi / L)
+        b = theta.shape[0]
+        hb, lb = hs[:b], ls[:b]
+        ht = np.multiply(theta, h, out=angles[:b, :r + 1])
+        np.sin(ht, out=hb[:, :, 0])
+        np.cos(ht, out=hb[:, :, 1])
+        hb *= math.sqrt(2.0 / L)
+        lt = np.multiply(theta, l, out=angles[:b, :q])
+        np.cos(lt, out=lb[:, 0])
+        np.sin(lt, out=lb[:, 1])
+        block = E[a:a + b]
+        np.matmul(hb[:, :r], lb, out=block[:, :r * q].reshape(b, r, q))
+        np.matmul(hb[:, r:], lb[:, :, :s], out=block[:, r * q:].reshape(b, 1, s))
+    return E
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "length = 1e-300 too small" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("length", ["1", "1e-13"])
+    def test_half_domain_window_is_not_the_whole_domain(self, length, tmp_path, capsys):
+        # omega = (0, L/2) on the paper chain: no ball around x0 = L/2 at any scale
+        path = tmp_path / "half.cfg"
+        L = float(length)
+        path.write_text(
+            f"length = {length}\nT = 0.25\ndelta_list = 1e-4\nomega_a = 0\n"
+            f"omega_b = {0.5 * L!r}\nmodes = 16\n"
+        )
+        assert cli_main(["constants", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "does not contain a ball around x0" in captured.err
+        assert "full" not in captured.out
+
     @pytest.mark.parametrize("command", ["local-backward", "control", "sweep"])
     def test_worst_case_chain_on_subinterval_names_chain(self, command, tmp_path, capsys):
         path = tmp_path / "paper_sub.cfg"

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,11 +73,26 @@ class TestEigenPairs:
         assert EigenBasis(DomainSpec(1e-150, 5e-151), 16).eigenvalues[-1] < math.inf
 
 
-def _sines(basis, xs):
-    """The closed form sqrt(2/L) sin(k pi x / L), built without the cache."""
-    L = basis.domain.length
-    k = np.arange(1, basis.size + 1, dtype=float)
-    return math.sqrt(2.0 / L) * np.sin(np.outer(np.asarray(xs, dtype=float), k) * (math.pi / L))
+def _fresh(basis, xs):
+    """The sine matrix built by a new basis of the same size, with an empty cache."""
+    return EigenBasis(basis.domain, basis.size).eigenfunction_matrix(xs)
+
+
+def _exact_rows(xs, modes, length, rows):
+    """sqrt(2/L) sin(k pi x / L) in 80-bit arithmetic on the given rows of xs.
+
+    Each float64 point is taken as exact; only pi and the products are rounded,
+    at 2^-80, far below the float64 error bound the tests check.
+    """
+    import mpmath  # a test dependency only; the other tests run without it
+
+    with mpmath.workprec(80):
+        c, s = mpmath.pi / length, mpmath.sqrt(2 / mpmath.mpf(length))
+        return np.array([
+            [float(s * mpmath.sin(k * c * mpmath.mpf(float(xs[j])))) for k in range(1, modes + 1)]
+            for j in rows
+        ])
+
 
 
 class TestSineMatrixCache:
@@ -88,28 +104,66 @@ class TestSineMatrixCache:
         assert basis.eigenfunction_matrix(xs.copy()) is E
 
     @pytest.mark.parametrize(
-        "length, modes, grid",
+        "length, modes, xs",
         [
-            (1.0, 256, (0.0, 1.0, 4096)),
-            (1.0, 256, (0.3, 0.7, 1640)),
-            (2.0, 32, (0.0, 2.0, 512)),
-            (2.0, 32, (0.25, 1.5, 200)),
+            (1.0, 256, uniform_grid(0.0, 1.0, 4096)),
+            (1.0, 256, uniform_grid(0.3, 0.7, 1640)),
+            (2.0, 32, uniform_grid(0.0, 2.0, 512)),
+            (2.0, 32, uniform_grid(0.25, 1.5, 200)),
+            (1.0, 1, uniform_grid(0.0, 1.0, 64)),
+            (1.0, 2, uniform_grid(0.0, 1.0, 64)),
+            (3.0, 7, uniform_grid(0.0, 3.0, 64)),
+            (1.0, 17, uniform_grid(0.0, 1.0, 256)),
+            (1.0, 300, uniform_grid(0.0, 1.0, 2400)),
+            (1.0, 512, uniform_grid(0.0, 1.0, 4096)),
+            (1.0, 16, 0.3),
+            (1.0, 16, np.array([])),
+            (2.0, 64, np.random.default_rng(20).uniform(-10.0, 12.0, 300)),
         ],
+        ids=["1.0-256-grid0", "1.0-256-grid1", "2.0-32-grid2", "2.0-32-grid3", "1.0-1-grid",
+             "1.0-2-grid", "3.0-7-grid", "1.0-17-grid", "1.0-300-grid", "1.0-512-grid",
+             "1.0-16-scalar", "1.0-16-empty", "2.0-64-outside"],
     )
-    def test_bit_equal_to_formula_and_read_only(self, length, modes, grid):
+    def test_within_roundoff_of_exact_and_read_only(self, length, modes, xs):
         basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
-        xs = uniform_grid(*grid)
         E = basis.eigenfunction_matrix(xs)
-        assert np.array_equal(E, _sines(basis, xs))
+        xs = np.ravel(xs)
+        assert E.shape == (xs.size, modes)
+        assert E.flags.c_contiguous and not E.flags.writeable
         with pytest.raises(ValueError):
-            E[0, 0] = 1.0
+            E[...] = 1.0
+        if xs.size == 0:
+            return
+        # 3 rows at each end, about 30 spread over the grid, and 8 seeded others
+        seeded = np.random.default_rng(xs.size).integers(0, xs.size, 8)
+        rows = np.r_[0:3, xs.size - 3:xs.size, 0:xs.size:xs.size // 29 + 1, seeded]
+        rows = np.unique(rows.clip(0, xs.size - 1))
+        # the argument k pi x / L carries a relative rounding error of a few eps
+        eps = np.finfo(float).eps
+        bound = 2.0 * eps * math.sqrt(2.0 / length) * (
+            1.0 + modes * math.pi * np.max(np.abs(xs)) / length
+        )
+        assert np.max(np.abs(E[rows] - _exact_rows(xs, modes, length, rows))) <= bound
+
+    def test_cold_build_allocates_no_large_temporary(self, unit_domain):
+        basis = EigenBasis(unit_domain, 512)
+        xs = uniform_grid(0.0, 1.0, 8192)
+        tracemalloc.start()
+        try:
+            E = basis.eigenfunction_matrix(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result and its cache key (the grid's bytes) stay; whatever else
+        # was live at once stays below the 128 KiB mmap threshold
+        assert peak <= E.nbytes + xs.nbytes + 128 * 1024
 
     def test_list_scalar_and_array_agree(self, unit_domain):
         basis = EigenBasis(unit_domain, 8)
         from_array = basis.eigenfunction_matrix(np.array([0.3]))
         assert np.array_equal(basis.eigenfunction_matrix([0.3]), from_array)
         assert np.array_equal(basis.eigenfunction_matrix(0.3), from_array)
-        assert np.array_equal(from_array, _sines(basis, [0.3]))
+        assert np.array_equal(from_array, _fresh(basis, [0.3]))
 
     def test_keeps_only_the_latest_grids(self, unit_domain):
         basis = EigenBasis(unit_domain, 8)
@@ -132,14 +186,14 @@ class TestSineMatrixCache:
         ]
         mats = [basis.eigenfunction_matrix(xs) for basis in bases]
         for basis, E in zip(bases, mats):
-            assert np.array_equal(E, _sines(basis, xs))
+            assert np.array_equal(E, _fresh(basis, xs))
         assert mats[0].shape != mats[1].shape
         assert not np.array_equal(mats[0], mats[2])
 
     def test_threads_racing_over_more_grids_than_kept(self, unit_domain):
         basis = EigenBasis(unit_domain, 16)
         grids = [uniform_grid(0.0, 1.0, 64 + 2 * j) for j in range(_SINE_CACHE_SIZE + 2)]
-        expected = [_sines(basis, xs) for xs in grids]
+        expected = [_fresh(basis, xs) for xs in grids]
         wrong, done = [], []
 
         def worker(offset):
@@ -165,6 +219,21 @@ class TestSineMatrixCache:
         assert not any(t.is_alive() for t in threads)
         assert sorted(done) == list(range(8)) and wrong == []
         assert len(basis._sines) <= _SINE_CACHE_SIZE
+
+
+class TestSubdomain:
+    @pytest.mark.parametrize("length", [1e-13, 1.0, 1e6])
+    def test_endpoint_tolerances_scale_with_the_length(self, length):
+        domain = DomainSpec(length, 0.5 * length)
+        assert Subdomain.full(domain).is_full(domain)
+        assert Subdomain(0.0, length * (1.0 - 1e-13)).is_full(domain)
+        assert not Subdomain(0.0, 0.5 * length).is_full(domain)
+        assert not Subdomain(1e-6 * length, length).is_full(domain)
+        Subdomain(0.0, length * (1.0 + 1e-13)).validate_inside(domain)
+        with pytest.raises(ValueError, match="exceeds"):
+            Subdomain(0.0, 2.0 * length).validate_inside(domain)
+        with pytest.raises(ValueError, match="exceeds"):
+            Subdomain(0.0, length * (1.0 + 1e-9)).validate_inside(domain)
 
 
 class TestProfiles:
