@@ -173,8 +173,8 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     bad = [row for row in rows if row["bound_ok"] is False]
     if bad:
         raise BoundViolation(
-            f"{len(bad)} sweep rows violate certified inequalities "
-            f"(first: {bad[0]['method']} row at delta={bad[0]['delta']})"
+            f"{len(bad)} sweep rows violate certified inequalities: "
+            + ", ".join(f"{row['method']} row at delta={row['delta']}" for row in bad)
         )
     return 0
 

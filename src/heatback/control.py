@@ -162,10 +162,11 @@ def gradient_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> np.ndarr
 
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
     """Impulse profile h(x) = -k^2 sum_j (D_T c)_j e_j(x), valid on omega; the
-    sum runs over the active modes, the only ones with nonzero (D_T c)_j."""
+    sum runs over the active modes, the only ones with nonzero (D_T c)_j, so
+    only those m = setup.active columns of the sine matrix are built."""
     m = setup.active
     dTc = setup.decay_to_T[:m] * sol.c[:m]
-    return -(setup.k**2) * (setup.basis.eigenfunction_matrix(xs)[:, :m] @ dTc)
+    return -(setup.k**2) * (setup.basis.eigenfunction_matrix(xs, m) @ dTc)
 
 
 @dataclass(frozen=True)

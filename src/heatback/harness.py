@@ -358,6 +358,8 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
 
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
     """All (delta, seed) cells, three methods each, in deterministic order."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1 worker thread, got {parallel}")
     if not cfg.delta_list:
         return []
     run = Run(cfg)

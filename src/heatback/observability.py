@@ -181,23 +181,21 @@ def fit_empirical_constants(
     route is constants_convex.
     """
     decays = (1.5, 2.0, 3.0, 4.0)
-    xs, ys = [], []
-    for j in range(60):
-        v0 = synthesize_initial(basis, decays[j % len(decays)], 1000 + j)
-        vT = evolve(v0, 0.0, T, profile)
-        l2_omega = vT.l2_sub(gram)
-        if l2_omega <= 0.0 or vT.l2() <= 0.0:
-            continue
-        z = math.log(v0.l2())
-        xs.append(math.log(l2_omega) - z)
-        ys.append(math.log(vT.l2()) - z)
-    if not xs:
+    V0 = np.array([synthesize_initial(basis, decays[j % len(decays)], 1000 + j).coeffs
+                   for j in range(60)])
+    VT = V0 * basis.decay(profile, 0.0, T)
+    # every field's |v(T)|_omega^2 = v' G v from one matrix product
+    l2_omega = np.sqrt(np.maximum(np.einsum("ij,ij->i", VT @ gram, VT), 0.0))
+    l2_full = np.linalg.norm(VT, axis=1)
+    keep = (l2_omega > 0.0) & (l2_full > 0.0)
+    if not np.any(keep):
         raise ValueError(
             f"empirical constants: every sampled field decays to zero by T = {T}, "
             "so there is nothing to fit"
         )
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    z = np.log(np.linalg.norm(V0[keep], axis=1))
+    xs = np.log(l2_omega[keep]) - z
+    ys = np.log(l2_full[keep]) - z
     xc = xs - xs.mean()
     denom = float(xc @ xc)
     slope = float(xc @ (ys - ys.mean())) / denom if denom > 0.0 else 1.0

@@ -167,7 +167,7 @@ class DiffusionProfile:
         )
 
 
-_SINE_CACHE_SIZE = 4  # grids whose sine matrix each basis keeps; a sweep uses 2
+_SINE_CACHE_SIZE = 4  # (grid, modes) matrices each basis keeps; a sweep uses 3
 
 
 class EigenBasis:
@@ -191,7 +191,7 @@ class EigenBasis:
                 f"the eigenvalue ({size} pi / length)^2 overflows"
             )
         self.eigenvalues.flags.writeable = False
-        self._sines: dict[bytes, np.ndarray] = {}  # grid bytes -> matrix, oldest first
+        self._sines: dict[tuple[bytes, int], np.ndarray] = {}  # oldest first
         self._sines_lock = threading.Lock()
 
     def __eq__(self, other):
@@ -212,20 +212,25 @@ class EigenBasis:
         """Propagator factors exp(-lambda_i int_{t0}^{t1} p), one per mode."""
         return np.exp(-self.eigenvalues * profile.integral(t0, t1))
 
-    def eigenfunction_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Read-only matrix E with E[j, i] = e_{i+1}(xs.flat[j]).
+    def eigenfunction_matrix(self, xs: np.ndarray, modes: int | None = None) -> np.ndarray:
+        """Read-only matrix E with E[j, i] = e_{i+1}(xs.flat[j]), i < modes.
 
-        The matrices of the last few grids are kept, keyed by the grid's
-        float64 bytes, so a fixed grid builds its matrix once per basis.  Two
-        threads may both build a missing matrix; the values are identical.
+        ``modes`` defaults to the basis size; a caller that needs only the
+        leading modes asks for just those columns.  The matrices of the last
+        few (grid, modes) pairs are kept, keyed by the grid's float64 bytes and
+        the column count, so each returned matrix depends only on its key.
+        Two threads may both build a missing matrix; the values are identical.
         """
+        n = self.size if modes is None else modes
+        if not 0 <= n <= self.size:
+            raise ValueError(f"modes must lie in [0, {self.size}], got {modes}")
         xs = np.ascontiguousarray(xs, dtype=float)
-        key = xs.tobytes()
+        key = (xs.tobytes(), n)
         with self._sines_lock:
             E = self._sines.get(key)
         if E is not None:
             return E
-        E = _sine_matrix(xs.ravel(), self.size, self.domain.length)
+        E = _sine_matrix(xs.ravel(), n, self.domain.length)
         E.flags.writeable = False
         with self._sines_lock:
             self._sines[key] = E
@@ -243,11 +248,13 @@ def _sine_matrix(xs: np.ndarray, n: int, L: float) -> np.ndarray:
     cosines of about 2 sqrt(n) angles, not n sines, and each block of rows is
     one batched rank-2 product written straight into the C-ordered result.
     """
+    E = np.empty((xs.size, n))
+    if n == 0:
+        return E
     q = math.isqrt(n)
     r, s = divmod(n, q)  # r full groups of q columns, then s < q columns
     h = q * np.arange(r + 1.0)
     l = np.arange(1.0, q + 1.0)
-    E = np.empty((xs.size, n))
     # the three scratch tables hold at most ~8192 doubles together and are
     # reused by every block: a freed temporary of 128 KiB or more raises
     # glibc's mmap threshold and changes how fast every later allocation of
@@ -308,7 +315,11 @@ class SpectralField:
         return math.sqrt(max(q, 0.0))
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return self.basis.eigenfunction_matrix(xs) @ self.coeffs
+        """Values at xs.flat; only the modes up to the last nonzero
+        coefficient are built and summed (none for the zero field)."""
+        nonzero = np.flatnonzero(self.coeffs)
+        m = int(nonzero[-1]) + 1 if nonzero.size else 0
+        return self.basis.eigenfunction_matrix(xs, m) @ self.coeffs[:m]
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.basis != self.basis:
@@ -383,26 +394,23 @@ def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralFi
 
 
 def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
-    """Gram matrix G_ij = int_a^b e_i e_j dx via the product-to-sum antiderivative."""
+    """Gram matrix G_ij = int_a^b e_i e_j dx via the product-to-sum antiderivative.
+
+    Off the diagonal G_ij = f(i - j) - f(i + j) with f(m) = [sin(m pi x / L)]_a^b
+    / (m pi): a Toeplitz minus a Hankel matrix, gathered from one table of f
+    over the 3 N integers m in [1 - N, 2 N].
+    """
     sub.validate_inside(basis.domain)
     L = basis.domain.length
     n = basis.size
-    k = np.arange(1, n + 1, dtype=float)
-    diff = k[:, None] - k[None, :]
-    summ = k[:, None] + k[None, :]
-    # every sin(m pi x / L) needed has an integer m in [1 - n, 2 n]: tabulate those 3 n
     ms = np.arange(1 - n, 2 * n + 1, dtype=float)
-    sin_a, sin_b = (np.sin(ms * math.pi * x / L) for x in (sub.a, sub.b))
-
-    def ds(m):  # [sin(m pi x / L)]_a^b
-        i = m.astype(np.intp) + (n - 1)
-        return sin_b[i] - sin_a[i]
-
-    # off-diagonal: [sin(d pi x/L)/(d pi) - sin(s pi x/L)/(s pi)]_a^b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = ds(diff) / (diff * math.pi) - ds(summ) / (summ * math.pi)
-    diag = (sub.b - sub.a) / L - ds(2 * k) / (2 * k * math.pi)
-    np.fill_diagonal(off, diag)
+    with np.errstate(invalid="ignore"):  # f(0) = 0/0 sits on the diagonal, replaced below
+        f = (np.sin(ms * math.pi * sub.b / L) - np.sin(ms * math.pi * sub.a / L)) / (ms * math.pi)
+    i = np.arange(n)
+    # f[t] holds f(t + 1 - n); for modes i + 1 and j + 1 the difference is i - j
+    # and the sum i + j + 2
+    off = f[np.subtract.outer(i, i) + (n - 1)] - f[np.add.outer(i, i) + (n + 1)]
+    off[i, i] = (sub.b - sub.a) / L - f[2 * i + (n + 1)]
     return 0.5 * (off + off.T)
 
 

@@ -341,6 +341,26 @@ class TestCli:
         out = tmp_path / "sab.csv"
         assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
 
+    def test_sweep_exit_two_lists_every_failing_row(self, tmp_path, capsys):
+        path = tmp_path / "sab.cfg"
+        path.write_text(SWEEP_CFG + "sabotage = k\n")
+        out = tmp_path / "sab.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        bad = [line.split(",") for line in out.read_text().splitlines()[1:]
+               if line.split(",")[6] == "false"]
+        assert len(bad) == 4  # the local row of each of 2 deltas x 2 trials
+        assert err.startswith("certified inequality violated: 4 sweep rows violate")
+        for cells in bad:
+            assert f"{cells[1]} row at delta={float(cells[0])}" in err
+
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_sweep_parallel_below_one_exits_one(self, parallel, cfg_path, capsys):
+        # run_sweep checks the count before it starts any thread
+        assert cli_main(["sweep", "--config", cfg_path, "--parallel", parallel]) == 1
+        err = capsys.readouterr().err
+        assert f"parallel must be >= 1 worker thread, got {parallel}" in err
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(SWEEP_CFG + "xi = 1.5\n")

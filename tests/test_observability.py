@@ -20,7 +20,7 @@ from heatback import (
     holder_check,
     synthesize_initial,
 )
-from heatback.spectral import SpectralField
+from heatback.spectral import EigenBasis, SpectralField
 
 
 class TestConstantsConvex:
@@ -220,6 +220,35 @@ class TestEmpiricalFit:
             ref = level if ref is None else ref
             assert abs(level - ref) <= (1.0 + chain.K / T) * math.ulp(chain.ln_K)
         assert ref == pytest.approx(0.718139, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "length, a, b, n, T, profile",
+        [
+            (1.0, 0.3, 0.7, 64, 0.25, DiffusionProfile.constant(1.0, 3.0)),
+            (1.0, 0.1, 0.5, 16, 0.05, DiffusionProfile.affine(1.0, 0.1, 3.0)),
+            (2.0, 0.0, 0.8, 128, 1.0, DiffusionProfile.sinusoidal(1.0, 0.2, 1.0, 3.0)),
+            (1.0, 0.45, 0.55, 256, 0.01, DiffusionProfile.constant(0.5, 3.0)),
+        ],
+    )
+    def test_matches_the_per_field_fit(self, length, a, b, n, T, profile):
+        # the fit one field at a time, as the regression is defined
+        basis = EigenBasis(DomainSpec(length, 0.5 * (a + b)), n)
+        G = gram_subdomain(Subdomain(a, b), basis)
+        xs, ys = [], []
+        for j in range(60):
+            v0 = synthesize_initial(basis, (1.5, 2.0, 3.0, 4.0)[j % 4], 1000 + j)
+            vT = evolve(v0, 0.0, T, profile)
+            if vT.l2_sub(G) <= 0.0 or vT.l2() <= 0.0:
+                continue
+            xs.append(math.log(vT.l2_sub(G)) - math.log(v0.l2()))
+            ys.append(math.log(vT.l2()) - math.log(v0.l2()))
+        xs, ys = np.array(xs), np.array(ys)
+        xc = xs - xs.mean()
+        mu = min(max(float(xc @ (ys - ys.mean())) / float(xc @ xc), 0.05), 0.95)
+        level = float(np.max(ys - mu * xs)) + math.log(2.0)
+        chain = fit_empirical_constants(basis, Subdomain(a, b), G, T, profile)
+        assert chain.mu == pytest.approx(mu, rel=1e-12)
+        assert chain.ln_K + chain.K / T == pytest.approx(level, rel=1e-12)
 
     def test_deterministic(self, basis64, profile_constant):
         sub = Subdomain(0.3, 0.7)

@@ -73,9 +73,9 @@ class TestEigenPairs:
         assert EigenBasis(DomainSpec(1e-150, 5e-151), 16).eigenvalues[-1] < math.inf
 
 
-def _fresh(basis, xs):
+def _fresh(basis, xs, modes=None):
     """The sine matrix built by a new basis of the same size, with an empty cache."""
-    return EigenBasis(basis.domain, basis.size).eigenfunction_matrix(xs)
+    return EigenBasis(basis.domain, basis.size).eigenfunction_matrix(xs, modes)
 
 
 def _exact_rows(xs, modes, length, rows):
@@ -126,24 +126,52 @@ class TestSineMatrixCache:
     )
     def test_within_roundoff_of_exact_and_read_only(self, length, modes, xs):
         basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
-        E = basis.eigenfunction_matrix(xs)
-        xs = np.ravel(xs)
-        assert E.shape == (xs.size, modes)
-        assert E.flags.c_contiguous and not E.flags.writeable
-        with pytest.raises(ValueError):
-            E[...] = 1.0
-        if xs.size == 0:
-            return
-        # 3 rows at each end, about 30 spread over the grid, and 8 seeded others
-        seeded = np.random.default_rng(xs.size).integers(0, xs.size, 8)
-        rows = np.r_[0:3, xs.size - 3:xs.size, 0:xs.size:xs.size // 29 + 1, seeded]
-        rows = np.unique(rows.clip(0, xs.size - 1))
-        # the argument k pi x / L carries a relative rounding error of a few eps
+        flat = np.ravel(xs)
+        if flat.size:
+            # 3 rows at each end, about 30 spread over the grid, and 8 seeded others
+            seeded = np.random.default_rng(flat.size).integers(0, flat.size, 8)
+            rows = np.r_[0:3, flat.size - 3:flat.size, 0:flat.size:flat.size // 29 + 1, seeded]
+            rows = np.unique(rows.clip(0, flat.size - 1))
+            exact = _exact_rows(flat, modes, length, rows)
         eps = np.finfo(float).eps
-        bound = 2.0 * eps * math.sqrt(2.0 / length) * (
-            1.0 + modes * math.pi * np.max(np.abs(xs)) / length
-        )
-        assert np.max(np.abs(E[rows] - _exact_rows(xs, modes, length, rows))) <= bound
+        # every width from none to the whole basis, each its own matrix
+        for cols in sorted({0, 1, min(17, modes), modes}):
+            E = basis.eigenfunction_matrix(xs, cols)
+            assert E.shape == (flat.size, cols)
+            assert E.flags.c_contiguous and not E.flags.writeable
+            with pytest.raises(ValueError):
+                E[...] = 1.0
+            if flat.size == 0 or cols == 0:
+                continue
+            # the argument k pi x / L carries a relative rounding error of a few eps
+            bound = 2.0 * eps * math.sqrt(2.0 / length) * (
+                1.0 + cols * math.pi * np.max(np.abs(flat)) / length
+            )
+            assert np.max(np.abs(E[rows] - exact[:, :cols])) <= bound
+        assert basis.eigenfunction_matrix(xs) is basis.eigenfunction_matrix(xs, modes)
+
+    @pytest.mark.parametrize("cols", [-1, 17])
+    def test_modes_outside_the_basis_raise(self, unit_domain, cols):
+        basis = EigenBasis(unit_domain, 16)
+        with pytest.raises(ValueError, match=r"modes must lie in \[0, 16\], got " + str(cols)):
+            basis.eigenfunction_matrix(uniform_grid(0.0, 1.0, 64), cols)
+
+    def test_sweep_keeps_three_matrices(self):
+        from heatback.harness import Run, _sweep_cell, parse_config_text
+
+        run = Run(parse_config_text(
+            "length = 1.0\nT = 0.25\ndelta_list = 1e-4, 1e-6\nomega_a = 0.3\n"
+            "omega_b = 0.7\nmodes = 64\nbank = 8\ntrials = 2\nconstants_mode = empirical\n"
+        ))
+        for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            _sweep_cell(run, *cell)
+        # D_T is exactly 0 beyond mode m, so u(T) and every impulse use m columns
+        m = int(np.count_nonzero(run.basis.decay(run.profile, 0.0, 0.25)))
+        assert 1 <= m < 64
+        full = uniform_grid(0.0, 1.0, run.cfg.grid).tobytes()
+        omega = uniform_grid(0.3, 0.7, run.cfg.obs_grid).tobytes()
+        assert set(run.basis._sines) == {(full, 64), (full, m), (omega, m)}
+        assert len(run.basis._sines) < _SINE_CACHE_SIZE
 
     def test_cold_build_allocates_no_large_temporary(self, unit_domain):
         basis = EigenBasis(unit_domain, 512)
@@ -192,15 +220,17 @@ class TestSineMatrixCache:
 
     def test_threads_racing_over_more_grids_than_kept(self, unit_domain):
         basis = EigenBasis(unit_domain, 16)
-        grids = [uniform_grid(0.0, 1.0, 64 + 2 * j) for j in range(_SINE_CACHE_SIZE + 2)]
-        expected = [_fresh(basis, xs) for xs in grids]
+        # one grid at two widths is two keys, like the full and the active columns
+        keys = [(uniform_grid(0.0, 1.0, 64 + 2 * (j // 2)), (16, 5)[j % 2])
+                for j in range(_SINE_CACHE_SIZE + 2)]
+        expected = [_fresh(basis, *key) for key in keys]
         wrong, done = [], []
 
         def worker(offset):
             try:
                 for n in range(200):
-                    j = (n + offset) % len(grids)
-                    if not np.array_equal(basis.eigenfunction_matrix(grids[j]), expected[j]):
+                    j = (n + offset) % len(keys)
+                    if not np.array_equal(basis.eigenfunction_matrix(*keys[j]), expected[j]):
                         wrong.append(j)
             except Exception as exc:  # a thread's exception would otherwise be lost
                 wrong.append(exc)
@@ -392,7 +422,8 @@ class TestGram:
 
     @pytest.mark.parametrize(
         "length, a, b, n",
-        [(1.0, 0.3, 0.7, 256), (2.0, 0.0, 2.0, 32), (1.0, 0.1, 0.5, 64), (3.7, 0.11, 2.9, 512)],
+        [(1.0, 0.3, 0.7, 256), (2.0, 0.0, 2.0, 32), (1.0, 0.1, 0.5, 64), (3.7, 0.11, 2.9, 512),
+         (1.0, 0.25, 0.6, 1), (1.3, 0.05, 1.1, 300)],
     )
     def test_sine_table_equals_closed_form(self, length, a, b, n):
         # the closed form with its 4 N^2 sines, kept as the reference: the
@@ -423,6 +454,18 @@ class TestNorms:
     def test_zero_field(self, basis16):
         u = SpectralField.zero(basis16)
         assert u.l2() == 0.0 and u.h01() == 0.0
+        xs = uniform_grid(0.0, 1.0, 64)
+        assert np.array_equal(u.evaluate(xs), np.zeros(xs.size))
+
+    def test_evaluate_sums_only_up_to_the_last_nonzero_mode(self, basis64):
+        xs = uniform_grid(0.0, 1.0, 512)
+        coeffs = np.zeros(64)
+        coeffs[[2, 9]] = (0.5, -1.25)
+        values = SpectralField(basis64, coeffs).evaluate(xs)
+        np.testing.assert_allclose(
+            values, basis64.eigenfunction_matrix(xs) @ coeffs, rtol=0.0, atol=1e-14
+        )
+        assert (xs.tobytes(), 10) in basis64._sines
 
     def test_subdomain_norm_from_gram(self, basis16):
         # frozen from the half-interval Gram entries above
