@@ -9,6 +9,7 @@ All outputs are CSV with a header row and 17-significant-digit floats.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -158,7 +159,12 @@ def _cmd_control(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_constants(cfg: ExperimentConfig, args) -> int:
     chain = Run(cfg).chain
-    rows = [(f.name, getattr(chain, f.name)) for f in fields(chain)]
+    rows = []
+    for f in fields(chain):
+        value = getattr(chain, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            value = None  # past the float range; ln_c1, ln_c3 and ln_K carry c1, c3 and K
+        rows.append((f.name, value))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {fmt_value(value) if value is not None else 'n/a'}")

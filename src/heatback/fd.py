@@ -51,7 +51,7 @@ def fd_evolve(
     t: float,
     steps: int,
 ) -> np.ndarray:
-    """Advance interior values from time 0 to t in `steps` banded solves.
+    """Advance interior values from time 0 to t <= profile.horizon in `steps` banded solves.
 
     With dt = t / steps, the first two steps (one if steps = 2, none if
     steps = 1) are backward Euler over dt / 4, solving (I + 2r A) u_new =
@@ -64,6 +64,8 @@ def fd_evolve(
     u = np.asarray(initial, dtype=float).copy()
     if u.shape != (grid.interior,):
         raise ValueError(f"expected {grid.interior} interior values, got {u.shape}")
+    if not 0.0 <= t <= profile.horizon * (1.0 + 1e-12):
+        raise ValueError(f"need 0 <= t <= profile horizon {profile.horizon}, got t={t}")
     if t == 0.0:
         return u
     if steps < 1:
@@ -85,7 +87,8 @@ def fd_evolve(
         ab[0, 1:] = -r_new
         ab[1, :] = 1.0 + 2.0 * r_new
         ab[2, :-1] = -r_new
-        u = solve_banded((1, 1), ab, rhs)
+        # every step refills ab and rhs, so the solver may factor in place
+        u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
         start += dt
     return u
 

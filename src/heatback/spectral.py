@@ -243,40 +243,46 @@ def _sine_matrix(xs: np.ndarray, n: int, L: float) -> np.ndarray:
     """sqrt(2/L) sin(k theta_j), theta_j = pi xs[j] / L, k = 1..n, by angle addition.
 
     With n = q r + s, q = isqrt(n), mode k = h + l splits into h in
-    {0, q, ..., r q} and l in {1, ..., q}, so sin(k theta) = sin(h theta)
-    cos(l theta) + cos(h theta) sin(l theta): each point needs the sines and
-    cosines of about 2 sqrt(n) angles, not n sines, and each block of rows is
-    one batched rank-2 product written straight into the C-ordered result.
+    {0, q, ..., r q} and l in {1, ..., q}, so sin(k theta) = cos(h theta)
+    sin(l theta) + sin(h theta) cos(l theta).  Each point needs only cos and
+    sin of theta and of q theta: e^{i l theta} and e^{i h theta} are running
+    products of e^{i theta} and e^{i q theta}, whose rounding errors add up
+    over at most q and r factors.  Each block of rows is one batched rank-2
+    product written straight into the C-ordered result.
     """
     E = np.empty((xs.size, n))
     if n == 0:
         return E
     q = math.isqrt(n)
     r, s = divmod(n, q)  # r full groups of q columns, then s < q columns
-    h = q * np.arange(r + 1.0)
-    l = np.arange(1.0, q + 1.0)
-    # the three scratch tables hold at most ~8192 doubles together and are
-    # reused by every block: a freed temporary of 128 KiB or more raises
-    # glibc's mmap threshold and changes how fast every later allocation of
-    # the process runs
-    rows = max(1, min(xs.size, 8192 // (3 * (q + r) + 4)))
-    hs = np.empty((rows, r + 1, 2))
-    ls = np.empty((rows, 2, q))
-    angles = np.empty((rows, max(r + 1, q)))
+    # the three scratch tables and theta hold at most ~8192 doubles together
+    # and are reused by every block: a freed temporary of 128 KiB or more
+    # raises glibc's mmap threshold and changes how fast every later
+    # allocation of the process runs
+    rows = max(1, min(xs.size, 8192 // (4 * q + 2 * r + 3)))
+    hs = np.empty((rows, r + 1), dtype=complex)  # e^{i h theta}, h = 0, q, ..., r q
+    ls = np.empty((rows, q), dtype=complex)  # e^{i l theta}, l = 1, ..., q
+    split = np.empty((rows, 2, q))  # sqrt(2/L) (sin, cos)(l theta)
+    hs[:, 0] = 1.0
     for a in range(0, xs.size, rows):
-        theta = xs[a:a + rows, None] * (math.pi / L)
-        b = theta.shape[0]
-        hb, lb = hs[:b], ls[:b]
-        ht = np.multiply(theta, h, out=angles[:b, :r + 1])
-        np.sin(ht, out=hb[:, :, 0])
-        np.cos(ht, out=hb[:, :, 1])
-        hb *= math.sqrt(2.0 / L)
-        lt = np.multiply(theta, l, out=angles[:b, :q])
-        np.cos(lt, out=lb[:, 0])
-        np.sin(lt, out=lb[:, 1])
+        theta = xs[a:a + rows] * (math.pi / L)
+        b = theta.size
+        hb, lb, sb = hs[:b], ls[:b], split[:b]
+        np.cos(theta, out=lb[:, 0].real)
+        np.sin(theta, out=lb[:, 0].imag)
+        lb[:, 1:] = lb[:, :1]
+        np.multiply.accumulate(lb, axis=1, out=lb)
+        np.multiply(lb.imag, math.sqrt(2.0 / L), out=sb[:, 0])
+        np.multiply(lb.real, math.sqrt(2.0 / L), out=sb[:, 1])
+        theta *= q
+        np.cos(theta, out=hb[:, 1].real)
+        np.sin(theta, out=hb[:, 1].imag)
+        hb[:, 2:] = hb[:, 1:2]
+        np.multiply.accumulate(hb[:, 1:], axis=1, out=hb[:, 1:])
+        cs = hb.view(float).reshape(b, r + 1, 2)  # (cos, sin)(h theta)
         block = E[a:a + b]
-        np.matmul(hb[:, :r], lb, out=block[:, :r * q].reshape(b, r, q))
-        np.matmul(hb[:, r:], lb[:, :, :s], out=block[:, r * q:].reshape(b, 1, s))
+        np.matmul(cs[:, :r], sb, out=block[:, :r * q].reshape(b, r, q))
+        np.matmul(cs[:, r:], sb[:, :, :s], out=block[:, r * q:].reshape(b, 1, s))
     return E
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from heatback import FDGrid, SpectralField, evolve, fd_evolve, oracle_gap, synthesize_initial
+from heatback import (
+    DiffusionProfile, FDGrid, SpectralField, evolve, fd_evolve, oracle_gap, synthesize_initial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,20 @@ class TestFDEvolve:
     def test_rejects_bad_steps(self, grid, profile_constant):
         with pytest.raises(ValueError):
             fd_evolve(grid, np.zeros(grid.interior), profile_constant, 0.1, 0)
+
+    @pytest.mark.parametrize("t", [-0.1, 5.0, float("nan")])
+    def test_rejects_times_outside_the_horizon(self, grid, t):
+        # t < 0 would run the heat equation backward; t past the horizon would
+        # use values of p that the profile does not certify
+        v = np.sin(np.pi * grid.dx * np.arange(1, grid.interior + 1))
+        with pytest.raises(ValueError, match=r"profile horizon 0\.75, got t=" + str(t)):
+            fd_evolve(grid, v, DiffusionProfile.constant(1.0, 0.75), t, 50)
+
+    def test_leaves_its_input_untouched(self, grid, profile_constant):
+        v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))
+        before = v.copy()
+        fd_evolve(grid, v, profile_constant, 0.1, 5)
+        np.testing.assert_array_equal(v, before)
 
 
 class TestOracleGap:

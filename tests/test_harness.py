@@ -328,6 +328,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mu" in out and "c1" in out
 
+    def test_constants_leave_an_overflowed_value_empty(self, tmp_path, capsys):
+        # on this narrow omega the paper chain's c1 and c3 exceed the float range
+        path = tmp_path / "paper.cfg"
+        path.write_text(
+            SWEEP_CFG.replace("omega_a = 0.3", "omega_a = 0.35")
+            .replace("omega_b = 0.7", "omega_b = 0.65")
+            .replace("constants_mode = empirical", "constants_mode = paper")
+        )
+        out = tmp_path / "constants.csv"
+        assert cli_main(["constants", "--config", str(path), "--out", str(out)]) == 0
+        printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        written = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        assert printed["c1"] == printed["c3"] == "n/a"
+        assert written["c1"] == written["c3"] == ""
+        assert math.isfinite(float(written["ln_c1"])) and math.isfinite(float(written["K"]))
+        assert "inf" not in out.read_text()
+
     def test_sweep_writes_deterministic_csv(self, cfg_path, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -692,14 +709,19 @@ def test_cli_exits_only_with_an_answer_or_a_named_failure(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.cfg"
         path.write_text(text)
-        for command in ("sweep", "control"):
-            out = Path(tmp) / f"{command}.csv"
+        for command in ("sweep", "control", "global-backward", "local-backward", "constants"):
+            written = [Path(tmp) / f"{command}.csv"]
+            argv = [command, "--config", str(path), "--out", str(written[0])]
+            if command.endswith("-backward"):
+                written.append(Path(tmp) / f"{command}-report.csv")
+                argv += ["--report", str(written[1])]
             err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                rc = cli_main([command, "--config", str(path), "--out", str(out)])
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli_main(argv)
             if rc == 0:
-                body = out.read_text().lower()
-                assert "nan" not in body and "inf" not in body, (command, text)
+                for out in written:
+                    body = out.read_text().lower()
+                    assert "nan" not in body and "inf" not in body, (command, text)
             else:
                 assert rc in prefixes, (command, text, err.getvalue())
                 assert err.getvalue().startswith(prefixes[rc]), (command, text, err.getvalue())

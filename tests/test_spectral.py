@@ -116,13 +116,14 @@ class TestSineMatrixCache:
             (1.0, 17, uniform_grid(0.0, 1.0, 256)),
             (1.0, 300, uniform_grid(0.0, 1.0, 2400)),
             (1.0, 512, uniform_grid(0.0, 1.0, 4096)),
+            (1.0, 1024, uniform_grid(0.0, 1.0, 2048)),
             (1.0, 16, 0.3),
             (1.0, 16, np.array([])),
             (2.0, 64, np.random.default_rng(20).uniform(-10.0, 12.0, 300)),
         ],
         ids=["1.0-256-grid0", "1.0-256-grid1", "2.0-32-grid2", "2.0-32-grid3", "1.0-1-grid",
              "1.0-2-grid", "3.0-7-grid", "1.0-17-grid", "1.0-300-grid", "1.0-512-grid",
-             "1.0-16-scalar", "1.0-16-empty", "2.0-64-outside"],
+             "1.0-1024-grid", "1.0-16-scalar", "1.0-16-empty", "2.0-64-outside"],
     )
     def test_within_roundoff_of_exact_and_read_only(self, length, modes, xs):
         basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
