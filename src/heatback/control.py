@@ -42,7 +42,9 @@ _REL_SLACK = 1e-12  # float slack on certified inequalities
 class ControlSetup:
     """Fixed data of one control problem on the window (0, 2T).  The
     propagators, the active count and M_a do not depend on phi0: they are
-    computed once, on construction, and stored read-only."""
+    computed once, on construction, and stored read-only.  M_a is checked
+    finite here, once, so that solve_control factors it without a check; a
+    k or eps whose square overflows raises a ConfigError naming both."""
 
     basis: EigenBasis
     T: float
@@ -57,16 +59,23 @@ class ControlSetup:
     system: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.eps <= 0.0 or self.k <= 0.0:
+        if not (self.T > 0.0 and self.eps > 0.0 and self.k > 0.0):
             raise ValueError("T, eps and k must be positive")
         if 2.0 * self.T > self.profile.horizon * (1.0 + 1e-12):
             raise ValueError("profile horizon shorter than the control window (0, 2T)")
         basis, p, T = self.basis, self.profile, self.T
         dT = basis.decay(p, 0.0, T)
         m = int(np.count_nonzero(dT))  # D_T decreases in j, so the active modes lead
-        # active block M_a = k^2 D_T G D_T + eps^2 I of the normal-equation matrix
-        M = (self.k**2) * (dT[:m, None] * self.gram[:m, :m] * dT[None, :m])
-        M[np.diag_indices_from(M)] += self.eps**2
+        # active block M_a = k^2 D_T G D_T + eps^2 I of the normal-equation matrix;
+        # numpy squares give inf, not OverflowError, and the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            k2, eps2 = np.float64(self.k) ** 2, np.float64(self.eps) ** 2
+            M = k2 * (dT[:m, None] * self.gram[:m, :m] * dT[None, :m])
+            M[np.diag_indices_from(M)] += eps2
+        if not (np.isfinite(k2) and np.isfinite(eps2) and np.isfinite(M).all()):
+            raise ConfigError(
+                f"control system not finite: k^2 or eps^2 overflows (eps={self.eps}, k={self.k})"
+            )
         for name, arr in (
             ("decay_to_T", dT),
             ("decay_to_2T", basis.decay(p, 0.0, 2.0 * T)),
@@ -98,23 +107,29 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     optimality identity psi = eps^2 c then holds as tightly as the
     conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is
     recorded on the solution.
+
+    Finiteness is checked once per solve rather than by every LAPACK call:
+    phi0 on entry (a ValueError naming phi0), M_a when the setup was built,
+    and c on exit (a ConfigError naming eps and k).
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (setup.basis.size,):
         raise ValueError(f"phi0 must have {setup.basis.size} coefficients")
+    if not np.isfinite(phi0).all():
+        raise ValueError("phi0 must be finite")
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
     M, m = setup.system, setup.active
     rhs = setup.decay_to_2T * phi0
     try:
-        factor = cho_factor(M)
+        factor = cho_factor(M, check_finite=False)
     except LinAlgError as exc:
         raise ConfigError(
             f"control system numerically singular (eps={setup.eps}, k={setup.k}): {exc}"
         ) from exc
     eps2 = setup.eps**2
     c = rhs / eps2
-    c[:m] = cho_solve(factor, rhs[:m])
+    c[:m] = cho_solve(factor, rhs[:m], check_finite=False)
     best = math.inf
     for _ in range(30):
         resid = rhs[:m] - M @ c[:m]
@@ -122,7 +137,9 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         if res_norm <= 0.25e-12 * eps2 * float(np.linalg.norm(c)) or res_norm >= 0.5 * best:
             break
         best = res_norm
-        c[:m] += cho_solve(factor, resid)
+        c[:m] += cho_solve(factor, resid, check_finite=False)
+    if not np.isfinite(c).all():
+        raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")
 
     dT = setup.decay_to_T
     dTc = dT[:m] * c[:m]

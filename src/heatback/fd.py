@@ -60,10 +60,19 @@ def fd_evolve(
     The rest are Crank-Nicolson of equal length over the remaining time,
     solving (I + r A) u_new = (I - r A) u_old.  Here A = tridiag(-1, 2, -1)/dx^2
     and r = 0.5 * step * p(step midpoint).
+
+    Finiteness is checked outside the loop, not by each solve: `initial` and
+    every r before the first step, the result after the last.  A NaN or inf
+    that appears in any step (an overflow) survives every later tridiagonal
+    solve, so the final check catches it.  Such a run raises a ValueError
+    naming fd_evolve; numpy's overflow and invalid-value warnings inside the
+    loop are suppressed, not let through.
     """
     u = np.asarray(initial, dtype=float).copy()
     if u.shape != (grid.interior,):
         raise ValueError(f"expected {grid.interior} interior values, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("fd_evolve: initial values must be finite")
     if not 0.0 <= t <= profile.horizon * (1.0 + 1e-12):
         raise ValueError(f"need 0 <= t <= profile horizon {profile.horizon}, got t={t}")
     if t == 0.0:
@@ -72,24 +81,39 @@ def fd_evolve(
         raise ValueError("steps must be >= 1")
     n_implicit = min(2, steps - 1)
     dt_implicit = 0.25 * t / steps
-    dt_cn = (t - n_implicit * dt_implicit) / (steps - n_implicit)
-    dx2 = grid.dx**2
-    m = grid.interior
-    ab = np.zeros((3, m))
-    start = 0.0
-    for n in range(steps):
-        dt = dt_implicit if n < n_implicit else dt_cn
-        r = dt * float(profile(start + 0.5 * dt)) / dx2
-        r_new, r_old = (r, 0.0) if n < n_implicit else (0.5 * r, 0.5 * r)
-        rhs = (1.0 - 2.0 * r_old) * u
-        rhs[:-1] += r_old * u[1:]
-        rhs[1:] += r_old * u[:-1]
-        ab[0, 1:] = -r_new
-        ab[1, :] = 1.0 + 2.0 * r_new
-        ab[2, :-1] = -r_new
-        # every step refills ab and rhs, so the solver may factor in place
-        u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-        start += dt
+    dts = np.full(steps, (t - n_implicit * dt_implicit) / (steps - n_implicit))
+    dts[:n_implicit] = dt_implicit
+    starts = np.zeros(steps)
+    np.cumsum(dts[:-1], out=starts[1:])  # bit for bit a running sum of the preceding steps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rs = dts * profile(starts + 0.5 * dts) / grid.dx**2
+    if not np.isfinite(rs).all():
+        raise ValueError(f"fd_evolve: step coefficient r overflows (dx={grid.dx}, t={t})")
+    # (r_new, r_old) is (r, 0) for backward Euler and (r / 2, r / 2) for Crank-Nicolson
+    r_news = rs.copy()
+    r_olds = 0.5 * rs
+    r_news[n_implicit:] = r_olds[n_implicit:]
+    r_olds[:n_implicit] = 0.0
+    ab = np.zeros((3, grid.interior))
+    rhs = np.empty_like(u)  # swaps with u every step
+    side = np.empty(u.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r_new, r_old in zip(r_news.tolist(), r_olds.tolist()):
+            np.multiply(u, 1.0 - 2.0 * r_old, out=rhs)
+            rhs[:-1] += np.multiply(u[1:], r_old, out=side)
+            rhs[1:] += np.multiply(u[:-1], r_old, out=side)
+            ab[0, 1:] = -r_new
+            ab[1, :] = 1.0 + 2.0 * r_new
+            ab[2, :-1] = -r_new
+            # every step refills ab and rhs, so the solver may factor in place
+            # and return the solution in rhs's memory
+            u, rhs = solve_banded(
+                (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+            ), u
+    if not np.isfinite(u).all():
+        raise ValueError(
+            f"fd_evolve: the solution overflowed to a non-finite value (t={t}, steps={steps})"
+        )
     return u
 
 

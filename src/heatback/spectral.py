@@ -152,9 +152,10 @@ class DiffusionProfile:
 
     def integral(self, t0: float, t1: float) -> float:
         """Exact value of int_{t0}^{t1} p(s) ds."""
-        if t0 < 0.0 or t1 < t0:
-            raise ValueError(f"need 0 <= t0 <= t1, got ({t0}, {t1})")
-        if t1 > self.horizon * (1.0 + 1e-12):
+        # written so that a NaN time fails the test
+        if not 0.0 <= t0 <= t1:
+            raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
+        if not t1 <= self.horizon * (1.0 + 1e-12):
             raise ValueError(f"t1={t1} beyond profile horizon {self.horizon}")
         if self.kind == "constant":
             return self.base * (t1 - t0)
@@ -403,8 +404,8 @@ def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
     """Gram matrix G_ij = int_a^b e_i e_j dx via the product-to-sum antiderivative.
 
     Off the diagonal G_ij = f(i - j) - f(i + j) with f(m) = [sin(m pi x / L)]_a^b
-    / (m pi): a Toeplitz minus a Hankel matrix, gathered from one table of f
-    over the 3 N integers m in [1 - N, 2 N].
+    / (m pi): a Toeplitz minus a Hankel matrix, both read as sliding windows
+    of one table of f over the 3 N integers m in [1 - N, 2 N].
     """
     sub.validate_inside(basis.domain)
     L = basis.domain.length
@@ -412,11 +413,12 @@ def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
     ms = np.arange(1 - n, 2 * n + 1, dtype=float)
     with np.errstate(invalid="ignore"):  # f(0) = 0/0 sits on the diagonal, replaced below
         f = (np.sin(ms * math.pi * sub.b / L) - np.sin(ms * math.pi * sub.a / L)) / (ms * math.pi)
-    i = np.arange(n)
-    # f[t] holds f(t + 1 - n); for modes i + 1 and j + 1 the difference is i - j
-    # and the sum i + j + 2
-    off = f[np.subtract.outer(i, i) + (n - 1)] - f[np.add.outer(i, i) + (n + 1)]
-    off[i, i] = (sub.b - sub.a) / L - f[2 * i + (n + 1)]
+    # f[t] holds f(t + 1 - n); for modes i + 1 and j + 1 the difference is i - j,
+    # so row i of the Toeplitz part is f[i:i + n] reversed, and the sum is
+    # i + j + 2, so row i of the Hankel part is f[i + n + 1:i + 2 n + 1]
+    windows = np.lib.stride_tricks.sliding_window_view(f, n)
+    off = windows[:n, ::-1] - windows[n + 1:]
+    np.fill_diagonal(off, (sub.b - sub.a) / L - f[n + 1::2])
     return 0.5 * (off + off.T)
 
 

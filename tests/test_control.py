@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from heatback import (
     ConfigError,
@@ -24,12 +26,51 @@ from heatback import (
 )
 from heatback.control import (
     ControlSetup,
+    ControlSolution,
     dual_pairing,
     functional_J,
     gradient_J,
     h_values,
 )
-from heatback.pipeline import weight_from_chain
+from heatback.harness import Run, parse_config_text
+from heatback.pipeline import control_setup, weight_from_chain
+
+
+DEMO_256 = """
+length = 1.0
+T = 0.25
+delta_list = 1e-4, 1e-6, 1e-8
+omega_a = 0.3
+omega_b = 0.7
+modes = 256
+bank = 32
+constants_mode = empirical
+"""
+
+
+def reference_solve_control(setup, phi0):
+    """The control solve with scipy's finiteness check in every cho_factor and
+    cho_solve call, kept as the reference; the bank must match it bit for bit."""
+    M, m = setup.system, setup.active
+    rhs = setup.decay_to_2T * phi0
+    factor = cho_factor(M)
+    eps2 = setup.eps**2
+    c = rhs / eps2
+    c[:m] = cho_solve(factor, rhs[:m])
+    best = math.inf
+    for _ in range(30):
+        resid = rhs[:m] - M @ c[:m]
+        res_norm = float(np.linalg.norm(resid))
+        if res_norm <= 0.25e-12 * eps2 * float(np.linalg.norm(c)) or res_norm >= 0.5 * best:
+            break
+        best = res_norm
+        c[:m] += cho_solve(factor, resid)
+    dT = setup.decay_to_T
+    dTc = dT[:m] * c[:m]
+    b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
+    psi = rhs + dT * b
+    h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
+    return ControlSolution(c, b, psi, h_norm, float(np.linalg.norm(psi - eps2 * c)))
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +204,21 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_control(setup64, np.zeros(64))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_phi0(self, setup64, bad):
+        phi0 = np.ones(64)
+        phi0[5] = bad
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            solve_control(setup64, phi0)
+
+    @pytest.mark.parametrize("eps, k", [(0.3, 1e200), (0.3, math.inf), (1e200, 1.0)])
+    def test_rejects_overflowing_weights(self, basis16, unit_domain, profile_constant, eps, k):
+        # k^2 or eps^2 beyond the float range: a named error on construction,
+        # not an OverflowError from the square or an unchecked factorization
+        G = gram_subdomain(Subdomain.full(unit_domain), basis16)
+        with pytest.raises(ConfigError, match=re.escape(f"eps={eps}, k={k}")):
+            ControlSetup(basis16, 0.3, profile_constant, G, eps=eps, k=k)
+
 
 class TestVariational:
     def test_gradient_matches_central_differences(self, setup64):
@@ -273,6 +329,23 @@ class TestModeBank:
             keep = w > 1e-13 * w.max()
             proj = V[:, keep] @ (V[:, keep].T @ sol.b)
             assert np.linalg.norm(sol.b - proj) <= 1e-9 * max(np.linalg.norm(sol.b), 1e-300)
+
+    def test_demo_bank_equals_the_checked_solve(self):
+        # the README demo geometry at the benchmark's size: every bank solve is
+        # bit for bit the solve with scipy's finiteness check on each LAPACK call
+        cfg = parse_config_text(DEMO_256)
+        run = Run(cfg)
+        u0 = run.truth()
+        l2, h01 = u0.l2(), u0.h01()
+        for delta in cfg.delta_list:
+            setup = control_setup(run.pipeline(l2, h01), delta * l2)
+            for i, sol in enumerate(control_mode_bank(setup, cfg.bank)):
+                phi0 = SpectralField.unit_mode(setup.basis, i + 1).coeffs
+                ref = reference_solve_control(setup, phi0)
+                for name in ("c", "b", "psi"):
+                    np.testing.assert_array_equal(getattr(sol, name), getattr(ref, name))
+                assert sol.h_norm_omega == ref.h_norm_omega
+                assert sol.identity_residual == ref.identity_residual
 
     def test_rejects_oversized_bank(self, setup64):
         with pytest.raises(ValueError):

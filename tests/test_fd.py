@@ -2,10 +2,36 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from heatback import (
     DiffusionProfile, FDGrid, SpectralField, evolve, fd_evolve, oracle_gap, synthesize_initial,
 )
+
+
+def reference_fd_evolve(grid, initial, profile, t, steps):
+    """The per-step loop fd_evolve vectorizes: a running start time, a scalar
+    profile call and a finiteness-checked banded solve in every step."""
+    u = np.asarray(initial, dtype=float).copy()
+    n_implicit = min(2, steps - 1)
+    dt_implicit = 0.25 * t / steps
+    dt_cn = (t - n_implicit * dt_implicit) / (steps - n_implicit)
+    dx2 = grid.dx**2
+    ab = np.zeros((3, grid.interior))
+    start = 0.0
+    for n in range(steps):
+        dt = dt_implicit if n < n_implicit else dt_cn
+        r = dt * float(profile(start + 0.5 * dt)) / dx2
+        r_new, r_old = (r, 0.0) if n < n_implicit else (0.5 * r, 0.5 * r)
+        rhs = (1.0 - 2.0 * r_old) * u
+        rhs[:-1] += r_old * u[1:]
+        rhs[1:] += r_old * u[:-1]
+        ab[0, 1:] = -r_new
+        ab[1, :] = 1.0 + 2.0 * r_new
+        ab[2, :-1] = -r_new
+        u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+        start += dt
+    return u
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +99,33 @@ class TestFDEvolve:
         v = np.sin(np.pi * grid.dx * np.arange(1, grid.interior + 1))
         with pytest.raises(ValueError, match=r"profile horizon 0\.75, got t=" + str(t)):
             fd_evolve(grid, v, DiffusionProfile.constant(1.0, 0.75), t, 50)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 400])
+    @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
+    def test_equals_the_per_step_loop(self, grid, basis64, kind, steps, request):
+        # the vectorized schedule (cumsum of the preceding steps, one profile
+        # call) and the swapped buffers must not move a single bit
+        profile = request.getfixturevalue(f"profile_{kind}")
+        v = grid.sample(synthesize_initial(basis64, 2.0, steps))
+        for t in (0.05, 0.4):
+            out = fd_evolve(grid, v, profile, t, steps)
+            np.testing.assert_array_equal(out, reference_fd_evolve(grid, v, profile, t, steps))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_initial(self, grid, profile_constant, bad):
+        v = np.zeros(grid.interior)
+        v[17] = bad
+        with pytest.raises(ValueError, match="fd_evolve: initial values must be finite"):
+            fd_evolve(grid, v, profile_constant, 0.1, 5)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_overflow_raises_named_error(self, grid, profile_constant, steps):
+        # r ~ 1e5, so (1 - 2 r) * 1e308 overflows in the first Crank-Nicolson
+        # step; the warnings stay inside fd_evolve (the suite turns a
+        # RuntimeWarning into an error) and the final check names the solver
+        v = np.full(grid.interior, 1e308)
+        with pytest.raises(ValueError, match="fd_evolve: the solution overflowed"):
+            fd_evolve(grid, v, profile_constant, 0.1, steps)
 
     def test_leaves_its_input_untouched(self, grid, profile_constant):
         v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))

@@ -24,6 +24,9 @@ from heatback import (
 from heatback.spectral import _SINE_CACHE_SIZE
 
 
+NAN = float("nan")
+
+
 def _mode(domain, i):
     """(lambda_i, x -> e_i(x)) read off an EigenBasis of size i."""
     basis = EigenBasis(domain, i)
@@ -291,6 +294,12 @@ class TestProfiles:
         with pytest.raises(ValueError):
             profile_constant.integral(0.5, 0.2)
 
+    @pytest.mark.parametrize("t0, t1", [(NAN, 0.5), (0.0, NAN), (NAN, NAN)])
+    def test_rejects_nan_time(self, profile_sinusoidal, t0, t1):
+        # a NaN compares false both ways, so only a positive test rejects it
+        with pytest.raises(ValueError, match=f"t0={t0}, t1={t1}"):
+            profile_sinusoidal.integral(t0, t1)
+
     def test_rejects_nonpositive_profile(self):
         with pytest.raises(ValueError):
             DiffusionProfile.sinusoidal(0.1, 0.5, 1.0, 1.0)
@@ -328,6 +337,14 @@ class TestEvolve:
         small = expo <= 300.0
         assert small.sum() >= 5
         assert np.all(err[small] <= 1e-13 * np.abs(one_step.coeffs[small]))
+
+    @pytest.mark.parametrize("t0, t1", [(NAN, 0.5), (0.0, NAN)])
+    def test_nan_time_raises(self, basis16, profile_affine, t0, t1):
+        # not an all-NaN coefficient vector
+        with pytest.raises(ValueError, match="nan"):
+            basis16.decay(profile_affine, t0, t1)
+        with pytest.raises(ValueError, match="nan"):
+            evolve(SpectralField.unit_mode(basis16, 1), t0, t1, profile_affine)
 
     def test_decay_is_the_propagator(self, basis16, profile_affine):
         d = basis16.decay(profile_affine, 0.2, 0.7)
@@ -444,6 +461,26 @@ class TestGram:
         diag = (b - a) / length - (s(2 * k, b) - s(2 * k, a)) / (2 * k * math.pi)
         np.fill_diagonal(off, diag)
         assert np.array_equal(gram_subdomain(Subdomain(a, b), basis), 0.5 * (off + off.T))
+
+    def test_windows_equal_the_index_gather(self):
+        # the same f table gathered through two N x N index arrays, kept as the
+        # reference for the sliding-window Toeplitz and Hankel parts
+        rng = np.random.default_rng(7)
+        sizes = [1, 2] + rng.integers(1, 300, 198).tolist()
+        for n in sizes:
+            length = rng.uniform(0.5, 3.0)
+            a = rng.uniform(0.0, 0.9 * length)
+            b = rng.uniform(a + 1e-3 * length, length)
+            basis = EigenBasis(DomainSpec(length, length / 2.0), n)
+            ms = np.arange(1 - n, 2 * n + 1, dtype=float)
+            with np.errstate(invalid="ignore"):
+                f = (np.sin(ms * math.pi * b / length) - np.sin(ms * math.pi * a / length)) / (
+                    ms * math.pi
+                )
+            i = np.arange(n)
+            off = f[np.subtract.outer(i, i) + (n - 1)] - f[np.add.outer(i, i) + (n + 1)]
+            off[i, i] = (b - a) / length - f[2 * i + (n + 1)]
+            assert np.array_equal(gram_subdomain(Subdomain(a, b), basis), 0.5 * (off + off.T)), n
 
 
 class TestNorms:
