@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError
-from .spectral import DiffusionProfile, EigenBasis, SpectralField
+from .spectral import DiffusionProfile, EigenBasis, SpectralField, flush_subnormals
 
 _REL_SLACK = 1e-12  # float slack on certified inequalities
 
@@ -180,9 +180,13 @@ def gradient_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> np.ndarr
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
     """Impulse profile h(x) = -k^2 sum_j (D_T c)_j e_j(x), valid on omega; the
     sum runs over the active modes, the only ones with nonzero (D_T c)_j, so
-    only those m = setup.active columns of the sine matrix are built."""
+    only those m = setup.active columns of the sine matrix are built.  The
+    subnormal entries of D_T c are flushed to zero before the product, which
+    they would slow about 10x; that moves h by less than
+    k^2 sum_j |e_j(x)| 2.2e-308.  On the README demo only bank mode 10's
+    impulse, itself below 4e-305, moves, and fbar stays the same."""
     m = setup.active
-    dTc = setup.decay_to_T[:m] * sol.c[:m]
+    dTc = flush_subnormals(setup.decay_to_T[:m] * sol.c[:m])
     return -(setup.k**2) * (setup.basis.eigenfunction_matrix(xs, m) @ dTc)
 
 

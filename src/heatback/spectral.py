@@ -169,6 +169,20 @@ class DiffusionProfile:
 
 
 _SINE_CACHE_SIZE = 4  # (grid, modes) matrices each basis keeps; a sweep uses 3
+_TINY = np.finfo(float).tiny  # smallest normal float64, 2.2e-308
+
+
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Copy of a with every subnormal entry (0 < |x| < 2.2e-308) set to a
+    zero of its sign; zeros, normal numbers, nan and inf are kept.
+
+    On x86 a dense product with even one subnormal operand takes a slow
+    microcode path: a (1641, 17) matrix times a vector with one subnormal
+    entry runs about 10x slower.  Each entry moves by less than 2.2e-308, so
+    a sum of products moves by less than that times the other factors'
+    magnitudes, and not at all where its normal terms are far above it.
+    """
+    return a * (np.abs(a) >= _TINY)
 
 
 class EigenBasis:
@@ -220,7 +234,8 @@ class EigenBasis:
         leading modes asks for just those columns.  The matrices of the last
         few (grid, modes) pairs are kept, keyed by the grid's float64 bytes and
         the column count, so each returned matrix depends only on its key.
-        Two threads may both build a missing matrix; the values are identical.
+        A missing matrix is built while the cache lock is held, so two threads
+        that ask for it at once build it once, and the second waits for it.
         """
         n = self.size if modes is None else modes
         if not 0 <= n <= self.size:
@@ -229,14 +244,12 @@ class EigenBasis:
         key = (xs.tobytes(), n)
         with self._sines_lock:
             E = self._sines.get(key)
-        if E is not None:
-            return E
-        E = _sine_matrix(xs.ravel(), n, self.domain.length)
-        E.flags.writeable = False
-        with self._sines_lock:
-            self._sines[key] = E
-            while len(self._sines) > _SINE_CACHE_SIZE:
-                del self._sines[next(iter(self._sines))]
+            if E is None:
+                E = _sine_matrix(xs.ravel(), n, self.domain.length)
+                E.flags.writeable = False
+                self._sines[key] = E
+                while len(self._sines) > _SINE_CACHE_SIZE:
+                    del self._sines[next(iter(self._sines))]
         return E
 
 
@@ -323,10 +336,14 @@ class SpectralField:
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Values at xs.flat; only the modes up to the last nonzero
-        coefficient are built and summed (none for the zero field)."""
+        coefficient are built and summed (none for the zero field).
+        Subnormal coefficients (u(T)'s mode 17 on the README demo) are
+        flushed to zero before the product, which they would slow about 10x,
+        and the width still counts them; the values move by less than
+        2.2e-308 times sum_j |e_j(x)|, and on the README demo not at all."""
         nonzero = np.flatnonzero(self.coeffs)
         m = int(nonzero[-1]) + 1 if nonzero.size else 0
-        return self.basis.eigenfunction_matrix(xs, m) @ self.coeffs[:m]
+        return self.basis.eigenfunction_matrix(xs, m) @ flush_subnormals(self.coeffs[:m])
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.basis != self.basis:

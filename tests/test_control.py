@@ -395,6 +395,50 @@ class TestImpulseEvaluator:
         b_quad = E.T @ (w * h)
         assert np.linalg.norm(b_quad - sol.b) <= 1e-8 * np.linalg.norm(sol.b)
 
+    def test_flush_moves_h_below_tiny_and_fbar_not_at_all(self, monkeypatch):
+        from heatback import control
+        from heatback.pipeline import assemble_fbar, observation_weights
+        from heatback.spectral import uniform_grid
+
+        # the README demo geometry at the benchmark's size
+        cfg = parse_config_text(DEMO_256)
+        run = Run(cfg)
+        u0 = run.truth()
+        l2, h01 = u0.l2(), u0.h01()
+        xs = uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid)
+        weights = observation_weights(xs, run.subdomain, run.basis)
+        values = np.random.default_rng(70).standard_normal(xs.size)
+        tiny = np.finfo(float).tiny
+        flushed = unchanged = 0
+        for delta in cfg.delta_list:
+            setup = control_setup(run.pipeline(l2, h01), delta * l2)
+            bank = control_mode_bank(setup, cfg.bank)
+            m = setup.active
+            E = setup.basis.eigenfunction_matrix(xs, m)
+            # each dropped operand is below tiny, which bounds its term of the sum
+            moved = setup.k**2 * np.abs(E).sum(axis=1) * tiny
+            for sol in bank:
+                dTc = setup.decay_to_T[:m] * sol.c[:m]
+                if not np.any((dTc != 0.0) & (np.abs(dTc) < tiny)):
+                    continue
+                flushed += 1
+                h, ref = h_values(setup, sol, xs), -(setup.k**2) * (E @ dTc)
+                assert np.all(np.abs(h - ref) <= moved)
+                # far above the dropped terms, h is the same float
+                far = np.abs(ref) >= 2.0**60 * moved
+                assert np.array_equal(h[far], ref[far])
+                unchanged += far.all()
+            got = assemble_fbar(bank, setup, xs, values, weights)
+            with monkeypatch.context() as patch:
+                patch.setattr(control, "flush_subnormals", lambda a: a)
+                unflushed = assemble_fbar(bank, setup, xs, values, weights)
+            np.testing.assert_array_equal(got[0].coeffs, unflushed[0].coeffs)
+            np.testing.assert_array_equal(got[1], unflushed[1])
+            np.testing.assert_array_equal(got[2], unflushed[2])
+        # 15 impulses are flushed here; only bank mode 10's, below 4e-305 at
+        # every noise level, moves at all
+        assert flushed >= 12 and unchanged >= flushed - len(cfg.delta_list)
+
 
 class TestActiveBlock:
     """The solve on the first setup.active modes is the full system, exactly."""

@@ -478,6 +478,50 @@ class TestCli:
         assert "H1 prior" in err and "raise T or lower the noise" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["empirical", "paper"])
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.3, 0.7)])
+    @pytest.mark.parametrize("T, lead", [
+        (70, "normal"), (72, "subnormal"), (73, "subnormal"), (76, "zero"),
+    ])
+    def test_edge_of_the_decay_range(self, T, lead, window, mode, tmp_path, capsys):
+        # on L 1 the leading decay factor e^{-pi^2 T} leaves the normal range
+        # between T 70 and 72 and underflows to 0 by T 76; every subcommand
+        # exits 0 or names the cause, and no CSV holds a nan or an inf
+        d = math.exp(-math.pi**2 * T)
+        tiny = np.finfo(float).tiny
+        assert {"normal": d >= tiny, "subnormal": 0.0 < d < tiny, "zero": d == 0.0}[lead]
+        a, b = window
+        path = tmp_path / "edge.cfg"
+        path.write_text(
+            f"length = 1.0\nT = {T}\ndelta_list = 1e-4, 1e-6\nomega_a = {a}\n"
+            f"omega_b = {b}\nmodes = 32\nconstants_mode = {mode}\n"
+        )
+        if mode == "empirical":
+            failing = ("sweep", "local-backward", "control", "constants")
+            cause = f"empirical constants: every sampled field decays to zero by T = {T}.0, "
+        elif a == 0.0:
+            failing = ("sweep", "local-backward")
+            cause = f"T = {T}.0 too large: every decay factor from 2T to 3T underflows to 0\n"
+        else:
+            failing = ("sweep", "local-backward", "control")
+            cause = f"T = {T}.0 too small for the constants chain (c3 = 7.46482e+271, c4 = 51.9175)"
+        for command in ("sweep", "local-backward", "global-backward", "control", "constants",
+                        "oracle-check", "forward"):
+            outs = [tmp_path / f"{command}.csv"]
+            args = [command, "--config", str(path), "--out", str(outs[0])]
+            if command.endswith("backward"):
+                outs.append(tmp_path / f"{command}_report.csv")
+                args += ["--report", str(outs[1])]
+            rc = cli_main(args)
+            err = capsys.readouterr().err
+            if command in failing:
+                assert rc == 1 and err.startswith("configuration error: " + cause), command
+                assert err.count("\n") == 1, command
+                continue
+            assert (rc, err) == (0, ""), command
+            for out in outs:
+                assert not re.search(r"\b(nan|inf)\b", out.read_text(), re.IGNORECASE), out
+
     def test_oracle_check_at_huge_T_exits_zero(self, tmp_path):
         # dt = 500: Crank-Nicolson alone keeps the stiff grid modes at a factor
         # near -1 per step, which the backward-Euler start damps

@@ -20,6 +20,7 @@ from heatback import (
     holder_check,
     synthesize_initial,
 )
+from heatback import observability
 from heatback.spectral import EigenBasis, SpectralField
 
 
@@ -230,7 +231,7 @@ class TestEmpiricalFit:
             (1.0, 0.45, 0.55, 256, 0.01, DiffusionProfile.constant(0.5, 3.0)),
         ],
     )
-    def test_matches_the_per_field_fit(self, length, a, b, n, T, profile):
+    def test_matches_the_per_field_fit(self, length, a, b, n, T, profile, monkeypatch):
         # the fit one field at a time, as the regression is defined
         basis = EigenBasis(DomainSpec(length, 0.5 * (a + b)), n)
         G = gram_subdomain(Subdomain(a, b), basis)
@@ -249,6 +250,10 @@ class TestEmpiricalFit:
         chain = fit_empirical_constants(basis, Subdomain(a, b), G, T, profile)
         assert chain.mu == pytest.approx(mu, rel=1e-12)
         assert chain.ln_K + chain.K / T == pytest.approx(level, rel=1e-12)
+        # flushing the subnormal coefficients of v(T) changes no fitted value
+        monkeypatch.setattr(observability, "flush_subnormals", lambda a: a)
+        unflushed = fit_empirical_constants(basis, Subdomain(a, b), G, T, profile)
+        assert (chain.ln_K, chain.mu) == (unflushed.ln_K, unflushed.mu)
 
     def test_deterministic(self, basis64, profile_constant):
         sub = Subdomain(0.3, 0.7)

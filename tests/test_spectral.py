@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -21,7 +22,8 @@ from heatback import (
     synthesize_initial,
     uniform_grid,
 )
-from heatback.spectral import _SINE_CACHE_SIZE
+from heatback import spectral
+from heatback.spectral import _SINE_CACHE_SIZE, flush_subnormals
 
 
 NAN = float("nan")
@@ -253,6 +255,43 @@ class TestSineMatrixCache:
         assert not any(t.is_alive() for t in threads)
         assert sorted(done) == list(range(8)) and wrong == []
         assert len(basis._sines) <= _SINE_CACHE_SIZE
+
+    def test_threads_asking_for_one_missing_matrix_build_it_once(self, unit_domain,
+                                                                  monkeypatch):
+        basis = EigenBasis(unit_domain, 64)
+        xs = uniform_grid(0.0, 1.0, 512)
+        builds = []
+        build = spectral._sine_matrix
+
+        def spy(*args):
+            builds.append(args[1])
+            time.sleep(0.05)  # ample time for the other thread to find the key missing
+            return build(*args)
+
+        monkeypatch.setattr(spectral, "_sine_matrix", spy)
+        barrier = threading.Barrier(2, timeout=30)
+        got, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait()
+                got.append(basis.eigenfunction_matrix(xs))
+            except Exception as exc:  # a thread's exception would otherwise be lost
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert builds == [64]
+        assert len(got) == 2 and got[0] is got[1]
 
 
 class TestSubdomain:
@@ -512,6 +551,41 @@ class TestNorms:
         coeffs[:2] = 1.0
         sub = SpectralField(basis16, coeffs).l2_sub(G)
         assert sub == pytest.approx(math.sqrt(1.0 + 8.0 / (3.0 * math.pi)), rel=1e-13)
+
+
+class TestSubnormalFlush:
+    """Subnormal operands are dropped before a dense product."""
+
+    def test_zeroes_subnormals_and_keeps_everything_else(self):
+        tiny = np.finfo(float).tiny
+        largest = np.nextafter(tiny, 0.0)
+        a = np.array([5e-324, -5e-324, largest, -largest, 1.6e-310,
+                      0.0, -0.0, tiny, -tiny, NAN, math.inf, -math.inf, 1.0, -3.5e300])
+        before = a.copy()
+        out = flush_subnormals(a)
+        np.testing.assert_array_equal(out[:5], 0.0)
+        np.testing.assert_array_equal(out[5:], a[5:])
+        # each flushed entry is a zero of its sign, and -0.0 stays -0.0
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(a))
+        np.testing.assert_array_equal(a, before)
+
+    def test_evaluate_equals_the_unflushed_product(self):
+        from heatback.harness import Run, parse_config_text
+
+        # the README demo geometry at the benchmark's size
+        run = Run(parse_config_text(
+            "length = 1.0\nT = 0.25\ndelta_list = 1e-4\nomega_a = 0.3\nomega_b = 0.7\n"
+            "modes = 256\nbank = 32\nconstants_mode = empirical\n"
+        ))
+        grids = (uniform_grid(0.0, 1.0, run.cfg.grid), uniform_grid(0.3, 0.7, run.cfg.obs_grid))
+        for trial in range(3):
+            uT = evolve(run.truth(trial), 0.0, run.cfg.T, run.profile)
+            m = int(np.flatnonzero(uT.coeffs)[-1]) + 1
+            # the last coefficient, the one that sets the width, is subnormal
+            assert 0.0 < abs(uT.coeffs[m - 1]) < np.finfo(float).tiny
+            for xs in grids:
+                unflushed = run.basis.eigenfunction_matrix(xs, m) @ uT.coeffs[:m]
+                assert np.array_equal(uT.evaluate(xs), unflushed)
 
 
 class TestSynthesize:
