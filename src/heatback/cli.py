@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -45,11 +46,16 @@ _REPORT_COLUMNS = ("delta", "epsilon", "effective_delta", "alpha", "bound", "err
 
 def _read_observation(path: str):
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file with no data rows; that is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read observation {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed observation CSV {path!r}: {exc}") from exc
+    if data.size == 0:
+        raise ConfigError(f"observation CSV {path!r} has no data rows")
     if data.shape[1] != 2:
         raise ConfigError("observation CSV must have columns x,value")
     return data[:, 0], data[:, 1]

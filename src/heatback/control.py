@@ -17,11 +17,15 @@ local reconstruction consumes, and it coincides with the physical terminal
 state phi(2T) whenever p is constant.  Which (eps, k) to solve for is the
 pipeline's choice (pipeline.control_setup); this module takes them as given.
 
-Only the first m = ControlSetup.active modes reach time T: beyond them D_T
-underflows to exactly 0.0, so in float64 the system is exactly
-block-diagonal, [[M_a, 0], [0, eps^2 I]], with a zero right-hand side below
-the block (D_2T <= D_T).  The solve therefore runs on the m x m block M_a,
-which is the same linear system, not an approximation.
+Only the first m = ControlSetup.active modes, those with k D_T_j >= 2^-60 eps
+(D_T decreases in j, so they lead), enter the m x m Cholesky block M_a; below
+it the system is taken as eps^2 c = D_2T phi0.  As G is a Gram matrix with
+G_jj <= 1, |G_ij| <= sqrt(G_ii G_jj) and k D_T_i sqrt(G_ii) <= sqrt(M_ii), so
+each coupling of a dropped mode j (k D_T_j < 2^-60 eps <= 2^-60 sqrt(M_jj))
+obeys |M_ij| = k^2 D_T_i D_T_j |G_ij| <= 2^-60 sqrt(M_ii M_jj).  That is below
+the backward error gamma_{n+1} sqrt(M_ii M_jj), gamma_{n+1} > 2^-52, that
+Cholesky already allows in each entry (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sec. 10.1): the same system to below rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError
-from .spectral import DiffusionProfile, EigenBasis, SpectralField, flush_subnormals
+from .spectral import DiffusionProfile, EigenBasis, SpectralField
 
 _REL_SLACK = 1e-12  # float slack on certified inequalities
 
@@ -65,10 +69,11 @@ class ControlSetup:
             raise ValueError("profile horizon shorter than the control window (0, 2T)")
         basis, p, T = self.basis, self.profile, self.T
         dT = basis.decay(p, 0.0, T)
-        m = int(np.count_nonzero(dT))  # D_T decreases in j, so the active modes lead
         # active block M_a = k^2 D_T G D_T + eps^2 I of the normal-equation matrix;
         # numpy squares give inf, not OverflowError, and the check below names it
+        # (an infinite k times a zero D_T is nan, which is not active)
         with np.errstate(over="ignore", invalid="ignore"):
+            m = int(np.count_nonzero(self.k * dT >= 2.0**-60 * self.eps))
             k2, eps2 = np.float64(self.k) ** 2, np.float64(self.eps) ** 2
             M = k2 * (dT[:m, None] * self.gram[:m, :m] * dT[None, :m])
             M[np.diag_indices_from(M)] += eps2
@@ -102,11 +107,11 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     """Solve the normal equations for phi0 and package the control quantities.
 
     The Cholesky solve runs on the active block; below it the system reads
-    eps^2 c = D_2T phi0 (zero in float64).  It is refined until the residual
-    is small against eps^2 |c| (the scale of psi) or stops improving; the
-    optimality identity psi = eps^2 c then holds as tightly as the
-    conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is
-    recorded on the solution.
+    eps^2 c = D_2T phi0.  It is refined until the residual is small against
+    eps^2 |c| (the scale of psi) or stops improving; the optimality identity
+    psi = eps^2 c then holds as tightly as the conditioning
+    k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is recorded on
+    the solution.
 
     Finiteness is checked once per solve rather than by every LAPACK call:
     phi0 on entry (a ValueError naming phi0), M_a when the setup was built,
@@ -179,14 +184,10 @@ def gradient_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> np.ndarr
 
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
     """Impulse profile h(x) = -k^2 sum_j (D_T c)_j e_j(x), valid on omega; the
-    sum runs over the active modes, the only ones with nonzero (D_T c)_j, so
-    only those m = setup.active columns of the sine matrix are built.  The
-    subnormal entries of D_T c are flushed to zero before the product, which
-    they would slow about 10x; that moves h by less than
-    k^2 sum_j |e_j(x)| 2.2e-308.  On the README demo only bank mode 10's
-    impulse, itself below 4e-305, moves, and fbar stays the same."""
+    sum runs over the active modes, as b's does, so only those
+    m = setup.active columns of the sine matrix are built."""
     m = setup.active
-    dTc = flush_subnormals(setup.decay_to_T[:m] * sol.c[:m])
+    dTc = setup.decay_to_T[:m] * sol.c[:m]
     return -(setup.k**2) * (setup.basis.eigenfunction_matrix(xs, m) @ dTc)
 
 

@@ -27,7 +27,6 @@ from .spectral import (
     SpectralField,
     Subdomain,
     evolve,
-    flush_subnormals,
     synthesize_initial,
 )
 
@@ -179,15 +178,12 @@ def fit_empirical_constants(
     60 evolved random fields (seeds 1000..1059), clips the slope to
     [0.05, 0.95], sets the intercept to the worst sample plus a safety margin
     ln 2, and solves K e^{K/T} = intercept.  Diagnostic only; the certified
-    route is constants_convex.  The evolved fields' subnormal coefficients
-    (mode 17 on the README demo) are flushed to zero before the product with
-    the Gram matrix, which they would slow; each term they drop from a
-    |v(T)|_omega^2 is below 2.2e-308, as every coefficient is at most 1.
+    route is constants_convex.
     """
     decays = (1.5, 2.0, 3.0, 4.0)
     V0 = np.array([synthesize_initial(basis, decays[j % len(decays)], 1000 + j).coeffs
                    for j in range(60)])
-    VT = flush_subnormals(V0 * basis.decay(profile, 0.0, T))
+    VT = V0 * basis.decay(profile, 0.0, T)
     # every field's |v(T)|_omega^2 = v' G v from one matrix product
     l2_omega = np.sqrt(np.maximum(np.einsum("ij,ij->i", VT @ gram, VT), 0.0))
     l2_full = np.linalg.norm(VT, axis=1)

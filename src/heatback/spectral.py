@@ -168,21 +168,9 @@ class DiffusionProfile:
         )
 
 
-_SINE_CACHE_SIZE = 4  # (grid, modes) matrices each basis keeps; a sweep uses 3
-_TINY = np.finfo(float).tiny  # smallest normal float64, 2.2e-308
-
-
-def flush_subnormals(a: np.ndarray) -> np.ndarray:
-    """Copy of a with every subnormal entry (0 < |x| < 2.2e-308) set to a
-    zero of its sign; zeros, normal numbers, nan and inf are kept.
-
-    On x86 a dense product with even one subnormal operand takes a slow
-    microcode path: a (1641, 17) matrix times a vector with one subnormal
-    entry runs about 10x slower.  Each entry moves by less than 2.2e-308, so
-    a sum of products moves by less than that times the other factors'
-    magnitudes, and not at all where its normal terms are far above it.
-    """
-    return a * (np.abs(a) >= _TINY)
+# (grid, modes) matrices each basis keeps, least recently used evicted first: a
+# sweep shares 3 and adds one omega-grid width per noise level in flight
+_SINE_CACHE_SIZE = 6
 
 
 class EigenBasis:
@@ -206,7 +194,7 @@ class EigenBasis:
                 f"the eigenvalue ({size} pi / length)^2 overflows"
             )
         self.eigenvalues.flags.writeable = False
-        self._sines: dict[tuple[bytes, int], np.ndarray] = {}  # oldest first
+        self._sines: dict[tuple[bytes, int], np.ndarray] = {}  # least recently used first
         self._sines_lock = threading.Lock()
 
     def __eq__(self, other):
@@ -231,9 +219,10 @@ class EigenBasis:
         """Read-only matrix E with E[j, i] = e_{i+1}(xs.flat[j]), i < modes.
 
         ``modes`` defaults to the basis size; a caller that needs only the
-        leading modes asks for just those columns.  The matrices of the last
-        few (grid, modes) pairs are kept, keyed by the grid's float64 bytes and
-        the column count, so each returned matrix depends only on its key.
+        leading modes asks for just those columns.  The matrices of the few
+        most recently used (grid, modes) pairs are kept, keyed by the grid's
+        float64 bytes and the column count, so each returned matrix depends
+        only on its key.
         A missing matrix is built while the cache lock is held, so two threads
         that ask for it at once build it once, and the second waits for it.
         """
@@ -243,13 +232,13 @@ class EigenBasis:
         xs = np.ascontiguousarray(xs, dtype=float)
         key = (xs.tobytes(), n)
         with self._sines_lock:
-            E = self._sines.get(key)
+            E = self._sines.pop(key, None)
             if E is None:
                 E = _sine_matrix(xs.ravel(), n, self.domain.length)
                 E.flags.writeable = False
-                self._sines[key] = E
-                while len(self._sines) > _SINE_CACHE_SIZE:
+                if len(self._sines) == _SINE_CACHE_SIZE:
                     del self._sines[next(iter(self._sines))]
+            self._sines[key] = E
         return E
 
 
@@ -335,15 +324,14 @@ class SpectralField:
         return math.sqrt(max(q, 0.0))
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Values at xs.flat; only the modes up to the last nonzero
-        coefficient are built and summed (none for the zero field).
-        Subnormal coefficients (u(T)'s mode 17 on the README demo) are
-        flushed to zero before the product, which they would slow about 10x,
-        and the width still counts them; the values move by less than
-        2.2e-308 times sum_j |e_j(x)|, and on the README demo not at all."""
-        nonzero = np.flatnonzero(self.coeffs)
-        m = int(nonzero[-1]) + 1 if nonzero.size else 0
-        return self.basis.eigenfunction_matrix(xs, m) @ flush_subnormals(self.coeffs[:m])
+        """Values at xs.flat; only the modes up to the last coefficient that
+        is a normal float (none for the zero field) are built and summed.  A
+        subnormal tail (u(T)'s mode 17 on the README demo) stays out of the
+        product, which it would slow about 10x on x86; the values move by less
+        than 2.2e-308 times sum_j |e_j(x)|, and on the README demo not at all."""
+        normal = np.flatnonzero(np.abs(self.coeffs) >= np.finfo(float).tiny)
+        m = int(normal[-1]) + 1 if normal.size else 0
+        return self.basis.eigenfunction_matrix(xs, m) @ self.coeffs[:m]
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.basis != self.basis:

@@ -707,6 +707,20 @@ class TestCli:
         assert re.search(r"values\[\d+\] = nan is not finite", capsys.readouterr().err)
         assert not out.exists()
 
+    # as an error, a numpy warning printed above the message fails the exit code
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["local-backward", "global-backward"])
+    def test_header_only_observation_exits_one(self, command, cfg_path, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("x,value\n")
+        with_priors = tmp_path / "priors.cfg"
+        with_priors.write_text(SWEEP_CFG + "delta = 1e-5\nprior_l2 = 1.0\nprior_h01 = 4.0\n")
+        rc = cli_main([command, "--config", str(with_priors), "--observation", str(obs),
+                       "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "has no data rows" in err and str(obs) in err
+
     def test_internal_error_exits_three(self, cfg_path, monkeypatch, capsys):
         from heatback import cli
 

@@ -23,7 +23,7 @@ from heatback import (
     uniform_grid,
 )
 from heatback import spectral
-from heatback.spectral import _SINE_CACHE_SIZE, flush_subnormals
+from heatback.spectral import _SINE_CACHE_SIZE
 
 
 NAN = float("nan")
@@ -162,22 +162,28 @@ class TestSineMatrixCache:
         with pytest.raises(ValueError, match=r"modes must lie in \[0, 16\], got " + str(cols)):
             basis.eigenfunction_matrix(uniform_grid(0.0, 1.0, 64), cols)
 
-    def test_sweep_keeps_three_matrices(self):
-        from heatback.harness import Run, _sweep_cell, parse_config_text
+    def test_sweep_builds_each_matrix_once(self, monkeypatch):
+        from heatback.harness import parse_config_text, run_sweep
 
-        run = Run(parse_config_text(
-            "length = 1.0\nT = 0.25\ndelta_list = 1e-4, 1e-6\nomega_a = 0.3\n"
-            "omega_b = 0.7\nmodes = 64\nbank = 8\ntrials = 2\nconstants_mode = empirical\n"
-        ))
-        for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            _sweep_cell(run, *cell)
-        # D_T is exactly 0 beyond mode m, so u(T) and every impulse use m columns
-        m = int(np.count_nonzero(run.basis.decay(run.profile, 0.0, 0.25)))
-        assert 1 <= m < 64
-        full = uniform_grid(0.0, 1.0, run.cfg.grid).tobytes()
-        omega = uniform_grid(0.3, 0.7, run.cfg.obs_grid).tobytes()
-        assert set(run.basis._sines) == {(full, 64), (full, m), (omega, m)}
-        assert len(run.basis._sines) < _SINE_CACHE_SIZE
+        keys = []
+        build = spectral._sine_matrix
+
+        def spy(xs, n, L):
+            keys.append((xs.tobytes(), n))
+            return build(xs, n, L)
+
+        monkeypatch.setattr(spectral, "_sine_matrix", spy)
+        # each noise level has its own active width on the omega grid, next to
+        # the 3 matrices every cell shares
+        cfg = parse_config_text(
+            "length = 1.0\nT = 0.01\ndelta_list = 1e-4, 1e-6, 1e-8\nomega_a = 0.3\n"
+            "omega_b = 0.7\nmodes = 128\nconstants_mode = empirical\n"
+        )
+        for parallel in (1, 2):
+            keys.clear()
+            run_sweep(cfg, parallel)
+            assert len(set(keys)) > 4
+            assert len(keys) == len(set(keys)), parallel
 
     def test_cold_build_allocates_no_large_temporary(self, unit_domain):
         basis = EigenBasis(unit_domain, 512)
@@ -210,6 +216,17 @@ class TestSineMatrixCache:
         again = basis.eigenfunction_matrix(grids[0])
         assert again is not built[0] and np.array_equal(again, built[0])
         assert len(basis._sines) == _SINE_CACHE_SIZE
+
+    def test_evicts_the_least_recently_used(self, unit_domain):
+        basis = EigenBasis(unit_domain, 8)
+        grids = [uniform_grid(0.0, 1.0, 64 + 2 * j) for j in range(_SINE_CACHE_SIZE + 1)]
+        first = basis.eigenfunction_matrix(grids[0])
+        for xs in grids[1:-1]:
+            basis.eigenfunction_matrix(xs)
+        assert basis.eigenfunction_matrix(grids[0]) is first  # now the most recent
+        basis.eigenfunction_matrix(grids[-1])
+        assert basis.eigenfunction_matrix(grids[0]) is first
+        assert (grids[1].tobytes(), 8) not in basis._sines
 
     def test_bases_never_share_a_matrix(self, unit_domain):
         xs = uniform_grid(0.0, 1.0, 256)
@@ -554,20 +571,7 @@ class TestNorms:
 
 
 class TestSubnormalFlush:
-    """Subnormal operands are dropped before a dense product."""
-
-    def test_zeroes_subnormals_and_keeps_everything_else(self):
-        tiny = np.finfo(float).tiny
-        largest = np.nextafter(tiny, 0.0)
-        a = np.array([5e-324, -5e-324, largest, -largest, 1.6e-310,
-                      0.0, -0.0, tiny, -tiny, NAN, math.inf, -math.inf, 1.0, -3.5e300])
-        before = a.copy()
-        out = flush_subnormals(a)
-        np.testing.assert_array_equal(out[:5], 0.0)
-        np.testing.assert_array_equal(out[5:], a[5:])
-        # each flushed entry is a zero of its sign, and -0.0 stays -0.0
-        np.testing.assert_array_equal(np.signbit(out), np.signbit(a))
-        np.testing.assert_array_equal(a, before)
+    """A subnormal tail of coefficients stays out of evaluate's dense product."""
 
     def test_evaluate_equals_the_unflushed_product(self):
         from heatback.harness import Run, parse_config_text
@@ -581,7 +585,7 @@ class TestSubnormalFlush:
         for trial in range(3):
             uT = evolve(run.truth(trial), 0.0, run.cfg.T, run.profile)
             m = int(np.flatnonzero(uT.coeffs)[-1]) + 1
-            # the last coefficient, the one that sets the width, is subnormal
+            # the last nonzero coefficient is subnormal, so evaluate leaves it out
             assert 0.0 < abs(uT.coeffs[m - 1]) < np.finfo(float).tiny
             for xs in grids:
                 unflushed = run.basis.eigenfunction_matrix(xs, m) @ uT.coeffs[:m]
