@@ -35,19 +35,15 @@ from .filtering import (
 )
 from .observability import (
     ObservabilityConstants,
-    appendix_stability_check,
     chain_full_domain,
     constants_convex,
     derive_c_chain,
-    direct_backward_check,
     fit_empirical_constants,
-    holder_check,
 )
 from .control import (
     ControlSetup,
     ControlSolution,
     control_mode_bank,
-    physical_terminal,
     solve_control,
     verify_control_bounds,
 )

@@ -58,7 +58,6 @@ class ControlSetup:
     k: float
     decay_to_T: np.ndarray = field(init=False)
     decay_to_2T: np.ndarray = field(init=False)
-    decay_T_to_2T: np.ndarray = field(init=False)
     active: int = field(init=False)
     system: np.ndarray = field(init=False)
 
@@ -84,7 +83,6 @@ class ControlSetup:
         for name, arr in (
             ("decay_to_T", dT),
             ("decay_to_2T", basis.decay(p, 0.0, 2.0 * T)),
-            ("decay_T_to_2T", basis.decay(p, T, 2.0 * T)),
             ("system", M),
         ):
             arr.flags.writeable = False
@@ -153,33 +151,6 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
     identity_residual = float(np.linalg.norm(psi - eps2 * c))
     return ControlSolution(c, b, psi, h_norm, identity_residual)
-
-
-def physical_terminal(setup: ControlSetup, phi0: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the controlled trajectory at 2T: evolve, kick, evolve."""
-    phi0 = np.asarray(phi0, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return setup.decay_T_to_2T * (setup.decay_to_T * phi0 + b)
-
-
-def functional_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> float:
-    z = np.asarray(z, dtype=float)
-    dTz = setup.decay_to_T * z
-    return (
-        0.5 * setup.k**2 * float(dTz @ setup.gram @ dTz)
-        + 0.5 * setup.eps**2 * float(z @ z)
-        - float(np.asarray(phi0, dtype=float) @ (setup.decay_to_2T * z))
-    )
-
-
-def gradient_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    dT = setup.decay_to_T
-    return (
-        setup.k**2 * dT * (setup.gram @ (dT * z))
-        + setup.eps**2 * z
-        - setup.decay_to_2T * np.asarray(phi0, dtype=float)
-    )
 
 
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
@@ -253,23 +224,3 @@ def control_mode_bank(setup: ControlSetup, n_bank: int) -> list[ControlSolution]
         bank.append(solve_control(setup, phi0))
     return bank
 
-
-def dual_pairing(
-    setup: ControlSetup, phi0: np.ndarray, b: np.ndarray, c: np.ndarray, t: float
-) -> float:
-    """<phi(t), Phi(2T - t)> for the controlled phi and the adjoint field from c.
-
-    Constant in t on each half window when p is constant; the asymmetry for
-    time-dependent p is why psi, not phi(2T), carries the certified identity.
-    """
-    two_T = 2.0 * setup.T
-    if not 0.0 <= t <= two_T:
-        raise ValueError("t must lie in [0, 2T]")
-    basis, profile = setup.basis, setup.profile
-    if t <= setup.T:
-        phi_t = basis.decay(profile, 0.0, t) * np.asarray(phi0, dtype=float)
-    else:
-        kick = setup.decay_to_T * np.asarray(phi0, dtype=float) + np.asarray(b, dtype=float)
-        phi_t = basis.decay(profile, setup.T, t) * kick
-    adj = basis.decay(profile, 0.0, two_T - t) * np.asarray(c, dtype=float)
-    return float(phi_t @ adj)

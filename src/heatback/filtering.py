@@ -271,45 +271,3 @@ def truncation_baseline(
     out[:cutoff] = observed.coeffs[:cutoff] * np.exp(expo)
     return SpectralField(observed.basis, out)
 
-
-def worst_tail_factor(alpha: float, lambda1: float, p2tau: float) -> float:
-    """sup over lambda >= lambda_1 of (1 - alpha e^{-lambda p2 tau})_+ / sqrt(lambda p2 tau).
-
-    The supremum sits either at lambda_1 or at the unique critical point on
-    the increasing branch of A; both are evaluated and the larger taken.
-    """
-
-    def F(x):  # x = lambda * p2 * tau
-        return max(1.0 - alpha * math.exp(-x), 0.0) / math.sqrt(x)
-
-    x1 = lambda1 * p2tau
-    best = F(x1)
-    if alpha > eval_A(max(x1, 0.5)):
-        best = max(best, F(invert_A_increasing(alpha, x1)))
-    return best
-
-
-def split_error_terms(
-    u0: SpectralField,
-    g: SpectralField,
-    g_exact: SpectralField,
-    alpha: float,
-    delta: float,
-    tau: float,
-    profile: DiffusionProfile,
-    h01_prior: float,
-) -> dict:
-    """Two-term error split: noise amplification and truncation tail.
-
-    |g - g_exact| <= alpha * delta and |u0 - g_exact| <= worst_tail_factor *
-    sqrt(p2 tau) * h01; both sides are returned for assertion.
-    """
-    p2tau = profile.p2 * tau
-    return {
-        "noise_term": (g - g_exact).l2(),
-        "noise_cap": alpha * delta,
-        "tail_term": (u0 - g_exact).l2(),
-        "tail_cap": worst_tail_factor(alpha, u0.basis.lambda1, p2tau)
-        * math.sqrt(p2tau)
-        * h01_prior,
-    }

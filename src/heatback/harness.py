@@ -28,7 +28,7 @@ from .observability import (
     constants_convex,
     fit_empirical_constants,
 )
-from .pipeline import PipelineConfig, local_reconstruct, observation_weights
+from .pipeline import PipelineConfig, local_reconstruct
 from .spectral import (
     _PROFILE_KINDS,
     DiffusionProfile,
@@ -38,8 +38,8 @@ from .spectral import (
     Subdomain,
     evolve,
     gram_subdomain,
+    observation_weights,
     quad_norm,
-    simpson_weights,
     synthesize_initial,
     uniform_grid,
 )
@@ -257,7 +257,7 @@ class Run:
             weights = observation_weights(xs, self.subdomain, self.basis)
         else:
             xs = uniform_grid(0.0, cfg.length, cfg.grid)
-            weights = simpson_weights(xs.size, xs[1] - xs[0])
+            weights = observation_weights(xs, Subdomain.full(self.domain), self.basis)
         return xs, inject_noise(uT.evaluate(xs), delta_abs, [*seed, int(local)], weights)
 
     @cached_property

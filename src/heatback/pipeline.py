@@ -36,8 +36,8 @@ from .spectral import (
     EigenBasis,
     SpectralField,
     Subdomain,
+    observation_weights,
     quad_norm,
-    simpson_weights,
 )
 
 _LN_MAX = math.log(sys.float_info.max)
@@ -153,29 +153,6 @@ class ReconstructionReport:
     def k_consistent(self) -> bool:
         """Bank weight agrees with the constants chain it claims to come from."""
         return abs(self.k_used - self.k_chain) <= 1e-9 * self.k_chain
-
-
-def observation_weights(xs: np.ndarray, sub: Subdomain, basis: EigenBasis) -> np.ndarray:
-    """Simpson weights for samples on a uniform grid spanning [a, b].
-
-    Rejects grids coarser than 8 points per shortest resolved wavelength.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 3:
-        raise ConfigError("observation needs at least 3 samples")
-    L = basis.domain.length
-    if abs(xs[0] - sub.a) > 1e-9 * L or abs(xs[-1] - sub.b) > 1e-9 * L:
-        raise ConfigError(f"samples must span [{sub.a}, {sub.b}]")
-    spacing = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), spacing, rtol=0.0, atol=1e-9 * L):
-        raise ConfigError("samples must lie on a uniform grid")
-    if (xs.size - 1) % 2 != 0:
-        raise ConfigError("observation grid needs an even panel count")
-    if spacing > L / (8.0 * basis.size) * (1.0 + 1e-9):
-        raise ConfigError(
-            f"observation grid too coarse: spacing {spacing} exceeds L/(8N) = {L / (8 * basis.size)}"
-        )
-    return simpson_weights(xs.size, spacing)
 
 
 def assemble_fbar(

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -319,10 +321,6 @@ class SpectralField:
     def h01(self) -> float:
         return float(math.sqrt(np.sum(self.basis.eigenvalues * self.coeffs**2)))
 
-    def l2_sub(self, gram: np.ndarray) -> float:
-        q = float(self.coeffs @ gram @ self.coeffs)
-        return math.sqrt(max(q, 0.0))
-
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Values at xs.flat; only the modes up to the last coefficient that
         is a normal float (none for the zero field) are built and summed.  A
@@ -373,34 +371,42 @@ def quad_norm(weights: np.ndarray, values: np.ndarray) -> float:
     return float(math.sqrt(np.sum(weights * np.asarray(values, dtype=float) ** 2)))
 
 
+def observation_weights(xs: np.ndarray, sub: Subdomain, basis: EigenBasis) -> np.ndarray:
+    """Simpson weights for samples on a uniform grid spanning [a, b].
+
+    The ends may be off by 1e-12 L.  Rejects an odd panel count and grids
+    coarser than 8 points per shortest resolved wavelength.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 3:
+        raise ConfigError("observation needs at least 3 samples")
+    L = basis.domain.length
+    if abs(xs[0] - sub.a) > 1e-12 * L or abs(xs[-1] - sub.b) > 1e-12 * L:
+        raise ConfigError(f"samples must span [{sub.a}, {sub.b}]")
+    spacing = xs[1] - xs[0]
+    if not np.allclose(np.diff(xs), spacing, rtol=0.0, atol=1e-9 * L):
+        raise ConfigError("samples must lie on a uniform grid")
+    if (xs.size - 1) % 2 != 0:
+        raise ConfigError("observation grid needs an even panel count")
+    if spacing > L / (8.0 * basis.size) * (1.0 + 1e-9):
+        raise ConfigError(
+            f"observation grid too coarse: spacing {spacing} exceeds L/(8N) = {L / (8 * basis.size)}"
+        )
+    return simpson_weights(xs.size, spacing)
+
+
 def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralField:
     """Quadrature projection of full-domain samples onto the eigenbasis.
 
-    Requires a uniform grid spanning [0, L] with at least 8 panels per
-    shortest resolved wavelength (panels >= 8 N); composite Simpson then
-    integrates every product e_i * e_j exactly up to roundoff, so projecting
-    band-limited samples is spectrally accurate.
+    Requires a grid that observation_weights accepts on [0, L]; composite
+    Simpson then integrates every product e_i * e_j exactly up to roundoff, so
+    projecting band-limited samples is spectrally accurate.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape or xs.ndim != 1:
         raise ValueError("xs and values must be matching 1-d arrays")
-    L = basis.domain.length
-    npts = xs.size
-    if npts < 3 or abs(xs[0]) > 1e-12 * L or abs(xs[-1] - L) > 1e-12 * L:
-        raise ValueError("samples must span [0, L] inclusive")
-    spacing = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), spacing, rtol=0.0, atol=1e-9 * L):
-        raise ValueError("samples must lie on a uniform grid")
-    panels = npts - 1
-    if panels < 8 * basis.size:
-        raise ValueError(
-            f"grid too coarse for N={basis.size}: {panels} panels < {8 * basis.size} "
-            "(need 8 panels per shortest resolved wavelength)"
-        )
-    if panels % 2 != 0:
-        raise ValueError("Simpson projection needs an even panel count")
-    w = simpson_weights(npts, spacing)
+    w = observation_weights(xs, Subdomain.full(basis.domain), basis)
     coeffs = basis.eigenfunction_matrix(xs).T @ (w * values)
     return SpectralField(basis, coeffs)
 

@@ -1,0 +1,182 @@
+"""Independent checks of the reconstruction route, read only by the tests.
+
+The control's functional J, its gradient, the dual pairing and the physical
+terminal state check the control solve; the Hoelder, appendix-stability and
+direct backward estimates check the observability constants; the worst tail
+factor checks the filter's error split.  None of them is part of the route
+that the commands run.  Import as ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from heatback import (
+    ControlSetup,
+    DiffusionProfile,
+    ObservabilityConstants,
+    SpectralField,
+    eval_A,
+    evolve,
+    invert_A_increasing,
+)
+from heatback.observability import _exp_or_inf
+
+
+def l2_sub(field: SpectralField, gram: np.ndarray) -> float:
+    """|field|_{L2(omega)} from the subinterval Gram matrix."""
+    return math.sqrt(max(float(field.coeffs @ gram @ field.coeffs), 0.0))
+
+
+def physical_terminal(setup: ControlSetup, phi0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the controlled trajectory at 2T: evolve, kick, evolve."""
+    phi0 = np.asarray(phi0, dtype=float)
+    b = np.asarray(b, dtype=float)
+    decay_T_to_2T = setup.basis.decay(setup.profile, setup.T, 2.0 * setup.T)
+    return decay_T_to_2T * (setup.decay_to_T * phi0 + b)
+
+
+def functional_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> float:
+    z = np.asarray(z, dtype=float)
+    dTz = setup.decay_to_T * z
+    return (
+        0.5 * setup.k**2 * float(dTz @ setup.gram @ dTz)
+        + 0.5 * setup.eps**2 * float(z @ z)
+        - float(np.asarray(phi0, dtype=float) @ (setup.decay_to_2T * z))
+    )
+
+
+def gradient_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    dT = setup.decay_to_T
+    return (
+        setup.k**2 * dT * (setup.gram @ (dT * z))
+        + setup.eps**2 * z
+        - setup.decay_to_2T * np.asarray(phi0, dtype=float)
+    )
+
+
+def dual_pairing(
+    setup: ControlSetup, phi0: np.ndarray, b: np.ndarray, c: np.ndarray, t: float
+) -> float:
+    """<phi(t), Phi(2T - t)> for the controlled phi and the adjoint field from c.
+
+    Constant in t on each half window when p is constant; the asymmetry for
+    time-dependent p is why psi, not phi(2T), carries the certified identity.
+    """
+    two_T = 2.0 * setup.T
+    if not 0.0 <= t <= two_T:
+        raise ValueError("t must lie in [0, 2T]")
+    basis, profile = setup.basis, setup.profile
+    if t <= setup.T:
+        phi_t = basis.decay(profile, 0.0, t) * np.asarray(phi0, dtype=float)
+    else:
+        kick = setup.decay_to_T * np.asarray(phi0, dtype=float) + np.asarray(b, dtype=float)
+        phi_t = basis.decay(profile, setup.T, t) * kick
+    adj = basis.decay(profile, 0.0, two_T - t) * np.asarray(c, dtype=float)
+    return float(phi_t @ adj)
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    lhs: float
+    rhs: float
+    ln_lhs: float
+    ln_rhs: float
+    holds: bool
+    skipped: bool = False
+
+
+def _log_compare(ln_lhs: float, ln_rhs: float) -> CheckReport:
+    return CheckReport(
+        lhs=_exp_or_inf(ln_lhs),
+        rhs=_exp_or_inf(ln_rhs),
+        ln_lhs=ln_lhs,
+        ln_rhs=ln_rhs,
+        holds=ln_lhs <= ln_rhs,
+    )
+
+
+def holder_check(
+    u0: SpectralField,
+    T: float,
+    constants: ObservabilityConstants,
+    gram: np.ndarray,
+    profile: DiffusionProfile,
+) -> CheckReport:
+    """Evaluate |v(T)|_Omega <= K e^{K/T} |v(T)|_omega^mu |v(0)|^{1-mu} in log space."""
+    if u0.l2() == 0.0:
+        raise ValueError("holder_check needs a nonzero field")
+    vT = evolve(u0, 0.0, T, profile)
+    l2_omega = l2_sub(vT, gram)
+    if l2_omega == 0.0 or vT.l2() == 0.0:
+        return CheckReport(0.0, 0.0, -math.inf, -math.inf, True, skipped=True)
+    ln_lhs = math.log(vT.l2())
+    ln_rhs = (
+        constants.ln_K
+        + constants.K / T
+        + constants.mu * math.log(l2_omega)
+        + (1.0 - constants.mu) * math.log(u0.l2())
+    )
+    return _log_compare(ln_lhs, ln_rhs)
+
+
+def appendix_stability_check(
+    u0: SpectralField,
+    T: float,
+    constants: ObservabilityConstants,
+    gram: np.ndarray,
+    profile: DiffusionProfile,
+) -> CheckReport:
+    """Logarithmic stability of the initial norm from the subdomain snapshot:
+
+    |u0|_L2 <= C sqrt(1 + T + 1/T) |u0|_H1 / sqrt(log(|u0|_L2 / |u(T)|_omega))
+    with C = sqrt(max(p2/mu, K/(mu lambda_1))).  Skipped when the log
+    argument is not > 1.
+    """
+    l2 = u0.l2()
+    uT_omega = l2_sub(evolve(u0, 0.0, T, profile), gram)
+    if not uT_omega < l2 or uT_omega <= 0.0:
+        return CheckReport(l2, math.nan, math.nan, math.nan, True, skipped=True)
+    C_sq = max(profile.p2 / constants.mu, constants.K / (constants.mu * u0.basis.lambda1))
+    rhs = (
+        math.sqrt(C_sq)
+        * math.sqrt(1.0 + T + 1.0 / T)
+        * u0.h01()
+        / math.sqrt(math.log(l2 / uT_omega))
+    )
+    return CheckReport(l2, rhs, math.log(l2), math.log(rhs), holds=l2 <= rhs)
+
+
+def direct_backward_check(
+    u0: SpectralField, T: float, profile: DiffusionProfile
+) -> CheckReport:
+    """|u0|_L2 <= exp(p2 T |u0|_H1^2 / |u0|_L2^2) |u(T)|_L2, exact for every
+    spectral field (log-convexity of the decay); compared in log space."""
+    l2 = u0.l2()
+    if l2 == 0.0:
+        raise ValueError("needs a nonzero field")
+    uT = evolve(u0, 0.0, T, profile)
+    ratio = (u0.h01() / l2) ** 2
+    ln_rhs = profile.p2 * T * ratio + math.log(uT.l2())
+    return _log_compare(math.log(l2), ln_rhs)
+
+
+def worst_tail_factor(alpha: float, lambda1: float, p2tau: float) -> float:
+    """sup over lambda >= lambda_1 of (1 - alpha e^{-lambda p2 tau})_+ / sqrt(lambda p2 tau).
+
+    The supremum sits either at lambda_1 or at the unique critical point on
+    the increasing branch of A; both are evaluated and the larger taken.
+    """
+
+    def F(x):  # x = lambda * p2 * tau
+        return max(1.0 - alpha * math.exp(-x), 0.0) / math.sqrt(x)
+
+    x1 = lambda1 * p2tau
+    best = F(x1)
+    if alpha > eval_A(max(x1, 0.5)):
+        best = max(best, F(invert_A_increasing(alpha, x1)))
+    return best

@@ -17,12 +17,10 @@ from heatback import (
     FDGrid,
     SpectralField,
     Subdomain,
-    appendix_stability_check,
     chain_full_domain,
     constants_convex,
     control_mode_bank,
     derive_c_chain,
-    direct_backward_check,
     eval_A,
     eval_B,
     evolve,
@@ -30,7 +28,6 @@ from heatback import (
     fit_empirical_constants,
     global_backward,
     gram_subdomain,
-    holder_check,
     invert_A_increasing,
     invert_B,
     local_reconstruct,
@@ -40,10 +37,17 @@ from heatback import (
     uniform_grid,
     verify_control_bounds,
 )
-from heatback.control import ControlSetup, functional_J, gradient_J
+from heatback.control import ControlSetup
 from heatback.harness import inject_noise, parse_config_text, rows_to_csv, run_sweep
-from heatback.pipeline import PipelineConfig, observation_weights, weight_from_chain
-from heatback.spectral import simpson_weights
+from heatback.pipeline import PipelineConfig, weight_from_chain
+from heatback.spectral import observation_weights, simpson_weights
+from oracles import (
+    appendix_stability_check,
+    direct_backward_check,
+    functional_J,
+    gradient_J,
+    holder_check,
+)
 
 DOMAIN = DomainSpec.unit()
 BASIS = EigenBasis(DOMAIN, 64)

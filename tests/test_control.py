@@ -20,20 +20,13 @@ from heatback import (
     chain_full_domain,
     control_mode_bank,
     gram_subdomain,
-    physical_terminal,
     solve_control,
     verify_control_bounds,
 )
-from heatback.control import (
-    ControlSetup,
-    ControlSolution,
-    dual_pairing,
-    functional_J,
-    gradient_J,
-    h_values,
-)
+from heatback.control import ControlSetup, ControlSolution, h_values
 from heatback.harness import Run, parse_config_text
 from heatback.pipeline import control_setup, weight_from_chain
+from oracles import dual_pairing, functional_J, gradient_J, physical_terminal
 
 
 DEMO_256 = """
@@ -151,7 +144,7 @@ class TestDerivedFields:
         assert calls == []
 
     def test_fields_are_read_only(self, setup64):
-        for name in ("decay_to_T", "decay_to_2T", "decay_T_to_2T", "active", "system"):
+        for name in ("decay_to_T", "decay_to_2T", "active", "system"):
             value = getattr(setup64, name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(setup64, name, value)
@@ -387,8 +380,7 @@ class TestWeight:
 class TestImpulseEvaluator:
     def test_matches_coefficient_projection(self, setup64, basis64, sub_mid):
         # quadrature of h against e_j must reproduce b_j
-        from heatback.pipeline import observation_weights
-        from heatback.spectral import uniform_grid
+        from heatback.spectral import observation_weights, uniform_grid
 
         rng = np.random.default_rng(60)
         phi0 = rng.standard_normal(64)

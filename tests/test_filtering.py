@@ -22,9 +22,9 @@ from heatback import (
     truncation_baseline,
     uniform_grid,
 )
-from heatback.filtering import split_error_terms, worst_tail_factor
 from heatback.harness import inject_noise
 from heatback.spectral import simpson_weights
+from oracles import worst_tail_factor
 
 
 class TestScalarMachinery:
@@ -225,9 +225,11 @@ class TestGlobalBackward:
         observed = project(xs, noisy, basis64)
         g, sel = invert_field(observed, T, profile_constant, delta, u0.l2(), u0.h01())
         g_exact = apply_filter(project(xs, uT.evaluate(xs), basis64), sel.alpha, T, profile_constant)
-        terms = split_error_terms(u0, g, g_exact, sel.alpha, delta, T, profile_constant, u0.h01())
-        assert terms["noise_term"] <= terms["noise_cap"] * (1.0 + 1e-9)
-        assert terms["tail_term"] <= terms["tail_cap"] * (1.0 + 1e-9)
+        # |g - g_exact| <= alpha delta and |u0 - g_exact| <= tail factor sqrt(p2 tau) h01
+        p2tau = profile_constant.p2 * T
+        tail_cap = worst_tail_factor(sel.alpha, basis64.lambda1, p2tau) * math.sqrt(p2tau) * u0.h01()
+        assert (g - g_exact).l2() <= sel.alpha * delta * (1.0 + 1e-9)
+        assert (u0 - g_exact).l2() <= tail_cap * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("arg", ["xs", "values", "delta"])

@@ -9,18 +9,16 @@ from heatback import (
     DiffusionProfile,
     DomainSpec,
     Subdomain,
-    appendix_stability_check,
     chain_full_domain,
     constants_convex,
     derive_c_chain,
-    direct_backward_check,
     evolve,
     fit_empirical_constants,
     gram_subdomain,
-    holder_check,
     synthesize_initial,
 )
 from heatback.spectral import EigenBasis, SpectralField
+from oracles import appendix_stability_check, direct_backward_check, holder_check, l2_sub
 
 
 class TestConstantsConvex:
@@ -228,20 +226,26 @@ class TestEmpiricalFit:
             (1.0, 0.1, 0.5, 16, 0.05, DiffusionProfile.affine(1.0, 0.1, 3.0)),
             (2.0, 0.0, 0.8, 128, 1.0, DiffusionProfile.sinusoidal(1.0, 0.2, 1.0, 3.0)),
             (1.0, 0.45, 0.55, 256, 0.01, DiffusionProfile.constant(0.5, 3.0)),
+            # every coefficient's square underflows, and at T 73 the
+            # coefficients themselves are subnormal
+            (1.0, 0.3, 0.7, 32, 40.0, DiffusionProfile.constant(1.0, 120.0)),
+            (1.0, 0.3, 0.7, 32, 73.0, DiffusionProfile.constant(1.0, 219.0)),
         ],
     )
     def test_matches_the_per_field_fit(self, length, a, b, n, T, profile):
-        # the fit one field at a time, as the regression is defined
+        # the fit one field at a time, as the regression is defined; each field
+        # is divided by its largest |coefficient| before its norms are taken
         basis = EigenBasis(DomainSpec(length, 0.5 * (a + b)), n)
         G = gram_subdomain(Subdomain(a, b), basis)
         xs, ys = [], []
         for j in range(60):
             v0 = synthesize_initial(basis, (1.5, 2.0, 3.0, 4.0)[j % 4], 1000 + j)
             vT = evolve(v0, 0.0, T, profile)
-            if vT.l2_sub(G) <= 0.0 or vT.l2() <= 0.0:
-                continue
-            xs.append(math.log(vT.l2_sub(G)) - math.log(v0.l2()))
-            ys.append(math.log(vT.l2()) - math.log(v0.l2()))
+            peak = float(np.max(np.abs(vT.coeffs)))
+            unit = SpectralField(basis, vT.coeffs / peak)
+            z = math.log(v0.l2()) - math.log(peak)
+            xs.append(math.log(l2_sub(unit, G)) - z)
+            ys.append(math.log(unit.l2()) - z)
         xs, ys = np.array(xs), np.array(ys)
         xc = xs - xs.mean()
         mu = min(max(float(xc @ (ys - ys.mean())) / float(xc @ xc), 0.05), 0.95)

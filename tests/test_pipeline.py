@@ -27,12 +27,11 @@ from heatback.pipeline import (
     assemble_fbar,
     certified_delta_3T,
     effective_delta_3T,
-    observation_weights,
     paper_zeta,
     sw_prefactor,
     weight_from_chain,
 )
-from heatback.spectral import EigenBasis, project, simpson_weights
+from heatback.spectral import EigenBasis, observation_weights, project, simpson_weights
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +290,7 @@ class TestLocalReconstruct:
         w = simpson_weights(xs.size, xs[1] - xs[0])
         u0 = synthesize_initial(basis64, 3.0, 11)
         f_vals = evolve(u0, 0.0, T, profile_constant).evaluate(xs)
-        dT2T = setup.decay_T_to_2T
+        dT2T = basis64.decay(profile_constant, T, 2.0 * T)
         bank = []
         for i in range(64):
             b = np.zeros(64)
@@ -366,3 +365,44 @@ class TestPaperZeta:
         arg = math.sqrt(2.0 * zeta * basis64.lambda1 * profile_constant.p2 * 3.0 * T) * l2 / claimed
         k1 = 1.0 / (1.0 + chain.c4)
         assert arg == pytest.approx(math.sqrt(3.0) * (l2 / delta) ** k1, rel=1e-10)
+
+
+class TestSampleGridCheck:
+    """project and local_reconstruct run one Simpson-grid check, with one tolerance."""
+
+    @pytest.mark.parametrize("defect", [None, "shifted ends", "moved point", "odd panels", "coarse"])
+    def test_both_callers_give_one_verdict(self, defect, basis16, unit_domain, profile_constant):
+        L, panels = unit_domain.length, 8 * basis16.size
+        xs = uniform_grid(0.0, L, panels)
+        if defect == "shifted ends":
+            xs = xs + 1e-10 * L
+        elif defect == "moved point":
+            xs[5] += 0.3 * (xs[1] - xs[0])
+        elif defect == "odd panels":
+            xs = np.linspace(0.0, L, panels + 2)
+        elif defect == "coarse":
+            xs = uniform_grid(0.0, L, panels - 2)
+        u0 = synthesize_initial(basis16, 3.0, 5)
+        values = evolve(u0, 0.0, 0.25, profile_constant).evaluate(xs)
+        sub = Subdomain.full(unit_domain)
+        cfg = PipelineConfig(
+            basis16, 0.25, profile_constant, sub, gram_subdomain(sub, basis16), 16,
+            chain_full_domain(), u0.l2(), u0.h01(),
+        )
+        verdicts = []
+        for call in (
+            lambda: project(xs, values, basis16),
+            lambda: local_reconstruct(xs, values, 1e-4 * u0.l2(), cfg),
+        ):
+            try:
+                call()
+                verdicts.append(None)
+            except ConfigError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0] is None) == (defect is None), verdicts[0]
+
+    def test_shifted_omega_grid_is_rejected(self, basis64, sub_mid, local_setup):
+        xs = local_setup["xs"] + 1e-10
+        with pytest.raises(ConfigError, match=r"samples must span \[0.3, 0.7\]"):
+            observation_weights(xs, sub_mid, basis64)
