@@ -4,7 +4,8 @@ Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
 are rejected and every default is filled in when a config is built, so that
 emitting and reloading a config reproduces it exactly.  A ``Run`` builds the
 basis, profile, grids, noisy samples, Gram matrix and constants chain that a
-config describes, once for each command or sweep.  Sweeps run the global
+config describes; the parts that depend only on the geometry are kept for the
+last geometry a process used (``_geometry``).  Sweeps run the global
 solver, the local pipeline, and a spectral-truncation baseline over a
 noise-level grid and emit one deterministic CSV; any falsified certified
 inequality is reported per row and escalated by the CLI.
@@ -16,7 +17,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -222,24 +223,66 @@ def inject_noise(
     return values + scale * noise
 
 
+class _Geometry:
+    """The basis, Gram matrix and constants chain of one geometry.
+
+    None of them depends on the noise levels, seed, trials or bank, so
+    ``_geometry`` keeps the last one a process used, with its basis's sine
+    matrices.  The Gram matrix (read-only) and the chain are built on first
+    use, so a command that needs neither never builds them.
+    """
+
+    def __init__(self, domain, modes, subdomain, profile, T, constants_mode, xi):
+        self.domain, self.subdomain, self.profile = domain, subdomain, profile
+        self.T, self.constants_mode, self.xi = T, constants_mode, xi
+        self.basis = EigenBasis(domain, modes)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        G = gram_subdomain(self.subdomain, self.basis)
+        G.flags.writeable = False
+        return G
+
+    @cached_property
+    def chain(self) -> ObservabilityConstants:
+        domain, sub = self.domain, self.subdomain
+        if self.constants_mode == "empirical":
+            return fit_empirical_constants(self.basis, sub, self.gram, self.T, self.profile)
+        if sub.is_full(domain):
+            return chain_full_domain()
+        try:
+            return constants_convex(domain, sub.ball_radius(domain), self.profile, self.xi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+# keyed by every argument of _Geometry; one geometry is kept, the last one used
+_geometry = lru_cache(maxsize=1)(_Geometry)
+
+
 class Run:
     """The objects one config describes: domain, basis, profile and subdomain.
 
-    Each command and the sweep build one ``Run`` and share it.  The Gram
-    matrix and the constants chain are built on first use and then kept, so
-    a command that needs neither never builds them; touch them before threads
-    share a ``Run``, so that each is built once.
+    The basis, Gram matrix and constants chain come from ``_geometry``, so
+    the runs of one geometry in a process share them: a sweep that differs
+    from the last only in noise levels, seed, trials or bank builds none of
+    them again.  The Gram matrix and the chain are built on first use, and
+    ``run_sweep`` builds both before its threads share them.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.domain = DomainSpec(cfg.length, cfg.x0)
-        self.basis = EigenBasis(self.domain, cfg.modes)
         self.subdomain = Subdomain(cfg.omega_a, cfg.omega_b)
         # each kind reads only its own parameters; the horizon is the local method's 3T
         self.profile = DiffusionProfile(
             cfg.profile, cfg.p_base, cfg.p_slope, cfg.p_amp, cfg.p_freq, 3.0 * cfg.T
         )
+        self._geo = _geometry(
+            self.domain, cfg.modes, self.subdomain, self.profile, cfg.T, cfg.constants_mode,
+            cfg.xi,
+        )
+        self.basis = self._geo.basis
 
     def truth(self, trial: int = 0) -> SpectralField:
         """The seeded synthetic initial state of ``trial``."""
@@ -260,22 +303,14 @@ class Run:
             weights = observation_weights(xs, Subdomain.full(self.domain), self.basis)
         return xs, inject_noise(uT.evaluate(xs), delta_abs, [*seed, int(local)], weights)
 
-    @cached_property
+    @property
     def gram(self) -> np.ndarray:
-        return gram_subdomain(self.subdomain, self.basis)
+        return self._geo.gram
 
-    @cached_property
+    @property
     def chain(self) -> ObservabilityConstants:
         """Constants chain for the configured geometry and mode."""
-        cfg, domain, sub = self.cfg, self.domain, self.subdomain
-        if cfg.constants_mode == "empirical":
-            return fit_empirical_constants(self.basis, sub, self.gram, cfg.T, self.profile)
-        if sub.is_full(domain):
-            return chain_full_domain()
-        try:
-            return constants_convex(domain, sub.ball_radius(domain), self.profile, cfg.xi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._geo.chain
 
     def pipeline(self, l2_prior: float, h01_prior: float) -> PipelineConfig:
         """Data of one local reconstruction under the given priors."""

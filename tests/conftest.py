@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from heatback import DiffusionProfile, DomainSpec, EigenBasis
+from heatback import DiffusionProfile, DomainSpec, EigenBasis, harness
+
+
+@pytest.fixture(autouse=True)
+def cold_geometry():
+    """Each test starts with no geometry kept from an earlier one."""
+    harness._geometry.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -283,6 +283,75 @@ class TestSweep:
         assert local_rows and not any(r["bound_ok"] for r in local_rows)
 
 
+def _sweep_outcome(cfg) -> str:
+    """The sweep's CSV, or the message of the ConfigError it raises."""
+    try:
+        return rows_to_csv(run_sweep(cfg))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+class TestGeometryMemo:
+    BASE = dict(length=1.0, T=0.25, delta_list=(1e-4,), omega_a=0.3, omega_b=0.7, modes=16,
+                trials=1, constants_mode="empirical")
+
+    def test_second_sweep_builds_no_matrix_gram_or_chain(self, monkeypatch):
+        from heatback import spectral
+
+        cfg = parse_config_text(SWEEP_CFG)
+        first = rows_to_csv(run_sweep(cfg))
+        calls = []
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(spectral, "_sine_matrix")
+        spy(harness, "gram_subdomain")
+        spy(harness, "fit_empirical_constants")
+        # the memo serves any change of noise level, seed or trials
+        assert rows_to_csv(run_sweep(cfg)) == first
+        run_sweep(replace(cfg, delta_list=(1e-8,), seed=7, trials=1))
+        assert calls == []
+
+    # (field, base overrides under which the field moves the outcome, new value);
+    # x0 and xi reach only the paper chain, which overflows on a subinterval,
+    # so for them the outcome is the error that names the chain's constants
+    @pytest.mark.parametrize("key, base, value", [
+        ("length", {}, 1.5),
+        ("x0", {"constants_mode": "paper"}, 0.45),
+        ("modes", {}, 20),
+        ("omega_a", {}, 0.25),
+        ("omega_b", {}, 0.75),
+        ("T", {}, 0.2),
+        ("profile", {}, "affine"),
+        ("p_base", {}, 1.2),
+        ("p_slope", {"profile": "affine"}, 0.3),
+        ("p_amp", {"profile": "sinusoidal"}, 0.3),
+        ("p_freq", {"profile": "sinusoidal"}, 2.0),
+        ("constants_mode", {"omega_a": 0.0, "omega_b": 1.0, "constants_mode": "paper"},
+         "empirical"),
+        ("xi", {"constants_mode": "paper"}, 0.3),
+    ])
+    def test_each_geometry_field_is_in_the_key(self, key, base, value):
+        kw = {**self.BASE, **base}
+        warm_from = _sweep_outcome(ExperimentConfig(**kw))
+        changed = ExperimentConfig(**{**kw, key: value})
+        warm = _sweep_outcome(changed)
+        harness._geometry.cache_clear()
+        assert warm == _sweep_outcome(changed)
+        assert warm != warm_from
+
+    def test_gram_is_read_only(self):
+        gram = harness.Run(ExperimentConfig(**self.BASE)).gram
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 0] = 0.0
+
+
 class TestCsvEmission:
     def test_format(self):
         text = rows_to_csv(

@@ -164,6 +164,7 @@ class TestSineMatrixCache:
             basis.eigenfunction_matrix(uniform_grid(0.0, 1.0, 64), cols)
 
     def test_sweep_builds_each_matrix_once(self, monkeypatch):
+        from heatback import harness
         from heatback.harness import parse_config_text, run_sweep
 
         keys = []
@@ -182,6 +183,7 @@ class TestSineMatrixCache:
         )
         for parallel in (1, 2):
             keys.clear()
+            harness._geometry.cache_clear()  # the serial run's basis would be reused
             run_sweep(cfg, parallel)
             assert len(set(keys)) > 4
             assert len(keys) == len(set(keys)), parallel
