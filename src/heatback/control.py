@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError
-from .spectral import DiffusionProfile, EigenBasis, SpectralField
+from .spectral import DiffusionProfile, EigenBasis
 
 _REL_SLACK = 1e-12  # float slack on certified inequalities
 
@@ -104,12 +104,15 @@ class ControlSolution:
 def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     """Solve the normal equations for phi0 and package the control quantities.
 
-    The Cholesky solve runs on the active block; below it the system reads
-    eps^2 c = D_2T phi0.  It is refined until the residual is small against
-    eps^2 |c| (the scale of psi) or stops improving; the optimality identity
-    psi = eps^2 c then holds as tightly as the conditioning
-    k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is recorded on
-    the solution.
+    On the active block the system is solved by iterative refinement from
+    c = 0 (Higham 2002, sec. 12.1), so the first step is the plain Cholesky
+    solve; below the block it reads eps^2 c = D_2T phi0.  Refinement stops
+    once the residual is small against eps^2 |c| (the scale of psi) or no
+    longer halves; the optimality identity psi = eps^2 c then holds as tightly
+    as the conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved
+    residual is recorded on the solution.  A phi0 that is zero on the block
+    (a bank mode past it) has a zero first residual and ends with no
+    triangular solve; M_a is still factored once per solve.
 
     Finiteness is checked once per solve rather than by every LAPACK call:
     phi0 on entry (a ValueError naming phi0), M_a when the setup was built,
@@ -132,25 +135,26 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         ) from exc
     eps2 = setup.eps**2
     c = rhs / eps2
-    c[:m] = cho_solve(factor, rhs[:m], check_finite=False)
-    best = math.inf
-    for _ in range(30):
-        resid = rhs[:m] - M @ c[:m]
-        res_norm = float(np.linalg.norm(resid))
-        if res_norm <= 0.25e-12 * eps2 * float(np.linalg.norm(c)) or res_norm >= 0.5 * best:
+    c_a, rhs_a = c[:m], rhs[:m]
+    c_a[:] = 0.0
+    resid, best = rhs_a, math.inf
+    for _ in range(31):  # the solve, then up to 30 refinement steps
+        res_norm = math.sqrt(resid @ resid)
+        if res_norm <= 0.25e-12 * eps2 * math.sqrt(c @ c) or res_norm >= 0.5 * best:
             break
         best = res_norm
-        c[:m] += cho_solve(factor, resid, check_finite=False)
+        c_a += cho_solve(factor, resid, check_finite=False)
+        resid = rhs_a - M @ c_a
     if not np.isfinite(c).all():
         raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")
 
     dT = setup.decay_to_T
-    dTc = dT[:m] * c[:m]
+    dTc = dT[:m] * c_a
     b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
     psi = rhs + dT * b
     h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
-    identity_residual = float(np.linalg.norm(psi - eps2 * c))
-    return ControlSolution(c, b, psi, h_norm, identity_residual)
+    gap = psi - eps2 * c
+    return ControlSolution(c, b, psi, h_norm, math.sqrt(gap @ gap))
 
 
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
@@ -219,8 +223,9 @@ def control_mode_bank(setup: ControlSetup, n_bank: int) -> list[ControlSolution]
     if not 1 <= n_bank <= setup.basis.size:
         raise ValueError(f"bank size must lie in [1, {setup.basis.size}], got {n_bank}")
     bank = []
-    for i in range(1, n_bank + 1):
-        phi0 = SpectralField.unit_mode(setup.basis, i).coeffs
+    for i in range(n_bank):
+        phi0 = np.zeros(setup.basis.size)
+        phi0[i] = 1.0
         bank.append(solve_control(setup, phi0))
     return bank
 

@@ -181,8 +181,8 @@ def assemble_fbar(
     h_qnorms = np.zeros(n_bank)
     for idx, sol in enumerate(bank):
         h = h_values(setup, sol, xs)
-        coeffs[idx] = -decay23[idx] * float(np.sum(weights * h * values))
-        psi_norms[idx] = float(np.linalg.norm(sol.psi))
+        coeffs[idx] = -decay23[idx] * np.sum(weights * h * values)
+        psi_norms[idx] = math.sqrt(sol.psi @ sol.psi)
         h_qnorms[idx] = quad_norm(weights, h)
     return SpectralField(basis, coeffs), psi_norms, h_qnorms
 

@@ -1,10 +1,11 @@
 """Independent checks of the reconstruction route, read only by the tests.
 
-The control's functional J, its gradient, the dual pairing and the physical
-terminal state check the control solve; the Hoelder, appendix-stability and
-direct backward estimates check the observability constants; the worst tail
-factor checks the filter's error split.  None of them is part of the route
-that the commands run.  Import as ``from oracles import ...``.
+The control's functional J, its gradient, the dual pairing, the physical
+terminal state and a solve-then-refine reference solve check the control
+solve; the Hoelder, appendix-stability and direct backward estimates check
+the observability constants; the worst tail factor checks the filter's error
+split.  None of them is part of the route that the commands run.  Import as
+``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from heatback import (
     ControlSetup,
+    ControlSolution,
     DiffusionProfile,
     ObservabilityConstants,
     SpectralField,
@@ -37,6 +40,34 @@ def physical_terminal(setup: ControlSetup, phi0: np.ndarray, b: np.ndarray) -> n
     b = np.asarray(b, dtype=float)
     decay_T_to_2T = setup.basis.decay(setup.profile, setup.T, 2.0 * setup.T)
     return decay_T_to_2T * (setup.decay_to_T * phi0 + b)
+
+
+def reference_solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
+    """The control solve in its solve-then-refine form: one Cholesky solve of
+    the active block, then refinement steps while the residual halves, with
+    scipy's finiteness check in every cho_factor and cho_solve call.
+    solve_control refines from c = 0 instead and must match it bit for bit
+    on every bank mode."""
+    M, m = setup.system, setup.active
+    rhs = setup.decay_to_2T * phi0
+    factor = cho_factor(M)
+    eps2 = setup.eps**2
+    c = rhs / eps2
+    c[:m] = cho_solve(factor, rhs[:m])
+    best = math.inf
+    for _ in range(30):
+        resid = rhs[:m] - M @ c[:m]
+        res_norm = float(np.linalg.norm(resid))
+        if res_norm <= 0.25e-12 * eps2 * float(np.linalg.norm(c)) or res_norm >= 0.5 * best:
+            break
+        best = res_norm
+        c[:m] += cho_solve(factor, resid)
+    dT = setup.decay_to_T
+    dTc = dT[:m] * c[:m]
+    b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
+    psi = rhs + dT * b
+    h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
+    return ControlSolution(c, b, psi, h_norm, float(np.linalg.norm(psi - eps2 * c)))
 
 
 def functional_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+import heatback.control
 from heatback import (
     ConfigError,
     DiffusionProfile,
@@ -23,10 +24,16 @@ from heatback import (
     solve_control,
     verify_control_bounds,
 )
-from heatback.control import ControlSetup, ControlSolution, h_values
+from heatback.control import ControlSetup, h_values
 from heatback.harness import Run, parse_config_text
 from heatback.pipeline import control_setup, weight_from_chain
-from oracles import dual_pairing, functional_J, gradient_J, physical_terminal
+from oracles import (
+    dual_pairing,
+    functional_J,
+    gradient_J,
+    physical_terminal,
+    reference_solve_control,
+)
 
 
 DEMO_256 = """
@@ -40,30 +47,22 @@ bank = 32
 constants_mode = empirical
 """
 
+# The demo at N 256, T 0.01 at N 128, and a sinusoidal profile on L 2
+GEOMETRIES = (
+    DEMO_256,
+    DEMO_256.replace("T = 0.25", "T = 0.01").replace("modes = 256", "modes = 128"),
+    "length = 2.0\nT = 0.25\ndelta_list = 1e-4, 1e-6, 1e-8\nomega_a = 0.5\n"
+    "omega_b = 1.6\nprofile = sinusoidal\nmodes = 97\nconstants_mode = empirical\n",
+)
 
-def reference_solve_control(setup, phi0):
-    """The control solve with scipy's finiteness check in every cho_factor and
-    cho_solve call, kept as the reference; the bank must match it bit for bit."""
-    M, m = setup.system, setup.active
-    rhs = setup.decay_to_2T * phi0
-    factor = cho_factor(M)
-    eps2 = setup.eps**2
-    c = rhs / eps2
-    c[:m] = cho_solve(factor, rhs[:m])
-    best = math.inf
-    for _ in range(30):
-        resid = rhs[:m] - M @ c[:m]
-        res_norm = float(np.linalg.norm(resid))
-        if res_norm <= 0.25e-12 * eps2 * float(np.linalg.norm(c)) or res_norm >= 0.5 * best:
-            break
-        best = res_norm
-        c[:m] += cho_solve(factor, resid)
-    dT = setup.decay_to_T
-    dTc = dT[:m] * c[:m]
-    b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
-    psi = rhs + dT * b
-    h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
-    return ControlSolution(c, b, psi, h_norm, float(np.linalg.norm(psi - eps2 * c)))
+
+def bank_setups(text):
+    """The config and one control setup per noise level of a sweep on it."""
+    cfg = parse_config_text(text)
+    run = Run(cfg)
+    u0 = run.truth()
+    l2, h01 = u0.l2(), u0.h01()
+    return cfg, [control_setup(run.pipeline(l2, h01), delta * l2) for delta in cfg.delta_list]
 
 
 @pytest.fixture(scope="module")
@@ -328,15 +327,12 @@ class TestModeBank:
             proj = V[:, keep] @ (V[:, keep].T @ sol.b)
             assert np.linalg.norm(sol.b - proj) <= 1e-9 * max(np.linalg.norm(sol.b), 1e-300)
 
-    def test_demo_bank_equals_the_checked_solve(self):
-        # the README demo geometry at the benchmark's size: every bank solve is
-        # bit for bit the solve with scipy's finiteness check on each LAPACK call
-        cfg = parse_config_text(DEMO_256)
-        run = Run(cfg)
-        u0 = run.truth()
-        l2, h01 = u0.l2(), u0.h01()
-        for delta in cfg.delta_list:
-            setup = control_setup(run.pipeline(l2, h01), delta * l2)
+    @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
+    def test_bank_equals_the_reference_solve(self, text):
+        # refining from c = 0 gives bit for bit the solve-then-refine result,
+        # with scipy's finiteness check on each LAPACK call, at every bank mode
+        cfg, setups = bank_setups(text)
+        for setup in setups:
             for i, sol in enumerate(control_mode_bank(setup, cfg.bank)):
                 phi0 = SpectralField.unit_mode(setup.basis, i + 1).coeffs
                 ref = reference_solve_control(setup, phi0)
@@ -344,6 +340,31 @@ class TestModeBank:
                     np.testing.assert_array_equal(getattr(sol, name), getattr(ref, name))
                 assert sol.h_norm_omega == ref.h_norm_omega
                 assert sol.identity_residual == ref.identity_residual
+
+    @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
+    def test_mode_past_the_block_makes_no_triangular_solve(self, text, monkeypatch):
+        calls = {"cho_factor": 0, "cho_solve": 0}
+        for name in calls:
+            inner = getattr(heatback.control, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(heatback.control, name, counted)
+        cfg, setups = bank_setups(text)
+        for setup in setups:
+            assert 1 <= setup.active < cfg.bank
+            for i in range(cfg.bank):
+                phi0 = SpectralField.unit_mode(setup.basis, i + 1).coeffs
+                for name in calls:
+                    calls[name] = 0
+                solve_control(setup, phi0)
+                assert calls["cho_factor"] == 1
+                if i < setup.active:
+                    assert calls["cho_solve"] >= 1
+                else:
+                    assert calls["cho_solve"] == 0
 
     def test_rejects_oversized_bank(self, setup64):
         with pytest.raises(ValueError):
@@ -395,21 +416,11 @@ class TestImpulseEvaluator:
     def test_no_subnormal_enters_the_impulse(self):
         # a subnormal operand would send the h_values, b and h_norm products
         # down x86's slow path; k D_T_j >= 2^-60 eps keeps every active D_T_j
-        # far above 2.2e-308.  The demo at N 256, T 0.01 at N 128, and a
-        # sinusoidal profile on L 2:
-        texts = (
-            DEMO_256,
-            DEMO_256.replace("T = 0.25", "T = 0.01").replace("modes = 256", "modes = 128"),
-            "length = 2.0\nT = 0.25\ndelta_list = 1e-4, 1e-6, 1e-8\nomega_a = 0.5\n"
-            "omega_b = 1.6\nprofile = sinusoidal\nmodes = 97\nconstants_mode = empirical\n",
-        )
+        # far above 2.2e-308.
         tiny = np.finfo(float).tiny
-        for text in texts:
-            cfg = parse_config_text(text)
-            run = Run(cfg)
-            u0 = run.truth()
-            for delta in cfg.delta_list:
-                setup = control_setup(run.pipeline(u0.l2(), u0.h01()), delta * u0.l2())
+        for text in GEOMETRIES:
+            cfg, setups = bank_setups(text)
+            for delta, setup in zip(cfg.delta_list, setups):
                 m = setup.active
                 assert 1 <= m < cfg.modes
                 for sol in control_mode_bank(setup, cfg.bank):

@@ -402,6 +402,24 @@ class TestSampleGridCheck:
         assert verdicts[0] == verdicts[1]
         assert (verdicts[0] is None) == (defect is None), verdicts[0]
 
+    @pytest.mark.parametrize(
+        "move, message",
+        [(0.9e-9, None), (1.1e-9, "samples must lie on a uniform grid"),
+         (math.nan, "samples must lie on a uniform grid")],
+    )
+    def test_edges_of_the_uniformity_check(self, move, message, basis16, unit_domain):
+        # one point moved by a fraction of L against the tolerance 1e-9 L, or nan
+        L = unit_domain.length
+        xs = uniform_grid(0.0, L, 8 * basis16.size)
+        xs[5] += move * L
+        sub = Subdomain.full(unit_domain)
+        if message is None:
+            observation_weights(xs, sub, basis16)
+        else:
+            with pytest.raises(ConfigError) as info:
+                observation_weights(xs, sub, basis16)
+            assert str(info.value) == message
+
     def test_shifted_omega_grid_is_rejected(self, basis64, sub_mid, local_setup):
         xs = local_setup["xs"] + 1e-10
         with pytest.raises(ConfigError, match=r"samples must span \[0.3, 0.7\]"):
