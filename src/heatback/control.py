@@ -112,7 +112,8 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     as the conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved
     residual is recorded on the solution.  A phi0 that is zero on the block
     (a bank mode past it) has a zero first residual and ends with no
-    triangular solve; M_a is still factored once per solve.
+    triangular solve, and then c = 0 on the block gives b = 0, psi = D_2T phi0
+    and h = 0 in closed form; M_a is still factored once per solve.
 
     Finiteness is checked once per solve rather than by every LAPACK call:
     phi0 on entry (a ValueError naming phi0), M_a when the setup was built,
@@ -123,7 +124,7 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         raise ValueError(f"phi0 must have {setup.basis.size} coefficients")
     if not np.isfinite(phi0).all():
         raise ValueError("phi0 must be finite")
-    if not np.any(phi0):
+    if not phi0.any():
         raise ValueError("phi0 must be nonzero")
     M, m = setup.system, setup.active
     rhs = setup.decay_to_2T * phi0
@@ -137,7 +138,7 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     c = rhs / eps2
     c_a, rhs_a = c[:m], rhs[:m]
     c_a[:] = 0.0
-    resid, best = rhs_a, math.inf
+    resid, best = rhs_a, math.inf  # best stays inf until a solve runs
     for _ in range(31):  # the solve, then up to 30 refinement steps
         res_norm = math.sqrt(resid @ resid)
         if res_norm <= 0.25e-12 * eps2 * math.sqrt(c @ c) or res_norm >= 0.5 * best:
@@ -148,11 +149,14 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     if not np.isfinite(c).all():
         raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")
 
-    dT = setup.decay_to_T
-    dTc = dT[:m] * c_a
-    b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
-    psi = rhs + dT * b
-    h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
+    if best == math.inf:  # c_a = 0, so D_T c, b and h are zero
+        b, psi, h_norm = np.zeros(c.size), rhs, 0.0
+    else:
+        dT = setup.decay_to_T
+        dTc = dT[:m] * c_a
+        b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
+        psi = rhs + dT * b
+        h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
     gap = psi - eps2 * c
     return ControlSolution(c, b, psi, h_norm, math.sqrt(gap @ gap))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .spectral import (
     SpectralField,
     Subdomain,
     observation_weights,
-    quad_norm,
 )
 
 _LN_MAX = math.log(sys.float_info.max)
@@ -121,15 +120,19 @@ class PipelineConfig:
             raise ValueError("priors must be positive")
 
 
-def control_setup(cfg: PipelineConfig, delta: float) -> ControlSetup:
-    """The control problem the chain certifies at noise level delta: eps from
-    select_epsilon and k from weight_from_chain."""
+def _chain_eps_k(cfg: PipelineConfig, delta: float) -> tuple[float, float]:
+    """eps from select_epsilon and k from weight_from_chain at noise level delta."""
     chain = cfg.chain
     if not math.isfinite(chain.c1):  # c3 overflows only when c1 does
         raise ConfigError("constant chain overflows double range; use constants_mode = empirical")
     eps = select_epsilon(delta, cfg.T, chain.c3, chain.c4, cfg.l2_prior)
-    k = weight_from_chain(chain, cfg.T, eps)
-    return ControlSetup(cfg.basis, cfg.T, cfg.profile, cfg.gram, eps, k)
+    return eps, weight_from_chain(chain, cfg.T, eps)
+
+
+def control_setup(cfg: PipelineConfig, delta: float) -> ControlSetup:
+    """The control problem the chain certifies at noise level delta, with the
+    chain's own k whatever cfg.k_scale is."""
+    return ControlSetup(cfg.basis, cfg.T, cfg.profile, cfg.gram, *_chain_eps_k(cfg, delta))
 
 
 @dataclass(frozen=True)
@@ -179,11 +182,12 @@ def assemble_fbar(
     coeffs = np.zeros(basis.size)
     psi_norms = np.zeros(n_bank)
     h_qnorms = np.zeros(n_bank)
+    wv = weights * values
     for idx, sol in enumerate(bank):
         h = h_values(setup, sol, xs)
-        coeffs[idx] = -decay23[idx] * np.sum(weights * h * values)
+        coeffs[idx] = -decay23[idx] * (h @ wv)
         psi_norms[idx] = math.sqrt(sol.psi @ sol.psi)
-        h_qnorms[idx] = quad_norm(weights, h)
+        h_qnorms[idx] = math.sqrt(h @ (weights * h))
     return SpectralField(basis, coeffs), psi_norms, h_qnorms
 
 
@@ -242,9 +246,9 @@ def local_reconstruct(
     if not delta < cfg.l2_prior:
         raise ConfigError(f"needs delta < |u0|_L2 prior, got {delta} >= {cfg.l2_prior}")
     weights = observation_weights(xs, cfg.subdomain, cfg.basis)
-    chain_setup = control_setup(cfg, delta)
-    eps, k_chain = chain_setup.eps, chain_setup.k
-    setup = replace(chain_setup, k=k_chain * cfg.k_scale)
+    eps, k_chain = _chain_eps_k(cfg, delta)
+    # one setup: k_chain * 1.0 is k_chain, and a sabotaged bank uses the wrong k
+    setup = ControlSetup(cfg.basis, cfg.T, cfg.profile, cfg.gram, eps, k_chain * cfg.k_scale)
     bank = control_mode_bank(setup, cfg.n_bank)
     fbar, psi_norms, h_qnorms = assemble_fbar(bank, setup, xs, values, weights)
 

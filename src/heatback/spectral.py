@@ -196,7 +196,7 @@ class EigenBasis:
                 f"the eigenvalue ({size} pi / length)^2 overflows"
             )
         self.eigenvalues.flags.writeable = False
-        self._sines: dict[tuple[bytes, int], np.ndarray] = {}  # least recently used first
+        self._sines: list[tuple[int, bytes, np.ndarray]] = []  # least recently used first
         self._sines_lock = threading.Lock()
 
     def __eq__(self, other):
@@ -222,9 +222,10 @@ class EigenBasis:
 
         ``modes`` defaults to the basis size; a caller that needs only the
         leading modes asks for just those columns.  The matrices of the few
-        most recently used (grid, modes) pairs are kept, keyed by the grid's
-        float64 bytes and the column count, so each returned matrix depends
-        only on its key.
+        most recently used (modes, grid) pairs are kept with a copy of the
+        grid's float64 bytes, so each returned matrix depends only on the
+        column count and those bytes.  An entry is found by comparing them (a
+        length check, then a memcmp), which is far cheaper than hashing them.
         A missing matrix is built while the cache lock is held, so two threads
         that ask for it at once build it once, and the second waits for it.
         """
@@ -232,15 +233,18 @@ class EigenBasis:
         if not 0 <= n <= self.size:
             raise ValueError(f"modes must lie in [0, {self.size}], got {modes}")
         xs = np.ascontiguousarray(xs, dtype=float)
-        key = (xs.tobytes(), n)
+        data = xs.tobytes()
         with self._sines_lock:
-            E = self._sines.pop(key, None)
-            if E is None:
+            for i, (n_i, data_i, E) in enumerate(self._sines):
+                if n_i == n and data_i == data:
+                    del self._sines[i]
+                    break
+            else:
                 E = _sine_matrix(xs.ravel(), n, self.domain.length)
                 E.flags.writeable = False
                 if len(self._sines) == _SINE_CACHE_SIZE:
-                    del self._sines[next(iter(self._sines))]
-            self._sines[key] = E
+                    del self._sines[0]
+            self._sines.append((n, data, E))
         return E
 
 

@@ -1,10 +1,10 @@
 """Independent checks of the reconstruction route, read only by the tests.
 
 The control's functional J, its gradient, the dual pairing, the physical
-terminal state and a solve-then-refine reference solve check the control
-solve; the Hoelder, appendix-stability and direct backward estimates check
-the observability constants; the worst tail factor checks the filter's error
-split.  None of them is part of the route that the commands run.  Import as
+terminal state, a solve-then-refine reference solve and a per-mode surrogate
+assembly check the control solve and the bank; the Hoelder,
+appendix-stability and direct backward estimates check the observability
+constants; the worst tail factor checks the filter's error split.  None of them is part of the route that the commands run.  Import as
 ``from oracles import ...``.
 """
 
@@ -26,7 +26,9 @@ from heatback import (
     evolve,
     invert_A_increasing,
 )
+from heatback.control import h_values
 from heatback.observability import _exp_or_inf
+from heatback.spectral import quad_norm
 
 
 def l2_sub(field: SpectralField, gram: np.ndarray) -> float:
@@ -68,6 +70,24 @@ def reference_solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSol
     psi = rhs + dT * b
     h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
     return ControlSolution(c, b, psi, h_norm, float(np.linalg.norm(psi - eps2 * c)))
+
+
+def reference_assemble_fbar(
+    bank: list[ControlSolution], setup: ControlSetup, xs: np.ndarray, values: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """assemble_fbar's (coeffs, psi_norms, h_quad_norms) by its per-mode
+    expressions before it formed weights * values once: a three-factor
+    np.sum for each coefficient and quad_norm for each quadrature norm."""
+    decay23 = setup.basis.decay(setup.profile, 2.0 * setup.T, 3.0 * setup.T)
+    coeffs = np.zeros(setup.basis.size)
+    psi_norms, h_qnorms = np.zeros(len(bank)), np.zeros(len(bank))
+    for idx, sol in enumerate(bank):
+        h = h_values(setup, sol, xs)
+        coeffs[idx] = -decay23[idx] * np.sum(weights * h * values)
+        psi_norms[idx] = math.sqrt(sol.psi @ sol.psi)
+        h_qnorms[idx] = quad_norm(weights, h)
+    return coeffs, psi_norms, h_qnorms
 
 
 def functional_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> float:

@@ -18,8 +18,10 @@ from heatback import (
     EigenBasis,
     SpectralField,
     Subdomain,
+    assemble_fbar,
     chain_full_domain,
     control_mode_bank,
+    evolve,
     gram_subdomain,
     solve_control,
     verify_control_bounds,
@@ -27,11 +29,13 @@ from heatback import (
 from heatback.control import ControlSetup, h_values
 from heatback.harness import Run, parse_config_text
 from heatback.pipeline import control_setup, weight_from_chain
+from heatback.spectral import observation_weights
 from oracles import (
     dual_pairing,
     functional_J,
     gradient_J,
     physical_terminal,
+    reference_assemble_fbar,
     reference_solve_control,
 )
 
@@ -365,6 +369,37 @@ class TestModeBank:
                     assert calls["cho_solve"] >= 1
                 else:
                     assert calls["cho_solve"] == 0
+
+    @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
+    def test_modes_past_the_block_are_closed_form(self, text):
+        cfg, setups = bank_setups(text)
+        run = Run(cfg)
+        u0 = run.truth()
+        uT = evolve(u0, 0.0, cfg.T, run.profile)
+        for di, setup in enumerate(setups):
+            xs, values = run.observe(uT, cfg.delta_list[di] * u0.l2(), [cfg.seed, di], True)
+            weights = observation_weights(xs, run.subdomain, run.basis)
+            bank = control_mode_bank(setup, cfg.bank)
+            m = setup.active
+            for i, sol in enumerate(bank[m:], start=m):
+                e_i = SpectralField.unit_mode(setup.basis, i + 1).coeffs
+                assert np.all(sol.b == 0.0) and sol.h_norm_omega == 0.0
+                np.testing.assert_array_equal(sol.psi, setup.decay_to_2T * e_i)
+                assert np.all(h_values(setup, sol, xs) == 0.0)
+            coeffs, psi_norms, h_qnorms = reference_assemble_fbar(bank, setup, xs, values, weights)
+            fbar, got_psi, got_h = assemble_fbar(bank, setup, xs, values, weights)
+            np.testing.assert_array_equal(got_psi, psi_norms)
+            # past the block h = 0, so both give exact zeros
+            assert np.all(fbar.coeffs[m:] == 0.0) and np.all(coeffs[m:] == 0.0)
+            assert np.all(got_h[m:] == 0.0) and np.all(h_qnorms[m:] == 0.0)
+            # on the block one dot product and np.sum round differently: within
+            # 16 ulp of each sum's scale (3 and 2 ulp are the most seen here);
+            # a coefficient cancels, so its scale is the sum of |terms|
+            decay23 = setup.basis.decay(setup.profile, 2.0 * setup.T, 3.0 * setup.T)
+            scale = [decay23[i] * np.sum(np.abs(weights * h_values(setup, bank[i], xs) * values))
+                     for i in range(m)]
+            assert np.all(np.abs(fbar.coeffs[:m] - coeffs[:m]) <= 16 * np.spacing(scale))
+            assert np.all(np.abs(got_h[:m] - h_qnorms[:m]) <= 16 * np.spacing(h_qnorms[:m]))
 
     def test_rejects_oversized_bank(self, setup64):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from heatback import (
 from heatback import harness
 from heatback.cli import _apply_overrides, build_parser
 from heatback.cli import main as cli_main
+from heatback.control import ControlSetup
 from heatback.harness import (
     _FLOAT_KEYS,
     ExperimentConfig,
@@ -633,6 +634,50 @@ class TestCli:
             assert cli_main(["control", "--config", str(path), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def _local_report(self, text, monkeypatch):
+        """local_reconstruct on trial 0 of a config, and the k of each
+        ControlSetup it built."""
+        cfg = parse_config_text(text)
+        run = harness.Run(cfg)
+        u0 = run.truth()
+        l2, h01 = u0.l2(), u0.h01()
+        delta_abs = cfg.delta_list[0] * l2
+        uT = evolve(u0, 0.0, cfg.T, run.profile)
+        xs, values = run.observe(uT, delta_abs, [cfg.seed, 0], local=True)
+        built, post_init = [], ControlSetup.__post_init__
+
+        def counted(setup):
+            built.append(setup.k)
+            post_init(setup)
+
+        monkeypatch.setattr(ControlSetup, "__post_init__", counted)
+        return local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01)), built
+
+    def test_local_reconstruct_builds_one_control_setup(self, monkeypatch):
+        report, built = self._local_report(DEMO_16, monkeypatch)
+        assert built == [report.k_chain] and report.k_used == report.k_chain
+
+    def test_sabotaged_bank_alone_uses_the_scaled_weight(self, monkeypatch, tmp_path, capsys):
+        report, built = self._local_report(DEMO_16 + "sabotage = k\n", monkeypatch)
+        assert built == [report.k_used] and report.k_used == 1e-9 * report.k_chain
+        assert not report.k_consistent
+        outs = {}
+        for sabotage in ("none", "k"):
+            path = tmp_path / f"{sabotage}.cfg"
+            path.write_text(DEMO_16 + f"sabotage = {sabotage}\n")
+            out = tmp_path / f"{sabotage}.csv"
+            assert cli_main(["control", "--config", str(path), "--out", str(out)]) == 0
+            outs[sabotage] = out.read_bytes()
+        # heatback control certifies the chain's weight, sabotaged or not
+        assert outs["k"] == outs["none"]
+        capsys.readouterr()
+        sweep = ["sweep", "--config", str(tmp_path / "k.cfg"), "--out", str(tmp_path / "s.csv")]
+        assert cli_main(sweep) == 2
+        err = capsys.readouterr().err
+        # each of the 3 trials' local row, and no other row
+        assert err.startswith("certified inequality violated: 3 sweep rows violate")
+        assert err.count("local row at delta=") == 3
 
     def test_reports_match_the_sweep_rows(self, cfg_path, tmp_path, sweep_rows):
         # trial 0 at the first noise level: the same seeds as a synthetic CLI run

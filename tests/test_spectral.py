@@ -84,6 +84,11 @@ def _fresh(basis, xs, modes=None):
     return EigenBasis(basis.domain, basis.size).eigenfunction_matrix(xs, modes)
 
 
+def _cached_keys(basis):
+    """The (modes, grid bytes) key of each sine matrix the basis keeps."""
+    return [(n, data) for n, data, _ in basis._sines]
+
+
 def _exact_rows(xs, modes, length, rows):
     """sqrt(2/L) sin(k pi x / L) in 80-bit arithmetic on the given rows of xs.
 
@@ -229,7 +234,21 @@ class TestSineMatrixCache:
         assert basis.eigenfunction_matrix(grids[0]) is first  # now the most recent
         basis.eigenfunction_matrix(grids[-1])
         assert basis.eigenfunction_matrix(grids[0]) is first
-        assert (grids[1].tobytes(), 8) not in basis._sines
+        assert (8, grids[1].tobytes()) not in _cached_keys(basis)
+
+    def test_key_is_every_byte_of_the_grid(self, unit_domain):
+        basis = EigenBasis(unit_domain, 16)
+        xs = uniform_grid(0.0, 1.0, 256)
+        moved = xs.copy()
+        moved[100] = np.nextafter(moved[100], 1.0)  # same size and ends, one sample apart
+        E, E_moved = basis.eigenfunction_matrix(xs), basis.eigenfunction_matrix(moved)
+        assert E_moved is not E and np.array_equal(E_moved, _fresh(basis, moved))
+        assert not np.array_equal(E_moved, E)
+        # a grid written in place after its lookup is a new key
+        xs[7] = 0.5
+        again = basis.eigenfunction_matrix(xs)
+        assert again is not E and np.array_equal(again, _fresh(basis, xs))
+        assert not np.array_equal(again, E)
 
     def test_bases_never_share_a_matrix(self, unit_domain):
         xs = uniform_grid(0.0, 1.0, 256)
@@ -562,7 +581,7 @@ class TestNorms:
         np.testing.assert_allclose(
             values, basis64.eigenfunction_matrix(xs) @ coeffs, rtol=0.0, atol=1e-14
         )
-        assert (xs.tobytes(), 10) in basis64._sines
+        assert (10, xs.tobytes()) in _cached_keys(basis64)
 
     def test_subdomain_norm_from_gram(self, basis16):
         # frozen from the half-interval Gram entries above
