@@ -80,6 +80,8 @@ class ControlSetup:
             raise ConfigError(
                 f"control system not finite: k^2 or eps^2 overflows (eps={self.eps}, k={self.k})"
             )
+        if k2 == 0.0 or eps2 == 0.0:  # the control bounds divide by both
+            raise ConfigError(f"k^2 or eps^2 underflows to 0 (eps={self.eps}, k={self.k})")
         for name, arr in (
             ("decay_to_T", dT),
             ("decay_to_2T", basis.decay(p, 0.0, 2.0 * T)),

@@ -249,49 +249,17 @@ class EigenBasis:
 
 
 def _sine_matrix(xs: np.ndarray, n: int, L: float) -> np.ndarray:
-    """sqrt(2/L) sin(k theta_j), theta_j = pi xs[j] / L, k = 1..n, by angle addition.
+    """sqrt(2/L) sin(k pi xs[j] / L), k = 1..n, as one np.sin.
 
-    With n = q r + s, q = isqrt(n), mode k = h + l splits into h in
-    {0, q, ..., r q} and l in {1, ..., q}, so sin(k theta) = cos(h theta)
-    sin(l theta) + sin(h theta) cos(l theta).  Each point needs only cos and
-    sin of theta and of q theta: e^{i l theta} and e^{i h theta} are running
-    products of e^{i theta} and e^{i q theta}, whose rounding errors add up
-    over at most q and r factors.  Each block of rows is one batched rank-2
-    product written straight into the C-ordered result.
+    A faster kernel would buy little: the cache keeps each (grid, width)
+    matrix, so it is built once per process.  The outer product of xs and
+    k pi / L is a matmul of a (points, 1) and a (1, n) array, which, unlike
+    a broadcasting ufunc, allocates no iterator buffers next to the result.
     """
-    E = np.empty((xs.size, n))
-    if n == 0:
-        return E
-    q = math.isqrt(n)
-    r, s = divmod(n, q)  # r full groups of q columns, then s < q columns
-    # the three scratch tables and theta hold at most ~8192 doubles together
-    # and are reused by every block: a freed temporary of 128 KiB or more
-    # raises glibc's mmap threshold and changes how fast every later
-    # allocation of the process runs
-    rows = max(1, min(xs.size, 8192 // (4 * q + 2 * r + 3)))
-    hs = np.empty((rows, r + 1), dtype=complex)  # e^{i h theta}, h = 0, q, ..., r q
-    ls = np.empty((rows, q), dtype=complex)  # e^{i l theta}, l = 1, ..., q
-    split = np.empty((rows, 2, q))  # sqrt(2/L) (sin, cos)(l theta)
-    hs[:, 0] = 1.0
-    for a in range(0, xs.size, rows):
-        theta = xs[a:a + rows] * (math.pi / L)
-        b = theta.size
-        hb, lb, sb = hs[:b], ls[:b], split[:b]
-        np.cos(theta, out=lb[:, 0].real)
-        np.sin(theta, out=lb[:, 0].imag)
-        lb[:, 1:] = lb[:, :1]
-        np.multiply.accumulate(lb, axis=1, out=lb)
-        np.multiply(lb.imag, math.sqrt(2.0 / L), out=sb[:, 0])
-        np.multiply(lb.real, math.sqrt(2.0 / L), out=sb[:, 1])
-        theta *= q
-        np.cos(theta, out=hb[:, 1].real)
-        np.sin(theta, out=hb[:, 1].imag)
-        hb[:, 2:] = hb[:, 1:2]
-        np.multiply.accumulate(hb[:, 1:], axis=1, out=hb[:, 1:])
-        cs = hb.view(float).reshape(b, r + 1, 2)  # (cos, sin)(h theta)
-        block = E[a:a + b]
-        np.matmul(cs[:, :r], sb, out=block[:, :r * q].reshape(b, r, q))
-        np.matmul(cs[:, r:], sb[:, :, :s], out=block[:, r * q:].reshape(b, 1, s))
+    wavenumbers = np.arange(1.0, n + 1.0) * (math.pi / L)
+    E = np.matmul(xs.reshape(-1, 1), wavenumbers.reshape(1, -1))
+    np.sin(E, out=E)
+    E *= math.sqrt(2.0 / L)
     return E
 
 

@@ -299,25 +299,36 @@ class TestGeometryMemo:
     def test_second_sweep_builds_no_matrix_gram_or_chain(self, monkeypatch):
         from heatback import spectral
 
-        cfg = parse_config_text(SWEEP_CFG)
-        first = rows_to_csv(run_sweep(cfg))
+        # (config, later sweeps as (noise level, seed, trials)); the second is
+        # the benchmark's sweep, whose timed ops cycle through three noise
+        # levels with fresh seeds on the README demo geometry at N 256
+        bench = DEMO_16.replace("modes = 16", "modes = 256\nbank = 32\ntrials = 2")
+        inputs = [
+            (SWEEP_CFG, [(1e-8, 7, 1)]),
+            (bench, [(1e-4, 2, 2), (1e-6, 4, 2), (1e-8, 6, 2)]),
+        ]
         calls = []
 
-        def spy(module, name):
+        def spy(patch, module, name):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            patch.setattr(module, name, wrapper)
 
-        spy(spectral, "_sine_matrix")
-        spy(harness, "gram_subdomain")
-        spy(harness, "fit_empirical_constants")
-        # the memo serves any change of noise level, seed or trials
-        assert rows_to_csv(run_sweep(cfg)) == first
-        run_sweep(replace(cfg, delta_list=(1e-8,), seed=7, trials=1))
-        assert calls == []
+        for text, later in inputs:
+            cfg = parse_config_text(text)
+            first = rows_to_csv(run_sweep(cfg))
+            with monkeypatch.context() as patch:
+                spy(patch, spectral, "_sine_matrix")
+                spy(patch, harness, "gram_subdomain")
+                spy(patch, harness, "fit_empirical_constants")
+                # the memo serves any change of noise level, seed or trials
+                assert rows_to_csv(run_sweep(cfg)) == first
+                for delta, seed, trials in later:
+                    run_sweep(replace(cfg, delta_list=(delta,), seed=seed, trials=trials))
+            assert calls == [], text
 
     # (field, base overrides under which the field moves the outcome, new value);
     # x0 and xi reach only the paper chain, which overflows on a subinterval,
@@ -517,6 +528,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "constant chain overflows double range" in err and "too small" not in err
         assert "constants_mode = empirical" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["local-backward", "control", "sweep"])
+    def test_underflowing_weight_names_eps_and_k(self, command, tmp_path, capsys):
+        # the chain gives eps 8.1e13 and k 6.2e-209, whose square is 0; control
+        # used to divide by it and exit 3, the others blamed zeta
+        path = tmp_path / "tiny_k.cfg"
+        path.write_text(
+            "length = 1.0\nT = 5.785e-4\ndelta_list = 1.29e-14\nomega_a = 0.8042\n"
+            "omega_b = 0.8439\nmodes = 11\nconstants_mode = empirical\np_base = 0.191\n"
+            "zeta_mode = default\ndecay = 1.0686\n"
+        )
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        named = re.fullmatch(
+            r"configuration error: k\^2 or eps\^2 underflows to 0 \(eps=(\S+), k=(\S+)\)\n", err
+        )
+        assert named, err
+        assert 8e13 < float(named[1]) < 8.2e13 and 6e-209 < float(named[2]) < 6.3e-209
 
     @pytest.mark.parametrize("zeta_mode", ["paper", "default"])
     @pytest.mark.parametrize("command, rc", [
