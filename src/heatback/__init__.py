@@ -29,7 +29,6 @@ from .filtering import (
     global_backward,
     invert_A_increasing,
     invert_B,
-    invert_field,
     select_alpha,
     truncation_baseline,
 )

@@ -180,7 +180,7 @@ def _cmd_constants(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    rows = run_sweep(cfg, parallel=args.parallel)
+    rows = run_sweep(cfg)
     _write(args.out or cfg.out, rows_to_csv(rows))
     bad = [row for row in rows if row["bound_ok"] is False]
     if bad:
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="noise-level sweep over all methods")
     common(p)
-    p.add_argument("--parallel", type=int, default=1, help="worker threads for sweep cells")
 
     p = sub.add_parser("oracle-check", help="cross-validate the propagator against finite differences")
     common(p)

@@ -228,21 +228,6 @@ def apply_filter(
     return SpectralField(observed.basis, out)
 
 
-def invert_field(
-    observed: SpectralField,
-    tau: float,
-    profile: DiffusionProfile,
-    delta: float,
-    l2_prior: float,
-    h01_prior: float,
-) -> tuple[SpectralField, FilterSelection]:
-    """Filter inversion of coefficient data at time tau; returns (g, selection)."""
-    sel = select_alpha(tau, profile, observed.basis.lambda1, h01_prior, delta, l2_prior)
-    if sel.gate_zero:
-        return SpectralField.zero(observed.basis), sel
-    return apply_filter(observed, sel.alpha, tau, profile), sel
-
-
 def global_backward(
     xs: np.ndarray,
     values: np.ndarray,
@@ -256,7 +241,10 @@ def global_backward(
     """Reconstruct the initial state from noisy full-domain samples at time tau."""
     require_finite("global_backward", xs=xs, values=values, delta=delta)
     observed = project(xs, values, basis)
-    return invert_field(observed, tau, profile, delta, l2_prior, h01_prior)
+    sel = select_alpha(tau, profile, basis.lambda1, h01_prior, delta, l2_prior)
+    if sel.gate_zero:
+        return SpectralField.zero(basis), sel
+    return apply_filter(observed, sel.alpha, tau, profile), sel
 
 
 def truncation_baseline(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
 
@@ -127,6 +126,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             _check(value in allowed, f"{key} must be one of {allowed}, got {value!r}")
         _check(self.trials >= 1, "trials must be >= 1")
+        _check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         a, b = self.omega_a, self.omega_b
         _check(0.0 <= a < b <= self.length, f"need 0 <= omega_a < omega_b <= length, got {a, b}")
         self._fill(
@@ -266,8 +266,7 @@ class Run:
     The basis, Gram matrix and constants chain come from ``_geometry``, so
     the runs of one geometry in a process share them: a sweep that differs
     from the last only in noise levels, seed, trials or bank builds none of
-    them again.  The Gram matrix and the chain are built on first use, and
-    ``run_sweep`` builds both before its threads share them.
+    them again.  The Gram matrix and the chain are built on first use.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -392,23 +391,20 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
 
 
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
-    """All (delta, seed) cells, three methods each, in deterministic order."""
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1 worker thread, got {parallel}")
+    """All (delta, seed) cells in turn, three methods each, in deterministic order.
+
+    ``parallel`` is ignored: only the benchmark (``perfbench/bench.py``) still
+    passes it, and ROADMAP item 2 removes it with its ``sweep-threads`` workload.
+    """
     if not cfg.delta_list:
         return []
     run = Run(cfg)
-    run.pipeline(1.0, 1.0)  # builds the chain and the Gram matrix before the cells share them
-    cells = [(di, trial) for di in range(len(cfg.delta_list)) for trial in range(cfg.trials)]
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(lambda c: _sweep_cell(run, *c), cells))
-    else:
-        results = [_sweep_cell(run, *cell) for cell in cells]
+    levels = range(len(cfg.delta_list))
+    results = [_sweep_cell(run, di, trial) for di in levels for trial in range(cfg.trials)]
     # cells run delta-major; rows go out delta-major, then by method, then by trial
     return [
         results[di * cfg.trials + trial][m]
-        for di in range(len(cfg.delta_list))
+        for di in levels
         for m in range(3)
         for trial in range(cfg.trials)
     ]

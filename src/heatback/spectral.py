@@ -171,7 +171,7 @@ class DiffusionProfile:
 
 
 # (grid, modes) matrices each basis keeps, least recently used evicted first: a
-# sweep shares 3 and adds one omega-grid width per noise level in flight
+# sweep shares 3 and adds one omega-grid width per noise level
 _SINE_CACHE_SIZE = 6
 
 
@@ -226,8 +226,9 @@ class EigenBasis:
         grid's float64 bytes, so each returned matrix depends only on the
         column count and those bytes.  An entry is found by comparing them (a
         length check, then a memcmp), which is far cheaper than hashing them.
-        A missing matrix is built while the cache lock is held, so two threads
-        that ask for it at once build it once, and the second waits for it.
+        A missing matrix is built under a lock, for callers that share a basis
+        across threads (the package starts none): two that ask for it at once
+        build it once, and the second waits for it.
         """
         n = self.size if modes is None else modes
         if not 0 <= n <= self.size:

@@ -15,7 +15,6 @@ from heatback import (
     global_backward,
     invert_A_increasing,
     invert_B,
-    invert_field,
     project,
     select_alpha,
     synthesize_initial,
@@ -222,8 +221,7 @@ class TestGlobalBackward:
         w = simpson_weights(xs.size, xs[1] - xs[0])
         uT = evolve(u0, 0.0, T, profile_constant)
         noisy = inject_noise(uT.evaluate(xs), delta, [3, 0], w)
-        observed = project(xs, noisy, basis64)
-        g, sel = invert_field(observed, T, profile_constant, delta, u0.l2(), u0.h01())
+        g, sel = global_backward(xs, noisy, basis64, T, profile_constant, delta, u0.l2(), u0.h01())
         g_exact = apply_filter(project(xs, uT.evaluate(xs), basis64), sel.alpha, T, profile_constant)
         # |g - g_exact| <= alpha delta and |u0 - g_exact| <= tail factor sqrt(p2 tau) h01
         p2tau = profile_constant.p2 * T

@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tempfile
+import threading
 import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -174,6 +175,8 @@ class TestOverrides:
             replace(cfg, T=math.nan)
         with pytest.raises(ConfigError, match="zeta_mode"):
             replace(cfg, zeta_mode="bogus")
+        with pytest.raises(ConfigError, match="seed"):
+            replace(cfg, seed=-1)
 
     def test_modes_zero_exits_one(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
@@ -266,16 +269,24 @@ class TestSweep:
             ]
             assert all(a >= b - 1e-12 for a, b in zip(medians, medians[1:]))
 
-    def test_deterministic_and_parallel_agree(self):
-        cfg = parse_config_text(SWEEP_CFG)
-        serial = rows_to_csv(run_sweep(cfg, parallel=1))
-        threaded = rows_to_csv(run_sweep(cfg, parallel=4))
-        assert serial == threaded
+    @pytest.mark.parametrize("modes", ["modes = 32\nbank = 16", "modes = 64"], ids=["32", "64"])
+    def test_two_runs_agree(self, modes):
+        cfg = parse_config_text(SWEEP_CFG.replace("modes = 32\nbank = 16", modes))
+        assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(cfg))
 
-    def test_parallel_matches_serial_at_64_modes(self):
-        cfg = parse_config_text(SWEEP_CFG.replace("modes = 32\nbank = 16", "modes = 64"))
-        serial = rows_to_csv(run_sweep(cfg, parallel=1))
-        assert rows_to_csv(run_sweep(cfg, parallel=2)) == serial
+    def test_parallel_is_ignored_and_starts_no_thread(self, monkeypatch):
+        cfg = parse_config_text(SWEEP_CFG)
+        expected = rows_to_csv(run_sweep(cfg))
+        threads = []
+        cell = harness._sweep_cell
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return cell(*args)
+
+        monkeypatch.setattr(harness, "_sweep_cell", spy)
+        assert rows_to_csv(run_sweep(cfg, parallel=2)) == expected
+        assert threads == [threading.get_ident()] * 4
 
     def test_sabotage_flags_rows(self):
         cfg = parse_config_text(SWEEP_CFG + "sabotage = k\n")
@@ -452,17 +463,20 @@ class TestCli:
         for cells in bad:
             assert f"{cells[1]} row at delta={float(cells[0])}" in err
 
-    @pytest.mark.parametrize("parallel", ["0", "-3"])
-    def test_sweep_parallel_below_one_exits_one(self, parallel, cfg_path, capsys):
-        # run_sweep checks the count before it starts any thread
+    @pytest.mark.parametrize("parallel", ["0", "2"])
+    def test_sweep_parallel_is_a_usage_error(self, parallel, cfg_path, capsys):
         assert cli_main(["sweep", "--config", cfg_path, "--parallel", parallel]) == 1
-        err = capsys.readouterr().err
-        assert f"parallel must be >= 1 worker thread, got {parallel}" in err
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text(SWEEP_CFG + "xi = 1.5\n")
-        assert cli_main(["sweep", "--config", str(path)]) == 1
+        for key, line in (("xi", "xi = 1.5"), ("seed", "seed = -1")):
+            path.write_text(SWEEP_CFG + line + "\n")
+            assert cli_main(["sweep", "--config", str(path)]) == 1
+            assert key in capsys.readouterr().err
+        path.write_text(SWEEP_CFG)
+        assert cli_main(["sweep", "--config", str(path), "--seed", "-1"]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_empirical_fit_without_samples_exits_one(self, tmp_path, capsys):
         path = tmp_path / "decayed.cfg"

@@ -169,7 +169,6 @@ class TestSineMatrixCache:
             basis.eigenfunction_matrix(uniform_grid(0.0, 1.0, 64), cols)
 
     def test_sweep_builds_each_matrix_once(self, monkeypatch):
-        from heatback import harness
         from heatback.harness import parse_config_text, run_sweep
 
         keys = []
@@ -186,12 +185,9 @@ class TestSineMatrixCache:
             "length = 1.0\nT = 0.01\ndelta_list = 1e-4, 1e-6, 1e-8\nomega_a = 0.3\n"
             "omega_b = 0.7\nmodes = 128\nconstants_mode = empirical\n"
         )
-        for parallel in (1, 2):
-            keys.clear()
-            harness._geometry.cache_clear()  # the serial run's basis would be reused
-            run_sweep(cfg, parallel)
-            assert len(set(keys)) > 4
-            assert len(keys) == len(set(keys)), parallel
+        run_sweep(cfg)
+        assert len(set(keys)) > 4
+        assert len(keys) == len(set(keys))
 
     def test_cold_build_allocates_no_large_temporary(self, unit_domain):
         basis = EigenBasis(unit_domain, 512)
