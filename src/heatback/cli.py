@@ -138,11 +138,10 @@ def _cmd_local_backward(cfg: ExperimentConfig, args) -> int:
     if args.report:
         row = (delta_abs, report.epsilon, report.claimed_delta, sel.alpha, sel.bound, error)
         _write(args.report, csv_text(_REPORT_COLUMNS, [row]))
-    if not (report.consistency_ok and report.k_consistent):
+    if not report.consistency_ok:
         raise BoundViolation(
             f"transfer certificate failed: certified {report.certified_delta} vs "
-            f"claimed {report.claimed_delta}, bank weight {report.k_used} vs chain "
-            f"{report.k_chain}"
+            f"claimed {report.claimed_delta}"
         )
     if error is not None and error > sel.bound:
         raise BoundViolation(f"reconstruction error {error} exceeds certified bound {sel.bound}")

@@ -50,7 +50,6 @@ _CHOICES = {
     "profile": _PROFILE_KINDS,
     "constants_mode": ("paper", "empirical"),
     "zeta_mode": ("paper", "default"),
-    "sabotage": ("none", "k"),
 }
 
 
@@ -97,7 +96,6 @@ class ExperimentConfig:
     xi: float = 0.5
     grid: int | None = None
     obs_grid: int | None = None
-    sabotage: str = "none"
     delta: float | None = None
     prior_l2: float | None = None
     prior_h01: float | None = None
@@ -110,6 +108,9 @@ class ExperimentConfig:
             _check(normal, f"{key!r} must be finite and normal, got {v!r}")
         _check(self.length > 0.0, f"length must be positive, got {self.length}")
         _check(self.T > 0.0, f"T must be positive, got {self.T}")
+        for key in ("delta", "prior_l2", "prior_h01"):
+            v = getattr(self, key)
+            _check(v is None or v > 0.0, f"{key} must be positive when set, got {v}")
         # below float64 roundoff the noise is smaller than the error already in u(T)
         lowest = sys.float_info.epsilon
         for d in self.delta_list:
@@ -325,7 +326,6 @@ class Run:
             l2_prior=l2_prior,
             h01_prior=h01_prior,
             zeta_mode=cfg.zeta_mode,
-            k_scale=1e-9 if cfg.sabotage == "k" else 1.0,
         )
 
 
@@ -376,7 +376,7 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
     xs_omega, noisy_omega = run.observe(uT, delta_abs, seed, local=True)
     report = local_reconstruct(xs_omega, noisy_omega, delta_abs, run.pipeline(l2, h01))
     err_local, bound = (u0 - report.g).l2(), report.selection.bound
-    local_ok = err_local <= bound and report.consistency_ok and report.k_consistent
+    local_ok = err_local <= bound and report.consistency_ok
     rows.append(row("local", report.epsilon, report.selection.alpha, bound, err_local, local_ok))
 
     observed = project(xs_full, noisy_full, basis)

@@ -109,7 +109,6 @@ class PipelineConfig:
     l2_prior: float
     h01_prior: float
     zeta_mode: str = "paper"
-    k_scale: float = 1.0  # != 1 builds the bank with a deliberately wrong weight
 
     def __post_init__(self):
         if not 1 <= self.n_bank <= self.basis.size:
@@ -120,19 +119,16 @@ class PipelineConfig:
             raise ValueError("priors must be positive")
 
 
-def _chain_eps_k(cfg: PipelineConfig, delta: float) -> tuple[float, float]:
-    """eps from select_epsilon and k from weight_from_chain at noise level delta."""
+def control_setup(cfg: PipelineConfig, delta: float) -> ControlSetup:
+    """The control problem the chain certifies at noise level delta: eps from
+    select_epsilon and k from weight_from_chain."""
     chain = cfg.chain
     if not math.isfinite(chain.c1):  # c3 overflows only when c1 does
         raise ConfigError("constant chain overflows double range; use constants_mode = empirical")
     eps = select_epsilon(delta, cfg.T, chain.c3, chain.c4, cfg.l2_prior)
-    return eps, weight_from_chain(chain, cfg.T, eps)
-
-
-def control_setup(cfg: PipelineConfig, delta: float) -> ControlSetup:
-    """The control problem the chain certifies at noise level delta, with the
-    chain's own k whatever cfg.k_scale is."""
-    return ControlSetup(cfg.basis, cfg.T, cfg.profile, cfg.gram, *_chain_eps_k(cfg, delta))
+    return ControlSetup(
+        cfg.basis, cfg.T, cfg.profile, cfg.gram, eps, weight_from_chain(chain, cfg.T, eps)
+    )
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,7 @@ class ReconstructionReport:
 
     g: SpectralField
     epsilon: float
-    k_used: float
-    k_chain: float
+    k: float
     selection: FilterSelection
     claimed_delta: float
     certified_delta: float
@@ -151,11 +146,6 @@ class ReconstructionReport:
     def consistency_ok(self) -> bool:
         """Claimed aggregate dominates the certified one (validity of the bound)."""
         return self.certified_delta <= self.claimed_delta * (1.0 + 1e-9)
-
-    @property
-    def k_consistent(self) -> bool:
-        """Bank weight agrees with the constants chain it claims to come from."""
-        return abs(self.k_used - self.k_chain) <= 1e-9 * self.k_chain
 
 
 def assemble_fbar(
@@ -246,15 +236,13 @@ def local_reconstruct(
     if not delta < cfg.l2_prior:
         raise ConfigError(f"needs delta < |u0|_L2 prior, got {delta} >= {cfg.l2_prior}")
     weights = observation_weights(xs, cfg.subdomain, cfg.basis)
-    eps, k_chain = _chain_eps_k(cfg, delta)
-    # one setup: k_chain * 1.0 is k_chain, and a sabotaged bank uses the wrong k
-    setup = ControlSetup(cfg.basis, cfg.T, cfg.profile, cfg.gram, eps, k_chain * cfg.k_scale)
+    setup = control_setup(cfg, delta)
     bank = control_mode_bank(setup, cfg.n_bank)
     fbar, psi_norms, h_qnorms = assemble_fbar(bank, setup, xs, values, weights)
 
     chain = cfg.chain
     claimed = effective_delta_3T(
-        delta, eps, cfg.T, cfg.profile, cfg.l2_prior, cfg.basis, chain.c3, chain.c4
+        delta, setup.eps, cfg.T, cfg.profile, cfg.l2_prior, cfg.basis, chain.c3, chain.c4
     )
     certified = certified_delta_3T(setup, psi_norms, h_qnorms, delta, cfg.l2_prior)
 
@@ -272,9 +260,8 @@ def local_reconstruct(
         g = apply_filter(fbar, sel.alpha, horizon, cfg.profile)
     return ReconstructionReport(
         g=g,
-        epsilon=eps,
-        k_used=setup.k,
-        k_chain=k_chain,
+        epsilon=setup.eps,
+        k=setup.k,
         selection=sel,
         claimed_delta=claimed,
         certified_delta=certified,

@@ -204,9 +204,7 @@ def test_criterion_07_local_backward():
             err = (u0 - rep.g).l2()
             errs.append(err)
             envelopes.append(err * math.sqrt(math.log(l2 / dabs)))
-            violations += (
-                err > rep.selection.bound or not (rep.consistency_ok and rep.k_consistent)
-            )
+            violations += err > rep.selection.bound or not rep.consistency_ok
         medians.append(float(np.median(errs)))
     env_ratio = max(envelopes) / min(envelopes)
     monotone = all(a >= b - 1e-12 for a, b in zip(medians, medians[1:]))

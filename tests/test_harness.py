@@ -25,7 +25,7 @@ from heatback import (
     run_sweep,
     save_config,
 )
-from heatback import harness
+from heatback import harness, pipeline
 from heatback.cli import _apply_overrides, build_parser
 from heatback.cli import main as cli_main
 from heatback.control import ControlSetup
@@ -75,9 +75,33 @@ class TestConfigParsing:
         assert cfg.omega_b == 1.0
         assert cfg.grid >= 8 * cfg.modes
 
-    def test_unknown_key_rejected_with_line(self):
-        with pytest.raises(ConfigError, match="line 2.*mystery"):
-            parse_config_text("length = 1.0\nmystery = 3\nT = 0.1\ndelta_list = 1e-3\n")
+    def test_unknown_key_rejected_with_line(self, tmp_path, capsys):
+        # sabotage was a key once; an old config that still sets it is misuse
+        for key, value in (("mystery", "3"), ("sabotage", "k")):
+            text = f"length = 1.0\n{key} = {value}\nT = 0.1\ndelta_list = 1e-3\n"
+            with pytest.raises(ConfigError, match=f"line 2.*{key}"):
+                parse_config_text(text)
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(text)
+            assert cli_main(["sweep", "--config", str(path)]) == 1
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["-1e-5", "0.0"])
+    @pytest.mark.parametrize("key", ["delta", "prior_l2", "prior_h01"])
+    def test_nonpositive_absolute_key_names_it(self, key, bad, tmp_path, capsys):
+        values = {"delta": "1e-5", "prior_l2": "1.0", "prior_h01": "4.0", key: bad}
+        text = SWEEP_CFG + "".join(f"{k} = {v}\n" for k, v in values.items())
+        with pytest.raises(ConfigError, match=f"^{key} must be positive"):
+            parse_config_text(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("x,value\n0.4,0.0\n0.5,0.0\n")
+        out = tmp_path / "r.csv"
+        args = ["--config", str(path), "--observation", str(obs), "--out", str(out)]
+        assert cli_main(["local-backward", *args]) == 1
+        assert f"configuration error: {key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="delta_list"):
@@ -236,6 +260,13 @@ def sweep_rows():
     return run_sweep(parse_config_text(SWEEP_CFG))
 
 
+@pytest.fixture()
+def wrong_weight(monkeypatch):
+    """Build every control setup with 1e-9 times the chain's weight k."""
+    real = pipeline.weight_from_chain
+    monkeypatch.setattr(pipeline, "weight_from_chain", lambda c, T, e: 1e-9 * real(c, T, e))
+
+
 class TestSweep:
     @pytest.fixture()
     def rows(self, sweep_rows):
@@ -288,11 +319,11 @@ class TestSweep:
         assert rows_to_csv(run_sweep(cfg, parallel=2)) == expected
         assert threads == [threading.get_ident()] * 4
 
-    def test_sabotage_flags_rows(self):
-        cfg = parse_config_text(SWEEP_CFG + "sabotage = k\n")
-        rows = run_sweep(cfg)
+    def test_sabotage_flags_rows(self, wrong_weight):
+        rows = run_sweep(parse_config_text(SWEEP_CFG))
         local_rows = [r for r in rows if r["method"] == "local"]
-        assert local_rows and not any(r["bound_ok"] for r in local_rows)
+        assert len(local_rows) == 4 and not any(r["bound_ok"] for r in local_rows)
+        assert all(r["bound_ok"] for r in rows if r["method"] != "local")
 
 
 def _sweep_outcome(cfg) -> str:
@@ -444,17 +475,14 @@ class TestCli:
         assert cli_main(["sweep", "--config", cfg_path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_sweep_sabotage_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "sab.cfg"
-        path.write_text(SWEEP_CFG + "sabotage = k\n")
+    def test_sweep_sabotage_exits_two(self, cfg_path, tmp_path, capsys, wrong_weight):
         out = tmp_path / "sab.csv"
-        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert cli_main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
 
-    def test_sweep_exit_two_lists_every_failing_row(self, tmp_path, capsys):
-        path = tmp_path / "sab.cfg"
-        path.write_text(SWEEP_CFG + "sabotage = k\n")
+    def test_sweep_exit_two_lists_every_failing_row(self, cfg_path, tmp_path, capsys,
+                                                    wrong_weight):
         out = tmp_path / "sab.csv"
-        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert cli_main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         bad = [line.split(",") for line in out.read_text().splitlines()[1:]
                if line.split(",")[6] == "false"]
@@ -462,6 +490,12 @@ class TestCli:
         assert err.startswith("certified inequality violated: 4 sweep rows violate")
         for cells in bad:
             assert f"{cells[1]} row at delta={float(cells[0])}" in err
+
+    def test_local_backward_wrong_weight_exits_two(self, cfg_path, tmp_path, capsys,
+                                                    wrong_weight):
+        out = tmp_path / "r.csv"
+        assert cli_main(["local-backward", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "transfer certificate failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("parallel", ["0", "2"])
     def test_sweep_parallel_is_a_usage_error(self, parallel, cfg_path, capsys):
@@ -665,23 +699,10 @@ class TestCli:
         uT = evolve(u0, 0.0, cfg.T, run.profile)
         xs, values = run.observe(uT, delta_abs, [cfg.seed, 0], local=True)
         report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
-        assert (setup.eps, setup.k) == (report.epsilon, report.k_chain)
+        assert (setup.eps, setup.k) == (report.epsilon, report.k)
 
-    def test_control_certifies_the_chain_weight_under_sabotage(self, tmp_path):
-        # sabotage scales only the local reconstruction's bank weight
-        outs = []
-        for sabotage in ("none", "k"):
-            path = tmp_path / f"{sabotage}.cfg"
-            path.write_text(DEMO_16 + f"sabotage = {sabotage}\n")
-            out = tmp_path / f"{sabotage}.csv"
-            assert cli_main(["control", "--config", str(path), "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def _local_report(self, text, monkeypatch):
-        """local_reconstruct on trial 0 of a config, and the k of each
-        ControlSetup it built."""
-        cfg = parse_config_text(text)
+    def test_local_reconstruct_builds_one_control_setup(self, monkeypatch):
+        cfg = parse_config_text(DEMO_16)
         run = harness.Run(cfg)
         u0 = run.truth()
         l2, h01 = u0.l2(), u0.h01()
@@ -695,32 +716,8 @@ class TestCli:
             post_init(setup)
 
         monkeypatch.setattr(ControlSetup, "__post_init__", counted)
-        return local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01)), built
-
-    def test_local_reconstruct_builds_one_control_setup(self, monkeypatch):
-        report, built = self._local_report(DEMO_16, monkeypatch)
-        assert built == [report.k_chain] and report.k_used == report.k_chain
-
-    def test_sabotaged_bank_alone_uses_the_scaled_weight(self, monkeypatch, tmp_path, capsys):
-        report, built = self._local_report(DEMO_16 + "sabotage = k\n", monkeypatch)
-        assert built == [report.k_used] and report.k_used == 1e-9 * report.k_chain
-        assert not report.k_consistent
-        outs = {}
-        for sabotage in ("none", "k"):
-            path = tmp_path / f"{sabotage}.cfg"
-            path.write_text(DEMO_16 + f"sabotage = {sabotage}\n")
-            out = tmp_path / f"{sabotage}.csv"
-            assert cli_main(["control", "--config", str(path), "--out", str(out)]) == 0
-            outs[sabotage] = out.read_bytes()
-        # heatback control certifies the chain's weight, sabotaged or not
-        assert outs["k"] == outs["none"]
-        capsys.readouterr()
-        sweep = ["sweep", "--config", str(tmp_path / "k.cfg"), "--out", str(tmp_path / "s.csv")]
-        assert cli_main(sweep) == 2
-        err = capsys.readouterr().err
-        # each of the 3 trials' local row, and no other row
-        assert err.startswith("certified inequality violated: 3 sweep rows violate")
-        assert err.count("local row at delta=") == 3
+        report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
+        assert built == [report.k]
 
     def test_reports_match_the_sweep_rows(self, cfg_path, tmp_path, sweep_rows):
         # trial 0 at the first noise level: the same seeds as a synthetic CLI run

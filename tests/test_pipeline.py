@@ -21,6 +21,7 @@ from heatback import (
     synthesize_initial,
     uniform_grid,
 )
+from heatback import pipeline
 from heatback.control import ControlSetup, ControlSolution
 from heatback.harness import inject_noise
 from heatback.pipeline import (
@@ -53,9 +54,9 @@ def local_setup(basis64, sub_mid, profile_constant):
     }
 
 
-def _pipe_cfg(basis, profile, sub, setup, l2, h01, **kw):
+def _pipe_cfg(basis, profile, sub, setup, l2, h01):
     return PipelineConfig(
-        basis, setup["T"], profile, sub, setup["gram"], 32, setup["chain"], l2, h01, **kw
+        basis, setup["T"], profile, sub, setup["gram"], 32, setup["chain"], l2, h01
     )
 
 
@@ -199,7 +200,7 @@ class TestLocalReconstruct:
                 err = (u0 - rep.g).l2()
                 errs.append(err)
                 assert err <= rep.selection.bound
-                assert rep.consistency_ok and rep.k_consistent
+                assert rep.consistency_ok
                 if seed == 0:
                     bounds_seed0.append(rep.selection.bound)
             medians.append(float(np.median(errs)))
@@ -226,7 +227,7 @@ class TestLocalReconstruct:
                 noisy = inject_noise(evolve(u0, 0.0, T, prof).evaluate(xs), dabs, [1, 0, 1], w)
                 rep = local_reconstruct(xs, noisy, dabs, cfg)
                 assert (u0 - rep.g).l2() <= rep.selection.bound
-                assert rep.consistency_ok and rep.k_consistent
+                assert rep.consistency_ok
 
     def test_linearity_in_observation(self, basis64, sub_mid, profile_constant, local_setup):
         xs = local_setup["xs"]
@@ -307,19 +308,25 @@ class TestLocalReconstruct:
         direct = evolve(project(xs, f_vals, basis64), T, 3.0 * T, profile_constant)
         assert (fbar - direct).l2() <= 1e-8
 
-    def test_sabotaged_weight_is_flagged(self, basis64, sub_mid, profile_constant, local_setup):
+    def test_sabotaged_weight_is_flagged(
+        self, basis64, sub_mid, profile_constant, local_setup, monkeypatch
+    ):
+        # a bank built with 1e-9 times the chain's weight leaves controls too
+        # large for the claimed aggregate, and the certified one shows it
+        monkeypatch.setattr(
+            pipeline, "weight_from_chain", lambda c, T, e: 1e-9 * weight_from_chain(c, T, e)
+        )
         xs, w = local_setup["xs"], local_setup["weights"]
         u0 = synthesize_initial(basis64, 3.0, 1)
         l2, h01 = u0.l2(), u0.h01()
         dabs = 1e-5 * l2
-        cfg = _pipe_cfg(
-            basis64, profile_constant, sub_mid, local_setup, l2, h01, k_scale=1e-9
-        )
+        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, l2, h01)
         noisy = inject_noise(
             evolve(u0, 0.0, local_setup["T"], profile_constant).evaluate(xs), dabs, [1, 0, 1], w
         )
         rep = local_reconstruct(xs, noisy, dabs, cfg)
-        assert not rep.k_consistent
+        assert rep.certified_delta > rep.claimed_delta
+        assert not rep.consistency_ok
 
     def test_rejects_delta_at_prior(self, basis64, sub_mid, profile_constant, local_setup):
         cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, 1.0, math.pi)
