@@ -167,7 +167,11 @@ def select_alpha(
     p2tau = profile.p2 * horizon
     z = default_zeta(lambda1, profile.p2, horizon) if zeta is None else float(zeta)
     if z <= 0.0:
-        raise ValueError("zeta must be positive")
+        # both zeta rules divide by 2 lambda_1 p2 tau, which overflows first
+        raise ValueError(
+            f"zeta = {z} must be positive (lambda1 p2 tau = {lambda1 * p2tau:.6g}): lower the "
+            "diffusivity (p_base, p_slope, p_amp) or T"
+        )
 
     log_arg = math.sqrt(2.0 * z * lambda1 * p2tau) * l2_prior / effective_delta
     if log_arg <= 1.0:

@@ -197,7 +197,7 @@ def fit_empirical_constants(
     if not np.any(keep):
         raise ValueError(
             f"empirical constants: every sampled field decays to zero by T = {T}, "
-            "so there is nothing to fit"
+            "so there is nothing to fit; lower T or the diffusivity (p_base, p_slope, p_amp)"
         )
     z = np.log(np.linalg.norm(V0[keep], axis=1)) + shift[keep] * math.log(2.0)
     xs = np.log(l2_omega[keep]) - z

@@ -485,7 +485,8 @@ class TestActiveBlock:
         a, b = omega[0] * length, min(max(omega[1], omega[0] + 0.05), 1.0) * length
         basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
         G = gram_subdomain(Subdomain(a, b), basis)
-        profile = DiffusionProfile(kind, 1.0, 0.1, 0.2, 1.0, 2.0 * T)
+        args = {"constant": (1.0,), "affine": (1.0, 0.1), "sinusoidal": (1.0, 0.2, 1.0)}[kind]
+        profile = getattr(DiffusionProfile, kind)(*args, 2.0 * T)
         dT = basis.decay(profile, 0.0, T)
         # k from the drawn condition number k^2 |D_T G D_T| / eps^2, up to 1e3, a
         # range in which the optimality identity is resolvable in float64

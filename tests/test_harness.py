@@ -341,13 +341,16 @@ class TestGeometryMemo:
     def test_second_sweep_builds_no_matrix_gram_or_chain(self, monkeypatch):
         from heatback import spectral
 
-        # (config, later sweeps as (noise level, seed, trials)); the second is
-        # the benchmark's sweep, whose timed ops cycle through three noise
-        # levels with fresh seeds on the README demo geometry at N 256
+        # (config, later sweeps as the fields they change); the second is the
+        # benchmark's sweep, whose timed ops cycle through three noise levels
+        # with fresh seeds on the README demo geometry at N 256; the third
+        # changes only terms that a constant profile leaves out
         bench = DEMO_16.replace("modes = 16", "modes = 256\nbank = 32\ntrials = 2")
         inputs = [
-            (SWEEP_CFG, [(1e-8, 7, 1)]),
-            (bench, [(1e-4, 2, 2), (1e-6, 4, 2), (1e-8, 6, 2)]),
+            (SWEEP_CFG, [dict(delta_list=(1e-8,), seed=7, trials=1)]),
+            (bench, [dict(delta_list=(d,), seed=s, trials=2)
+                     for d, s in ((1e-4, 2), (1e-6, 4), (1e-8, 6))]),
+            (DEMO_16, [dict(p_slope=0.3), dict(p_amp=0.5), dict(p_freq=2.0)]),
         ]
         calls = []
 
@@ -366,10 +369,10 @@ class TestGeometryMemo:
                 spy(patch, spectral, "_sine_matrix")
                 spy(patch, harness, "gram_subdomain")
                 spy(patch, harness, "fit_empirical_constants")
-                # the memo serves any change of noise level, seed or trials
+                # the memo serves any change of noise level, seed, trials or unused term
                 assert rows_to_csv(run_sweep(cfg)) == first
-                for delta, seed, trials in later:
-                    run_sweep(replace(cfg, delta_list=(delta,), seed=seed, trials=trials))
+                for changes in later:
+                    run_sweep(replace(cfg, **changes))
             assert calls == [], text
 
     # (field, base overrides under which the field moves the outcome, new value);
@@ -520,6 +523,24 @@ class TestCli:
             assert cli_main(["sweep", "--config", str(path)]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "decays to zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile", ["p_base = 1e308\n", "profile = affine\np_slope = 1e308\n"],
+                             ids=["p_base", "p_slope"])
+    @pytest.mark.parametrize("command", ["sweep", "constants", "local-backward", "global-backward"])
+    def test_overflowing_diffusivity_names_the_profile_keys(self, profile, command, tmp_path,
+                                                            capsys):
+        # lambda_i int_0^T p overflows: each decay factor is the 0 it would
+        # underflow to, with no warning, and the run that needs u(T) names the
+        # keys that set the diffusivity and T
+        path = tmp_path / "huge_p.cfg"
+        path.write_text(DEMO_16 + profile)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert all(key in err for key in ("p_base", "p_slope", "p_amp", " T"))
 
     @pytest.mark.parametrize("command", ["local-backward", "control", "sweep", "global-backward"])
     def test_vanishing_T_names_T(self, command, tmp_path, capsys):

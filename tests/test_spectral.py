@@ -348,6 +348,8 @@ class TestProfiles:
     def test_constant_integral(self):
         p = DiffusionProfile.constant(1.0, 1.0)
         assert p.integral(0.0, 0.3) == pytest.approx(0.3, rel=1e-15)
+        # t^2 overflows here; the absent slope term must not turn that into NaN
+        assert DiffusionProfile.constant(2.0, 3e200).integral(1e200, 2e200) == 2e200
 
     def test_sinusoidal_antiderivative(self):
         p = DiffusionProfile.sinusoidal(1.0, 0.2, 1.0, 2.0)
@@ -360,9 +362,14 @@ class TestProfiles:
         assert p.integral(0.2, 0.5) == pytest.approx(0.3105, rel=1e-14)
 
     def test_bounds_sandwich_integral(self, profile_sinusoidal):
-        p = profile_sinusoidal
-        val = p.integral(0.1, 1.7)
-        assert p.p1 * 1.6 <= val <= p.p2 * 1.6
+        mixed = DiffusionProfile(1.0, -0.2, 0.3, 4.0, 3.0)  # a linear and a periodic term
+        for p in (profile_sinusoidal, mixed):
+            val = p.integral(0.1, 1.7)
+            assert p.p1 * 1.6 <= val <= p.p2 * 1.6
+            # p1, p2 and dp_inf bound p and each difference quotient of it on [0, horizon]
+            ts = np.linspace(0.0, p.horizon, 2001)
+            assert np.all((p.p1 <= p(ts)) & (p(ts) <= p.p2))
+            assert np.max(np.abs(np.diff(p(ts)) / np.diff(ts))) <= p.dp_inf
 
     def test_rejects_reversed_interval(self, profile_constant):
         with pytest.raises(ValueError):
@@ -375,8 +382,21 @@ class TestProfiles:
             profile_sinusoidal.integral(t0, t1)
 
     def test_rejects_nonpositive_profile(self):
-        with pytest.raises(ValueError):
-            DiffusionProfile.sinusoidal(0.1, 0.5, 1.0, 1.0)
+        P = DiffusionProfile
+        # min and max skip a NaN, so only a finiteness test stops one
+        cases = [
+            (P.sinusoidal, (0.1, 0.5, 1.0, 1.0), "not uniformly positive"),
+            (P.affine, (1.0, -1.0, 1.0), "not uniformly positive"),
+            (P.constant, (1.0, 0.0), "horizon must be positive"),
+            (P.constant, (NAN, 1.0), "base must be finite"),
+            (P.affine, (1.0, NAN, 1.0), "slope must be finite"),
+            (P.sinusoidal, (1.0, NAN, 1.0, 1.0), "amp must be finite"),
+            (P.sinusoidal, (1.0, 0.2, math.inf, 1.0), "freq must be finite"),
+            (P.constant, (1.0, NAN), "horizon must be finite"),
+        ]
+        for make, args, match in cases:
+            with pytest.raises(ValueError, match=match):
+                make(*args)
 
     def test_constant_kind_has_zero_derivative_bound(self, profile_constant):
         assert profile_constant.dp_inf == 0.0
