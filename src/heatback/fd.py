@@ -12,9 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .spectral import DiffusionProfile, DomainSpec, SpectralField
+
+_gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du.
+
+    One LAPACK gtsv call, the routine scipy.linalg.solve_banded((1, 1), ...)
+    calls, without its wrapping.  All four arrays are overwritten; the
+    solution is returned in b's memory.  Inputs are not checked for finiteness.
+    """
+    x, info = _gtsv(dl, d, du, b, True, True, True, True)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 @dataclass(frozen=True)
@@ -59,7 +74,9 @@ def fd_evolve(
     of full steps, which would match Crank-Nicolson's own on smooth data.
     The rest are Crank-Nicolson of equal length over the remaining time,
     solving (I + r A) u_new = (I - r A) u_old.  Here A = tridiag(-1, 2, -1)/dx^2
-    and r = 0.5 * step * p(step midpoint).
+    and r = 0.5 * step * p(step midpoint).  Each step's tridiagonal solve is
+    one direct LAPACK gtsv call (this module's `solve_banded`), bit for bit the result
+    of scipy.linalg.solve_banded((1, 1), ...), which calls the same routine.
 
     Finiteness is checked outside the loop, not by each solve: `initial` and
     every r before the first step, the result after the last.  A NaN or inf
@@ -94,7 +111,8 @@ def fd_evolve(
     r_olds = 0.5 * rs
     r_news[n_implicit:] = r_olds[n_implicit:]
     r_olds[:n_implicit] = 0.0
-    ab = np.zeros((3, grid.interior))
+    # the diagonals of I + r_new tridiag(-1, 2, -1)
+    dl, d, du = np.empty(u.size - 1), np.empty(u.size), np.empty(u.size - 1)
     rhs = np.empty_like(u)  # swaps with u every step
     side = np.empty(u.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -102,14 +120,12 @@ def fd_evolve(
             np.multiply(u, 1.0 - 2.0 * r_old, out=rhs)
             rhs[:-1] += np.multiply(u[1:], r_old, out=side)
             rhs[1:] += np.multiply(u[:-1], r_old, out=side)
-            ab[0, 1:] = -r_new
-            ab[1, :] = 1.0 + 2.0 * r_new
-            ab[2, :-1] = -r_new
-            # every step refills ab and rhs, so the solver may factor in place
-            # and return the solution in rhs's memory
-            u, rhs = solve_banded(
-                (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-            ), u
+            dl.fill(-r_new)
+            d.fill(1.0 + 2.0 * r_new)
+            du.fill(-r_new)
+            # every step refills the diagonals and rhs, so gtsv may factor in
+            # place and return the solution in rhs's memory
+            u, rhs = solve_banded(dl, d, du, rhs), u
     if not np.isfinite(u).all():
         raise ValueError(
             f"fd_evolve: the solution overflowed to a non-finite value (t={t}, steps={steps})"

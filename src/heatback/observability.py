@@ -131,12 +131,24 @@ def constants_convex(
             f"smallness condition violated: R^2 = {R * R} >= 2 p1^2/|p'|_inf = "
             f"{2.0 * p1 * p1 / dp}"
         )
-    eC1 = math.exp(C1)
+    try:
+        eC1 = math.exp(C1)
+    except OverflowError:
+        raise ValueError(
+            f"e^C1 overflows at C1 = 3 |p'|_inf / p1 = {C1}; lower the diffusivity's "
+            "variation (p_slope, p_amp, p_freq) against p_base"
+        ) from None
     if C0 == 0.0:
         ell = (2.0 ** (2.0 + xi) * R * R * eC1 / (xi * _LN32 * r * r)) ** (1.0 / (1.0 - xi)) - 1.0
         S_ell = eC1 * math.log1p(ell) / _LN32
     else:
         shrink = 1.0 - (2.0 / 3.0) ** C0
+        if shrink == 0.0:
+            raise ValueError(
+                f"1 - (2/3)^C0 rounds to 0 at C0 = {C0}: the diffusivity's derivative bound "
+                f"|p'|_inf = {dp} is positive but too small for the paper chain; make p "
+                "constant or raise its variation (p_slope, p_amp, p_freq)"
+            )
         ell = (4.0 * R * R * eC1 / (r * r * shrink)) ** (1.0 / (1.0 - C0)) - 1.0
         S_ell = eC1 * (1.0 + ell) ** C0 / shrink
     one_plus_S = 1.0 + S_ell

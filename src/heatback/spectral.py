@@ -116,6 +116,11 @@ class DiffusionProfile:
                 raise ValueError(f"profile {name} must be finite, got {value}")
         if not self.horizon > 0.0:
             raise ValueError(f"profile horizon must be positive, got {self.horizon}")
+        if self.freq != 0.0 and not math.isfinite(self.amp / self.freq):
+            raise ValueError(
+                f"profile amp / freq = {self.amp} / {self.freq} overflows, so the integral of p "
+                "is not finite; lower p_amp or raise p_freq"
+            )
         ends = (self.base, self.base + self.slope * self.horizon)
         p1 = min(ends) - abs(self.amp)
         if not p1 > 0.0:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from heatback import (
-    DiffusionProfile, FDGrid, SpectralField, evolve, fd_evolve, oracle_gap, synthesize_initial,
+    DiffusionProfile, FDGrid, SpectralField, evolve, fd, fd_evolve, oracle_gap, synthesize_initial,
 )
 
 
@@ -100,7 +100,7 @@ class TestFDEvolve:
         with pytest.raises(ValueError, match=r"profile horizon 0\.75, got t=" + str(t)):
             fd_evolve(grid, v, DiffusionProfile.constant(1.0, 0.75), t, 50)
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 400])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 400, 2000])
     @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
     def test_equals_the_per_step_loop(self, grid, basis64, kind, steps, request):
         # the vectorized schedule (cumsum of the preceding steps, one profile
@@ -127,11 +127,35 @@ class TestFDEvolve:
         with pytest.raises(ValueError, match="fd_evolve: the solution overflowed"):
             fd_evolve(grid, v, profile_constant, 0.1, steps)
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 50])
+    def test_one_tridiagonal_solve_per_step(self, grid, profile_affine, steps, monkeypatch):
+        # fd_evolve looks solve_banded up in its module on every step, where
+        # perfbench's tracer wraps it and expects one call per step
+        calls = []
+        solve = fd.solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fd, "solve_banded", counted)
+        v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))
+        fd_evolve(grid, v, profile_affine, 0.1, steps)
+        assert len(calls) == steps
+
     def test_leaves_its_input_untouched(self, grid, profile_constant):
         v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))
         before = v.copy()
         fd_evolve(grid, v, profile_constant, 0.1, 5)
         np.testing.assert_array_equal(v, before)
+
+
+class TestSolveBanded:
+    def test_zero_pivot_raises(self):
+        # the first pivot d[0] is 0 and the sub-diagonal below it too, so no row swap helps
+        d = np.array([0.0, 1.0, 1.0])
+        with pytest.raises(LinAlgError, match="singular matrix"):
+            fd.solve_banded(np.zeros(2), d, np.ones(2), np.ones(3))
 
 
 class TestOracleGap:

@@ -542,6 +542,38 @@ class TestCli:
         assert rc == 1 and err.count("\n") == 1
         assert all(key in err for key in ("p_base", "p_slope", "p_amp", " T"))
 
+    @pytest.mark.parametrize("command", ["forward", "oracle-check", "sweep", "constants"])
+    def test_overflowing_amp_over_freq_names_the_keys(self, command, tmp_path, capsys):
+        # amp / freq overflows, so int p would be NaN: forward wrote NaN
+        # coefficients and oracle-check reported a false disagreement
+        path = tmp_path / "tiny_freq.cfg"
+        path.write_text(
+            DEMO_16 + "profile = sinusoidal\np_base = 10\np_amp = 5\np_freq = 2.3e-308\n"
+        )
+        out = tmp_path / "o.csv"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "p_amp" in err and "p_freq" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "profile", ["p_freq = 1e-16\n", "p_base = 1000\np_amp = 1\np_freq = 1e6\n"],
+        ids=["vanishing_shrink", "overflowing_exp"],
+    )
+    def test_unrepresentable_paper_chain_names_the_profile_keys(self, profile, tmp_path, capsys):
+        # a positive derivative bound too small for 1 - (2/3)^C0, or one that
+        # overflows e^C1, was ZeroDivisionError or OverflowError (exit 3)
+        path = tmp_path / "paper.cfg"
+        path.write_text(
+            DEMO_16.replace("omega_a = 0.3", "omega_a = 0.0").replace("empirical", "paper")
+            + "profile = sinusoidal\n" + profile
+        )
+        out = tmp_path / "o.csv"
+        assert cli_main(["constants", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("p_slope", "p_amp", "p_freq"))
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["local-backward", "control", "sweep", "global-backward"])
     def test_vanishing_T_names_T(self, command, tmp_path, capsys):
         path = tmp_path / "tiny_T.cfg"

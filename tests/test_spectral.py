@@ -398,6 +398,15 @@ class TestProfiles:
             with pytest.raises(ValueError, match=match):
                 make(*args)
 
+    def test_rejects_overflowing_amp_over_freq(self):
+        # the integral's amp / freq term would be inf * 0 = NaN at every time
+        match = r"amp / freq = 5\.0 / 2\.3e-308 overflows.*p_amp.*p_freq"
+        with pytest.raises(ValueError, match=match):
+            DiffusionProfile.sinusoidal(10.0, 5.0, 2.3e-308, 1.0)
+        # a finite quotient, however large, is kept
+        p = DiffusionProfile.sinusoidal(10.0, 5.0, 1e-300, 1.0)
+        assert p.integral(0.0, 0.5) == pytest.approx(5.0, rel=1e-15)
+
     def test_constant_kind_has_zero_derivative_bound(self, profile_constant):
         assert profile_constant.dp_inf == 0.0
 
