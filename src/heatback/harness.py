@@ -296,13 +296,9 @@ class Run:
         The noise has quadrature norm ``delta_abs`` and is seeded by
         ``[*seed, 1]`` on omega and ``[*seed, 0]`` on the whole domain.
         """
-        cfg = self.cfg
-        if local:
-            xs = uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid)
-            weights = observation_weights(xs, self.subdomain, self.basis)
-        else:
-            xs = uniform_grid(0.0, cfg.length, cfg.grid)
-            weights = observation_weights(xs, Subdomain.full(self.domain), self.basis)
+        sub = self.subdomain if local else Subdomain.full(self.domain)
+        xs = uniform_grid(sub.a, sub.b, self.cfg.obs_grid if local else self.cfg.grid)
+        weights = observation_weights(xs, sub, self.basis)
         return xs, inject_noise(uT.evaluate(xs), delta_abs, [*seed, int(local)], weights)
 
     @property
@@ -349,9 +345,9 @@ def csv_text(columns, rows) -> str:
     return "\r\n".join(out) + "\r\n"
 
 
-def rows_to_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
-    """CSV of dict rows, one column per key in ``columns``."""
-    return csv_text(columns, ([row.get(col) for col in columns] for row in rows))
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV of sweep rows, one column per key in ``SWEEP_COLUMNS``."""
+    return csv_text(SWEEP_COLUMNS, ([row.get(col) for col in SWEEP_COLUMNS] for row in rows))
 
 
 def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:

@@ -254,6 +254,26 @@ class TestInjectNoise:
         with pytest.raises(ValueError):
             inject_noise(np.zeros(4), 0.0, [0], np.ones(4))
 
+    def test_run_observe_samples_both_grids(self):
+        cfg = parse_config_text(DEMO_16)
+        run = harness.Run(cfg)
+        u0 = run.truth()
+        uT = evolve(u0, 0.0, cfg.T, run.profile)
+        delta_abs, seed = 1e-4 * u0.l2(), [cfg.seed, 0]
+        grids = {False: uniform_grid(0.0, cfg.length, cfg.grid),
+                 True: uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid)}
+        for local, expected_xs in grids.items():
+            xs, noisy = run.observe(uT, delta_abs, seed, local)
+            np.testing.assert_array_equal(xs, expected_xs)
+            clean = uT.evaluate(xs)
+            w = simpson_weights(xs.size, xs[1] - xs[0])
+            measured = math.sqrt(float(np.sum(w * (noisy - clean) ** 2)))
+            assert measured == pytest.approx(delta_abs, rel=1e-12)
+            # the full grid draws from [*seed, 0], the omega grid from [*seed, 1]
+            own, other = [*seed, int(local)], [*seed, 1 - int(local)]
+            np.testing.assert_array_equal(noisy, inject_noise(clean, delta_abs, own, w))
+            assert not np.array_equal(noisy, inject_noise(clean, delta_abs, other, w))
+
 
 @pytest.fixture(scope="module")
 def sweep_rows():
