@@ -34,12 +34,33 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .errors import ConfigError
-from .spectral import DiffusionProfile, EigenBasis
+from .spectral import DiffusionProfile, EigenBasis, lapack
 
 _REL_SLACK = 1e-12  # float slack on certified inequalities
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a by one LAPACK potrf call, bit for bit
+    scipy.linalg.cho_factor(a, check_finite=False)[0]; a is not overwritten.
+    A leading minor that is not positive definite raises LinAlgError."""
+    c, info = lapack("potrf")(a, lower=False, clean=False)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"potrf: illegal value in argument {-info}")
+    return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve c' c x = b for cho_factor's c by one LAPACK potrs call, bit for
+    bit scipy.linalg.cho_solve((c, False), b, check_finite=False)."""
+    x, info = lapack("potrs")(c, b, lower=False)
+    if info != 0:
+        raise ValueError(f"potrs: illegal value in argument {-info}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -117,6 +138,9 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     triangular solve, and then c = 0 on the block gives b = 0, psi = D_2T phi0
     and h = 0 in closed form; M_a is still factored once per solve.
 
+    M_a is factored by one LAPACK potrf call and each solve is one potrs call
+    (cho_factor, cho_solve: bit for bit scipy.linalg's functions of those
+    names); a block potrf rejects raises a ConfigError naming eps and k.
     Finiteness is checked once per solve rather than by every LAPACK call:
     phi0 on entry (a ValueError naming phi0), M_a when the setup was built,
     and c on exit (a ConfigError naming eps and k).
@@ -131,7 +155,7 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     M, m = setup.system, setup.active
     rhs = setup.decay_to_2T * phi0
     try:
-        factor = cho_factor(M, check_finite=False)
+        factor = cho_factor(M)
     except LinAlgError as exc:
         raise ConfigError(
             f"control system numerically singular (eps={setup.eps}, k={setup.k}): {exc}"
@@ -146,7 +170,7 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         if res_norm <= 0.25e-12 * eps2 * math.sqrt(c @ c) or res_norm >= 0.5 * best:
             break
         best = res_norm
-        c_a += cho_solve(factor, resid, check_finite=False)
+        c_a += cho_solve(factor, resid)
         resid = rhs_a - M @ c_a
     if not np.isfinite(c).all():
         raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")

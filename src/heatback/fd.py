@@ -12,21 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
-from .spectral import DiffusionProfile, DomainSpec, SpectralField
-
-_gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
+from .spectral import DiffusionProfile, DomainSpec, SpectralField, lapack
 
 
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du.
 
-    One LAPACK gtsv call, the routine scipy.linalg.solve_banded((1, 1), ...)
-    calls, without its wrapping.  All four arrays are overwritten; the
-    solution is returned in b's memory.  Inputs are not checked for finiteness.
+    One LAPACK gtsv call (from spectral.lapack, so the first one imports
+    scipy.linalg), the routine scipy.linalg.solve_banded((1, 1), ...) calls,
+    without its wrapping.  All four arrays are overwritten; the solution is
+    returned in b's memory.  Inputs are not checked for finiteness.
     """
-    x, info = _gtsv(dl, d, du, b, True, True, True, True)[3:]
+    x, info = lapack("gtsv")(dl, d, du, b, True, True, True, True)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     return x

@@ -226,10 +226,11 @@ def inject_noise(
 class _Geometry:
     """The basis, Gram matrix and constants chain of one geometry.
 
-    None of them depends on the noise levels, seed, trials or bank, so
-    ``_geometry`` keeps the last one a process used, with its basis's sine
-    matrices.  The Gram matrix (read-only) and the chain are built on first
-    use, so a command that needs neither never builds them.
+    None of them depends on the noise levels, seed, trials or bank, and only
+    the paper chain reads x0 and xi, so ``_geometry`` keeps the last one a
+    process used, with its basis's sine matrices.  The Gram matrix
+    (read-only) and the chain are built on first use, so a command that
+    needs neither never builds them.
     """
 
     def __init__(self, domain, modes, subdomain, profile, T, constants_mode, xi):
@@ -265,8 +266,9 @@ class Run:
 
     The basis, Gram matrix and constants chain come from ``_geometry``, so
     the runs of one geometry in a process share them: a sweep that differs
-    from the last only in noise levels, seed, trials or bank builds none of
-    them again.  The Gram matrix and the chain are built on first use.
+    from the last only in noise levels, seed, trials or bank, or in x0 or xi
+    under the empirical fit, builds none of them again.  The Gram matrix and
+    the chain are built on first use.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -280,9 +282,12 @@ class Run:
             cfg.p_base, cfg.p_slope if affine else 0.0, cfg.p_amp if sinusoidal else 0.0,
             cfg.p_freq if sinusoidal else 0.0, 3.0 * cfg.T,
         )
+        # only the paper chain reads x0 and xi, so under the empirical fit they
+        # key no memo entry either: the basis reads the length alone
+        paper = cfg.constants_mode == "paper"
         self._geo = _geometry(
-            self.domain, cfg.modes, self.subdomain, self.profile, cfg.T, cfg.constants_mode,
-            cfg.xi,
+            self.domain if paper else DomainSpec(cfg.length, 0.5 * cfg.length), cfg.modes,
+            self.subdomain, self.profile, cfg.T, cfg.constants_mode, cfg.xi if paper else None,
         )
         self.basis = self._geo.basis
 

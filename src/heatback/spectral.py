@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -411,3 +412,16 @@ def synthesize_initial(basis: EigenBasis, decay: float, seed: int) -> SpectralFi
     i = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore"):  # i**decay = inf: that mode is 0
         return SpectralField(basis, signs * mags / i**decay)
+
+
+@cache
+def lapack(name: str):
+    """The float64 LAPACK routine ``name`` as scipy wraps it, bound once.
+
+    The one source of LAPACK in the package (the control bank's Cholesky and
+    the oracle's tridiagonal solves).  scipy.linalg is imported on the first
+    call, so the spectral route alone never loads it.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs((name,), dtype=np.float64)[0]

@@ -220,6 +220,37 @@ class TestSolve:
         with pytest.raises(ConfigError, match=re.escape(f"eps={eps}, k={k}")):
             ControlSetup(basis16, 0.3, profile_constant, G, eps=eps, k=k)
 
+    def test_indefinite_block_is_a_named_config_error(self, basis16, sub_mid, profile_constant):
+        # an M_a built by ControlSetup is positive definite, so an indefinite
+        # block is put in its place: potrf's info > 0 must reach the caller as
+        # the ConfigError naming eps and k, not as LAPACK's LinAlgError
+        setup = ControlSetup(basis16, 0.3, profile_constant, gram_subdomain(sub_mid, basis16),
+                             eps=0.2, k=4.0)
+        assert setup.active >= 2
+        indefinite = setup.system.copy()
+        indefinite[1, 1] = -indefinite[1, 1]
+        object.__setattr__(setup, "system", indefinite)
+        with pytest.raises(ConfigError, match=re.escape(
+            "control system numerically singular (eps=0.2, k=4.0): 2-th leading minor"
+        )) as info:
+            solve_control(setup, np.ones(16))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_direct_lapack_calls_match_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 4, 18):
+            A = rng.standard_normal((n, n))
+            M = A @ A.T + 1e-6 * np.eye(n)
+            M.flags.writeable = False  # as ControlSetup.system is
+            b = rng.standard_normal(n)
+            b0 = b.copy()
+            c = heatback.control.cho_factor(M)
+            ref = cho_factor(M, check_finite=False)
+            assert c.tobytes() == ref[0].tobytes() and ref[1] is False
+            x = heatback.control.cho_solve(c, b)
+            assert x.tobytes() == cho_solve(ref, b, check_finite=False).tobytes()
+            assert np.array_equal(b, b0)  # potrs leaves b as it was
+
 
 class TestVariational:
     def test_gradient_matches_central_differences(self, setup64):

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -395,6 +398,23 @@ class TestGeometryMemo:
                     run_sweep(replace(cfg, **changes))
             assert calls == [], text
 
+    def test_empirical_chain_is_not_keyed_by_x0_or_xi(self, monkeypatch):
+        # x0 and xi reach only the paper chain, so sweeps that differ only in
+        # them fit the empirical chain once and write the same bytes
+        fits = []
+        fit = harness.fit_empirical_constants
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_empirical_constants", spy)
+        cfg = parse_config_text(DEMO_16)
+        outputs = {rows_to_csv(run_sweep(replace(cfg, **changes)))
+                   for changes in ({}, dict(xi=0.3), dict(x0=0.45))}
+        assert len(fits) == 1
+        assert len(outputs) == 1
+
     # (field, base overrides under which the field moves the outcome, new value);
     # x0 and xi reach only the paper chain, which overflows on a subinterval,
     # so for them the outcome is the error that names the chain's constants
@@ -468,6 +488,41 @@ class TestCli:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+    # the spectral route runs on numpy alone; LAPACK, and with it scipy.linalg,
+    # is bound on the first Cholesky or tridiagonal solve
+    SPECTRAL_ROUTE = """
+import contextlib, io, sys
+import numpy as np
+import heatback, heatback.cli
+from heatback import (ControlSetup, DiffusionProfile, DomainSpec, EigenBasis, FDGrid,
+                      Subdomain, fd_evolve, gram_subdomain, solve_control)
+
+cfg, out, first_lapack_call = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in (["global-backward", "--out", out], ["forward", "--out", out], ["constants"]):
+        assert heatback.cli.main([*command, "--config", cfg]) == 0, command
+assert "scipy.linalg" not in sys.modules
+domain, profile = DomainSpec.unit(), DiffusionProfile.constant(1.0, 0.75)
+if first_lapack_call == "solve_control":
+    basis = EigenBasis(domain, 8)
+    setup = ControlSetup(basis, 0.25, profile, gram_subdomain(Subdomain(0.3, 0.7), basis), 0.1, 1.0)
+    solve_control(setup, np.ones(8))
+else:
+    fd_evolve(FDGrid(domain, 64), np.ones(64), profile, 0.1, 4)
+assert "scipy.linalg" in sys.modules
+"""
+
+    @pytest.mark.parametrize("first_lapack_call", ["solve_control", "fd_evolve"])
+    def test_spectral_route_never_imports_scipy(self, cfg_path, tmp_path, first_lapack_call):
+        # a fresh interpreter: this suite's own modules import scipy
+        src = str(Path(harness.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SPECTRAL_ROUTE, cfg_path, str(tmp_path / "out.csv"),
+             first_lapack_call],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_constants_subcommand(self, cfg_path, capsys):
         assert cli_main(["constants", "--config", cfg_path]) == 0
