@@ -36,7 +36,6 @@ from .observability import (
     ObservabilityConstants,
     chain_full_domain,
     constants_convex,
-    derive_c_chain,
     fit_empirical_constants,
 )
 from .control import (

@@ -104,7 +104,10 @@ def fd_evolve(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rs = dts * profile(starts + 0.5 * dts) / grid.dx**2
     if not np.isfinite(rs).all():
-        raise ValueError(f"fd_evolve: step coefficient r overflows (dx={grid.dx}, t={t})")
+        raise ValueError(
+            f"fd_evolve: step coefficient r = dt p / dx^2 overflows (dx={grid.dx}, t={t}); lower "
+            "the diffusivity (p_base, p_slope, p_amp) or T, or raise length"
+        )
     # (r_new, r_old) is (r, 0) for backward Euler and (r / 2, r / 2) for Crank-Nicolson
     r_news = rs.copy()
     r_olds = 0.5 * rs

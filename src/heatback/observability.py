@@ -15,7 +15,7 @@ and an empirical fitting mode is provided as a desk-scale diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +33,20 @@ LN_OVERFLOW = 700.0  # exp beyond this is reported as inf, log value kept
 _LN32 = math.log(1.5)
 
 
+def _exp_or_inf(ln_x: float) -> float:
+    return math.inf if ln_x > LN_OVERFLOW else math.exp(ln_x)
+
+
 @dataclass(frozen=True)
 class ObservabilityConstants:
-    """Observation-estimate constants and the derived chain.
+    """Observation-estimate constants and the chain derived from them.
 
     mode is "convex" for the explicit geometric construction, "full" for the
     trivial whole-domain case (K = 1, mu = 1/2), or "empirical" for fitted
-    diagnostics.  c1 and c3 may be inf as floats; ln_c1 / ln_c3 stay finite.
+    diagnostics.  On construction the Young-inequality step gives
+    c1 = max(mu K^{2/mu} (1-mu)^{(1-mu)/mu}, 2K/mu), c2 = c4 = (1-mu)/mu and
+    c3 = max(sqrt(c1), c1/2), evaluated in log space: K, c1 and c3 may be inf
+    as floats, while ln_K, ln_c1 and ln_c3 stay finite.
     """
 
     mode: str
@@ -48,62 +55,29 @@ class ObservabilityConstants:
     xi: float | None
     ell: float | None
     S_ell: float | None
-    K: float
+    K: float = field(init=False)
     ln_K: float
     mu: float
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    ln_c1: float
-    ln_c3: float
+    c1: float = field(init=False)
+    c2: float = field(init=False)
+    c3: float = field(init=False)
+    c4: float = field(init=False)
+    ln_c1: float = field(init=False)
+    ln_c3: float = field(init=False)
 
-
-def _exp_or_inf(ln_x: float) -> float:
-    return math.inf if ln_x > LN_OVERFLOW else math.exp(ln_x)
-
-
-def _chain_from_log(ln_K: float, mu: float):
-    """(ln_c1, c2, ln_c3, c4) from the Young-inequality constants."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    ln_c1 = max(
-        math.log(mu) + (2.0 / mu) * ln_K + ((1.0 - mu) / mu) * math.log1p(-mu),
-        math.log(2.0) + ln_K - math.log(mu),
-    )
-    c2 = (1.0 - mu) / mu
-    ln_c3 = max(0.5 * ln_c1, ln_c1 - math.log(2.0))
-    return ln_c1, c2, ln_c3, c2
-
-
-def derive_c_chain(K: float, mu: float):
-    """Chain (c1, c2, c3, c4): c1 = max(mu K^{2/mu} (1-mu)^{(1-mu)/mu}, 2K/mu),
-    c2 = (1-mu)/mu, c3 = max(sqrt(c1), c1/2), c4 = c2.  Evaluated in log space."""
-    if K <= 0.0:
-        raise ValueError(f"K must be positive, got {K}")
-    ln_c1, c2, ln_c3, c4 = _chain_from_log(math.log(K), mu)
-    return _exp_or_inf(ln_c1), c2, _exp_or_inf(ln_c3), c4
-
-
-def _build(mode, C0, C1, xi, ell, S_ell, ln_K, mu) -> ObservabilityConstants:
-    ln_c1, c2, ln_c3, c4 = _chain_from_log(ln_K, mu)
-    return ObservabilityConstants(
-        mode=mode,
-        C0=C0,
-        C1=C1,
-        xi=xi,
-        ell=ell,
-        S_ell=S_ell,
-        K=_exp_or_inf(ln_K),
-        ln_K=ln_K,
-        mu=mu,
-        c1=_exp_or_inf(ln_c1),
-        c2=c2,
-        c3=_exp_or_inf(ln_c3),
-        c4=c4,
-        ln_c1=ln_c1,
-        ln_c3=ln_c3,
-    )
+    def __post_init__(self):
+        mu, ln_K = self.mu, self.ln_K
+        if not 0.0 < mu < 1.0:
+            raise ValueError(f"mu must lie in (0, 1), got {mu}")
+        ln_c1 = max(
+            math.log(mu) + (2.0 / mu) * ln_K + ((1.0 - mu) / mu) * math.log1p(-mu),
+            math.log(2.0) + ln_K - math.log(mu),
+        )
+        ln_c3 = max(0.5 * ln_c1, ln_c1 - math.log(2.0))
+        c2 = (1.0 - mu) / mu
+        for name, value in (("K", _exp_or_inf(ln_K)), ("c1", _exp_or_inf(ln_c1)), ("c2", c2),
+                            ("c3", _exp_or_inf(ln_c3)), ("c4", c2), ("ln_c1", ln_c1), ("ln_c3", ln_c3)):
+            object.__setattr__(self, name, value)
 
 
 def constants_convex(
@@ -162,7 +136,7 @@ def constants_convex(
     ln_K_alt = math.log(r * r * ell / (4.0 * p1 * one_plus_S))
     ln_K = max(ln_K_main, ln_K_alt)
     mu = 1.0 / (2.0 * one_plus_S)
-    return _build("convex", C0, C1, xi, ell, S_ell, ln_K, mu)
+    return ObservabilityConstants("convex", C0, C1, xi, ell, S_ell, ln_K, mu)
 
 
 def chain_full_domain() -> ObservabilityConstants:
@@ -172,7 +146,7 @@ def chain_full_domain() -> ObservabilityConstants:
     |v(T)| <= |v(0)|, which any K >= 1 satisfies; the resulting chain is
     (c1, c2, c3, c4) = (4, 1, 2, 1).
     """
-    return _build("full", 0.0, 0.0, None, None, None, 0.0, 0.5)
+    return ObservabilityConstants("full", 0.0, 0.0, None, None, None, 0.0, 0.5)
 
 
 def fit_empirical_constants(
@@ -223,5 +197,5 @@ def fit_empirical_constants(
     c = intercept - math.log(T)
     v = newton_down(lambda v: v + math.exp(v) - c, lambda v: 1.0 + math.exp(v),
                     c if c <= 1.0 else math.log(c))
-    return _build("empirical", 0.0, 0.0, None, None, None, v + math.log(T), mu)
+    return ObservabilityConstants("empirical", 0.0, 0.0, None, None, None, v + math.log(T), mu)
 

@@ -219,7 +219,10 @@ def paper_zeta(
         + k1 * (math.log(c4) + math.log(c3) + c3 / T)
     )
     if 2.0 * ln_P > 700.0:
-        raise ConfigError("transfer prefactor overflows; use default zeta mode")
+        raise ConfigError(
+            f"transfer prefactor P overflows zeta = P^2 / (2 lambda1 p2 T): 2 ln P = "
+            f"{2.0 * ln_P:.6g} > 700; set zeta_mode = default"
+        )
     return math.exp(2.0 * ln_P) / (2.0 * basis.lambda1 * profile.p2 * T)
 
 

@@ -20,7 +20,6 @@ from heatback import (
     chain_full_domain,
     constants_convex,
     control_mode_bank,
-    derive_c_chain,
     eval_A,
     eval_B,
     evolve,
@@ -278,8 +277,9 @@ def test_criterion_09_observability_checks():
 def test_criterion_10_constants_chain():
     c = constants_convex(DOMAIN, 0.2, P_CONST)
     zeroes = c.C0 == 0.0 and c.C1 == 0.0
-    chain = derive_c_chain(1.0, 0.5)
-    chain_ok = all(
+    full = chain_full_domain()  # K = 1, mu = 1/2
+    chain = (full.c1, full.c2, full.c3, full.c4)
+    chain_ok = (full.K, full.mu) == (1.0, 0.5) and all(
         abs(a - b) <= 1e-12 * b for a, b in zip(chain, (4.0, 1.0, 2.0, 1.0))
     )
     radii = np.linspace(0.05, 0.45, 10)

@@ -473,6 +473,11 @@ class TestCsvEmission:
         )
 
 
+def csv_rows(path) -> list[dict]:
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 class TestCli:
     @pytest.fixture()
     def cfg_path(self, tmp_path):
@@ -807,6 +812,18 @@ assert "scipy.linalg" in sys.modules
         assert cli_main(["oracle-check", "--config", str(path), "--out", str(out)]) == 0
         assert out.read_text().count("true") == 2
 
+    def test_oracle_check_overflowing_step_names_the_keys(self, tmp_path, capsys):
+        # the oracle's grid is fixed, so r = dt p / dx^2 overflows on the
+        # diffusivity, T and length alone
+        path = tmp_path / "huge_p.cfg"
+        path.write_text(DEMO_16 + "p_base = 1e308\n")
+        out = tmp_path / "o.csv"
+        assert cli_main(["oracle-check", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "step coefficient r" in err
+        assert all(key in err for key in ("p_base", "p_slope", "p_amp", " T", "length"))
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "global-backward"])
     def test_huge_decay_leaves_one_mode(self, command, tmp_path):
         # i**decay overflows past the first mode; under the suite's filter a
@@ -920,9 +937,68 @@ assert "scipy.linalg" in sys.modules
         header = rep.read_text().splitlines()[0]
         assert header == "delta,epsilon,effective_delta,alpha,bound,error"
 
+    def test_default_zeta_changes_only_the_local_bound(self, tmp_path, capsys):
+        # zeta enters the bound alone: the field, eps and alpha are the same
+        # under both modes, and each mode's bound covers the error
+        runs = {}
+        for mode in ("paper", "default"):
+            path = tmp_path / f"{mode}.cfg"
+            path.write_text(SWEEP_CFG + f"zeta_mode = {mode}\n")
+            field, report, sweep = (tmp_path / f"{mode}_{name}.csv"
+                                    for name in ("field", "report", "sweep"))
+            assert cli_main(["local-backward", "--config", str(path), "--out", str(field),
+                             "--report", str(report)]) == 0
+            assert cli_main(["sweep", "--config", str(path), "--out", str(sweep)]) == 0
+            rows = csv_rows(report) + [row for row in csv_rows(sweep) if row["method"] == "local"]
+            assert len(rows) == 5
+            assert all(float(row["bound"]) >= float(row["error"]) for row in rows)
+            runs[mode] = field.read_bytes(), rows
+        (paper_field, paper_rows), (default_field, default_rows) = runs.values()
+        assert paper_field == default_field
+        for paper, default in zip(paper_rows, default_rows):
+            assert {key: paper[key] for key in ("epsilon", "alpha", "error")} == {
+                key: default[key] for key in ("epsilon", "alpha", "error")}
+            assert paper["bound"] != default["bound"]
+
     def test_global_backward_synthetic(self, cfg_path, tmp_path, capsys):
         rec = tmp_path / "g.csv"
         assert cli_main(["global-backward", "--config", cfg_path, "--out", str(rec)]) == 0
+
+    @pytest.mark.parametrize("command", ["global-backward", "local-backward"])
+    def test_absolute_delta_sets_the_synthetic_noise(self, command, tmp_path, capsys):
+        # without --observation the seeded truth is sampled, with noise of the
+        # absolute delta key rather than delta_list[0] * |u0|
+        path = tmp_path / "abs.cfg"
+        path.write_text(SWEEP_CFG + "delta = 3e-5\n")
+        rep = tmp_path / "rep.csv"
+        args = [command, "--config", str(path), "--out", str(tmp_path / "g.csv"), "--report", str(rep)]
+        assert cli_main(args) == 0
+        assert [float(row["delta"]) for row in csv_rows(rep)] == [3e-5]
+
+    def test_absolute_delta_sets_the_emitted_noise(self, tmp_path, capsys):
+        path = tmp_path / "abs.cfg"
+        path.write_text(SWEEP_CFG + "delta = 3e-5\n")
+        obs = tmp_path / "obs.csv"
+        assert cli_main(["forward", "--config", str(path), "--out", str(tmp_path / "f.csv"),
+                         "--emit-observation", str(obs)]) == 0
+        xs, noisy = np.loadtxt(obs, delimiter=",", skiprows=1, unpack=True)
+        cfg = load_config(str(path))
+        np.testing.assert_array_equal(xs, uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid))
+        run = harness.Run(cfg)
+        clean = evolve(run.truth(), 0.0, cfg.T, run.profile).evaluate(xs)
+        w = simpson_weights(xs.size, xs[1] - xs[0])
+        assert math.sqrt(float(np.sum(w * (noisy - clean) ** 2))) == pytest.approx(3e-5, rel=1e-12)
+
+    def test_no_noise_level_names_both_keys(self, tmp_path, capsys):
+        path = tmp_path / "no_delta.cfg"
+        path.write_text(SWEEP_CFG.replace("delta_list = 1e-4, 1e-6", "delta_list ="))
+        out = tmp_path / "g.csv"
+        assert cli_main(["global-backward", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "delta_list" in err and "absolute delta key" in err
+        assert not out.exists()
+        # forward needs a noise level only for --emit-observation
+        assert cli_main(["forward", "--config", str(path), "--out", str(out)]) == 0
 
     def test_control_subcommand(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "ctl.csv"

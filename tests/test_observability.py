@@ -8,10 +8,10 @@ import pytest
 from heatback import (
     DiffusionProfile,
     DomainSpec,
+    ObservabilityConstants,
     Subdomain,
     chain_full_domain,
     constants_convex,
-    derive_c_chain,
     evolve,
     fit_empirical_constants,
     gram_subdomain,
@@ -71,27 +71,33 @@ class TestConstantsConvex:
             assert a.mu < b.mu
 
 
+def chain_of(K, mu):
+    """(c1, c2, c3, c4) that ObservabilityConstants derives from a given (K, mu)."""
+    c = ObservabilityConstants("empirical", 0.0, 0.0, None, None, None, math.log(K), mu)
+    return c.c1, c.c2, c.c3, c.c4
+
+
 class TestChainDerivation:
     def test_hand_example(self):
-        c1, c2, c3, c4 = derive_c_chain(1.0, 0.5)
+        c1, c2, c3, c4 = chain_of(1.0, 0.5)
         assert c1 == pytest.approx(4.0, rel=1e-14)
         assert c2 == pytest.approx(1.0, rel=1e-14)
         assert c3 == pytest.approx(2.0, rel=1e-14)
         assert c4 == pytest.approx(1.0, rel=1e-14)
 
     def test_c2_grows_as_mu_shrinks(self):
-        c2s = [derive_c_chain(2.0, mu)[1] for mu in (0.4, 0.2, 0.1, 0.05)]
+        c2s = [chain_of(2.0, mu)[1] for mu in (0.4, 0.2, 0.1, 0.05)]
         assert all(a < b for a, b in zip(c2s, c2s[1:]))
 
     def test_c3_crossover(self):
         # c3 = sqrt(c1) below c1 = 4 and c1/2 above
         for K, mu in ((1.2, 0.6), (0.5, 0.5)):
-            c1, _, c3, _ = derive_c_chain(K, mu)
+            c1, _, c3, _ = chain_of(K, mu)
             if c1 <= 4.0:
                 assert c3 == pytest.approx(math.sqrt(c1), rel=1e-13)
             else:
                 assert c3 == pytest.approx(c1 / 2.0, rel=1e-13)
-        c1, _, c3, _ = derive_c_chain(40.0, 0.5)
+        c1, _, c3, _ = chain_of(40.0, 0.5)
         assert c1 > 4.0 and c3 == pytest.approx(c1 / 2.0, rel=1e-13)
 
     def test_overflow_reported_in_log_space(self, unit_domain, profile_constant):
@@ -101,7 +107,7 @@ class TestChainDerivation:
 
     def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
-            derive_c_chain(1.0, 1.5)
+            chain_of(1.0, 1.5)
 
 
 class TestFullDomainChain:

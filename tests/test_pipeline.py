@@ -373,6 +373,16 @@ class TestPaperZeta:
         k1 = 1.0 / (1.0 + chain.c4)
         assert arg == pytest.approx(math.sqrt(3.0) * (l2 / delta) ** k1, rel=1e-10)
 
+    def test_overflow_names_the_zeta_mode_key(self, basis64, profile_constant):
+        # c3 / T = 1200 puts 2 ln P past 700, where P^2 overflows
+        T, c3, c4 = 0.25, 300.0, 1.0
+        two_ln_P = 2.0 * (math.log(sw_prefactor(basis64, profile_constant, T)) + math.log(2.0)
+                          + 0.5 * (math.log(c3) + c3 / T))
+        with pytest.raises(ConfigError) as caught:
+            paper_zeta(basis64, profile_constant, T, c3, c4)
+        assert f"2 ln P = {two_ln_P:.6g} > 700" in str(caught.value)
+        assert str(caught.value).endswith("set zeta_mode = default")
+
 
 class TestSampleGridCheck:
     """project and local_reconstruct run one Simpson-grid check, with one tolerance."""
