@@ -402,12 +402,9 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
     if not cfg.delta_list:
         return []
     run = Run(cfg)
-    levels = range(len(cfg.delta_list))
-    results = [_sweep_cell(run, di, trial) for di in levels for trial in range(cfg.trials)]
-    # cells run delta-major; rows go out delta-major, then by method, then by trial
-    return [
-        results[di * cfg.trials + trial][m]
-        for di in levels
-        for m in range(3)
-        for trial in range(cfg.trials)
-    ]
+    rows = []
+    for di in range(len(cfg.delta_list)):
+        # rows go out delta-major, then by method, then by trial
+        cells = [_sweep_cell(run, di, trial) for trial in range(cfg.trials)]
+        rows += [cell[m] for m in range(3) for cell in cells]
+    return rows

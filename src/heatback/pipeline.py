@@ -29,7 +29,7 @@ import numpy as np
 
 from .control import ControlSetup, ControlSolution, control_mode_bank, h_values
 from .errors import ConfigError
-from .filtering import FilterSelection, apply_filter, default_zeta, require_finite, select_alpha
+from .filtering import FilterSelection, apply_filter, require_finite, select_alpha
 from .observability import ObservabilityConstants
 from .spectral import (
     DiffusionProfile,
@@ -250,10 +250,9 @@ def local_reconstruct(
     certified = certified_delta_3T(setup, psi_norms, h_qnorms, delta, cfg.l2_prior)
 
     horizon = 3.0 * cfg.T
+    zeta = None  # select_alpha's default_zeta(lambda1, p2, horizon)
     if cfg.zeta_mode == "paper":
         zeta = paper_zeta(cfg.basis, cfg.profile, cfg.T, chain.c3, chain.c4)
-    else:
-        zeta = default_zeta(cfg.basis.lambda1, cfg.profile.p2, horizon)
     sel = select_alpha(
         horizon, cfg.profile, cfg.basis.lambda1, cfg.h01_prior, claimed, cfg.l2_prior, zeta
     )

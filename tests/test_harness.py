@@ -1007,6 +1007,58 @@ assert "scipy.linalg" in sys.modules
         assert header == "i,h_norm,psi_norm,eps_bound_ok,h_bound_ok"
         assert len(out.read_text().strip().splitlines()) == 17
 
+    def test_control_failing_bound_exits_two_after_the_csv(self, tmp_path, capsys):
+        # on this narrow omega the empirical chain's eps and k miss two certificates
+        path = tmp_path / "narrow.cfg"
+        path.write_text(
+            "length = 1.0\nT = 0.05\ndelta_list = 1e-8\nomega_a = 0.45\nomega_b = 0.55\n"
+            "modes = 128\nconstants_mode = empirical\n"
+        )
+        out = tmp_path / "ctl.csv"
+        assert cli_main(["control", "--config", str(path), "--out", str(out)]) == 2
+        rows = csv_rows(out)
+        assert len(rows) == 32 and [row["i"] for row in rows] == [str(i) for i in range(1, 33)]
+        failing = [(row["i"], name) for row in rows for name in ("eps_bound_ok", "h_bound_ok")
+                   if row[name] == "false"]
+        assert failing == [("1", "h_bound_ok"), ("2", "eps_bound_ok")]
+        err = capsys.readouterr().err
+        assert err == ("certified inequality violated: control certificates failed: "
+                       "mode 1 h_bound_ok, mode 2 eps_bound_ok\n")
+
+    def test_sweep_writes_the_out_key(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(SWEEP_CFG + f"out = {tmp_path / 's.csv'}\n")
+        assert cli_main(["sweep", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert csv_rows(tmp_path / "s.csv")[0]["method"] == "global"
+
+    def test_out_flag_overrides_the_out_key(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(SWEEP_CFG + f"out = {tmp_path / 's.csv'}\n")
+        flag = tmp_path / "flag.csv"
+        assert cli_main(["sweep", "--config", str(path), "--out", str(flag)]) == 0
+        assert capsys.readouterr().out == ""
+        assert flag.exists() and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("forward", {"--emit-observation"}),
+        ("global-backward", {"--observation", "--report"}),
+        ("control", set()),
+        ("local-backward", {"--observation", "--report"}),
+        ("constants", set()),
+        ("sweep", set()),
+        ("oracle-check", set()),
+    ])
+    def test_subcommand_help_lists_its_flags(self, command, extra, capsys):
+        assert cli_main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: heatback {command} ")
+        common = {"--help", "--config", "--out", "--seed", "--modes"}
+        assert set(re.findall(r"--[a-z-]+", text)) == common | extra
+        usage = text.split("\n\n")[0]
+        assert "--config CONFIG" in usage and "[--config" not in usage
+        assert ("[--out OUT]" not in usage) == (command == "control")
+
     def test_external_observation_requires_priors(self, cfg_path, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         cli_main(["forward", "--config", cfg_path, "--out", str(tmp_path / "f.csv"),
