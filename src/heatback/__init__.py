@@ -54,4 +54,4 @@ from .pipeline import (
     local_reconstruct,
     select_epsilon,
 )
-from .harness import ExperimentConfig, inject_noise, load_config, run_sweep, save_config
+from .harness import ExperimentConfig, inject_noise, load_config, run_sweep

@@ -66,18 +66,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.modes is not None:
-        # the default grids for the new order, unless the config's are finer
-        fresh = replace(
-            cfg, modes=args.modes, bank=min(cfg.bank, args.modes), grid=None, obs_grid=None
-        )
-        cfg = replace(
-            fresh, grid=max(fresh.grid, cfg.grid), obs_grid=max(fresh.obs_grid, cfg.obs_grid)
-        )
+        cfg = replace(cfg, modes=args.modes, bank=min(cfg.bank, args.modes))
     return cfg
 
 
 def _first_delta_abs(cfg: ExperimentConfig, l2: float) -> float:
     if cfg.delta is not None:
+        # as for delta_list: such noise is below the roundoff already in u(T)
+        floor = sys.float_info.epsilon * l2
+        if cfg.delta < floor:
+            raise ConfigError(f"delta = {cfg.delta!r} is below float64 roundoff of |u0|, {floor!r}")
         return cfg.delta
     if not cfg.delta_list:
         raise ConfigError("need a nonempty delta_list or an absolute delta key")
@@ -133,6 +131,12 @@ def _cmd_backward(cfg: ExperimentConfig, args, local: bool) -> int:
         raise BoundViolation(
             f"transfer certificate failed: certified {report.certified_delta} vs "
             f"claimed {report.claimed_delta}"
+        )
+    # honest priors and delta give |g| <= |u0| + |u0 - g| <= prior_l2 + bound
+    if u0 is None and (norm := math.hypot(*g.coeffs)) > cfg.prior_l2 + sel.bound:
+        raise BoundViolation(
+            f"|g| = {norm} exceeds prior_l2 + bound = {cfg.prior_l2 + sel.bound}: "
+            "the data contradict the prior_l2, prior_h01 or delta keys"
         )
     if error is not None and error > sel.bound:
         raise BoundViolation(f"reconstruction error {error} exceeds certified bound {sel.bound}")

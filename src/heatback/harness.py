@@ -1,14 +1,13 @@
 """Experiment configuration, calibrated noise injection, and sweep orchestration.
 
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
-are rejected and every default is filled in when a config is built, so that
-emitting and reloading a config reproduces it exactly.  A ``Run`` builds the
-basis, profile, grids, noisy samples, Gram matrix and constants chain that a
-config describes; the parts that depend only on the geometry are kept for the
-last geometry a process used (``_geometry``).  Sweeps run the global
-solver, the local pipeline, and a spectral-truncation baseline over a
-noise-level grid and emit one deterministic CSV; any falsified certified
-inequality is reported per row and escalated by the CLI.
+are rejected and every default is filled in when a config is built.  A
+``Run`` builds the basis, profile, grids, noisy samples, Gram matrix and
+constants chain that a config describes; the parts that depend only on the
+geometry are kept for the last geometry a process used (``_geometry``).
+Sweeps run the global solver, the local pipeline, and a spectral-truncation
+baseline over a noise-level grid and emit one deterministic CSV; any falsified
+certified inequality is reported per row and escalated by the CLI.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ _CHOICES = {
 }
 
 
-def _even_ceil(x: float) -> int:
-    n = int(math.ceil(x))
-    return n + n % 2
-
-
 def _check(ok: bool, message: str):
     if not ok:
         raise ConfigError(message)
@@ -67,11 +61,11 @@ class ExperimentConfig:
     """One experiment; each field is the config key of the same name and type.
 
     A field without a default is a required key.  The keys whose default
-    depends on other keys (``x0``, ``omega_b``, ``bank``, ``grid``,
-    ``obs_grid``) default to None and are filled in on construction, which
-    also checks every value, so neither parsing nor ``dataclasses.replace``
-    can build a config that fails a check.  ``delta``, ``prior_l2``,
-    ``prior_h01`` and ``out`` may stay unset.
+    depends on other keys (``x0``, ``omega_b``, ``bank``) default to None and
+    are filled in on construction, which also checks every value, so neither
+    parsing nor ``dataclasses.replace`` can build a config that fails a
+    check.  ``delta``, ``prior_l2``, ``prior_h01`` and ``out`` may stay
+    unset.  The sample grids are no keys: ``panels`` derives them.
     """
 
     length: float
@@ -93,8 +87,6 @@ class ExperimentConfig:
     constants_mode: str = "paper"
     zeta_mode: str = "paper"
     xi: float = 0.5
-    grid: int | None = None
-    obs_grid: int | None = None
     delta: float | None = None
     prior_l2: float | None = None
     prior_h01: float | None = None
@@ -129,15 +121,14 @@ class ExperimentConfig:
         _check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         a, b = self.omega_a, self.omega_b
         _check(0.0 <= a < b <= self.length, f"need 0 <= omega_a < omega_b <= length, got {a, b}")
-        self._fill(
-            grid=_even_ceil(16 * modes),
-            obs_grid=max(64, _even_ceil(16 * modes * (b - a) / self.length)),
-        )
-        _check(
-            self.grid % 2 == 0 and self.grid >= 8 * modes,
-            f"grid must be even and >= 8*modes = {8 * modes}, got {self.grid}",
-        )
-        _check(self.obs_grid % 2 == 0, f"obs_grid must be even, got {self.obs_grid}")
+
+    def panels(self, local: bool) -> int:
+        """Simpson panels of the full grid, 16 per mode, or of the omega grid
+        (``local``): its share of them by length, rounded up to even, >= 64."""
+        if not local:
+            return 16 * self.modes
+        n = math.ceil(16 * self.modes * (self.omega_b - self.omega_a) / self.length)
+        return max(64, n + n % 2)
 
     def _fill(self, **defaults):
         for key, value in defaults.items():
@@ -186,26 +177,6 @@ def load_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config_text(text)
-
-
-def config_text(cfg: ExperimentConfig) -> str:
-    """Serialize a config so that parsing the text reproduces it exactly."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name == "delta_list":
-            value = ", ".join(repr(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: ExperimentConfig, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
 
 
 def inject_noise(
@@ -302,7 +273,7 @@ class Run:
         ``[*seed, 1]`` on omega and ``[*seed, 0]`` on the whole domain.
         """
         sub = self.subdomain if local else Subdomain.full(self.domain)
-        xs = uniform_grid(sub.a, sub.b, self.cfg.obs_grid if local else self.cfg.grid)
+        xs = uniform_grid(sub.a, sub.b, self.cfg.panels(local))
         weights = observation_weights(xs, sub, self.basis)
         return xs, inject_noise(uT.evaluate(xs), delta_abs, [*seed, int(local)], weights)
 

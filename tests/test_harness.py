@@ -26,7 +26,6 @@ from heatback import (
     load_config,
     local_reconstruct,
     run_sweep,
-    save_config,
 )
 from heatback import harness, pipeline
 from heatback.cli import _apply_overrides, build_parser
@@ -76,11 +75,13 @@ class TestConfigParsing:
         assert cfg.zeta_mode == "paper"
         assert cfg.modes == 64
         assert cfg.omega_b == 1.0
-        assert cfg.grid >= 8 * cfg.modes
+        assert cfg.panels(local=False) == cfg.panels(local=True) == 16 * cfg.modes
 
     def test_unknown_key_rejected_with_line(self, tmp_path, capsys):
-        # sabotage was a key once; an old config that still sets it is misuse
-        for key, value in (("mystery", "3"), ("sabotage", "k")):
+        # sabotage, grid and obs_grid were keys once; an old config that still
+        # sets one is misuse
+        keys = (("mystery", "3"), ("sabotage", "k"), ("grid", "2000"), ("obs_grid", "20"))
+        for key, value in keys:
             text = f"length = 1.0\n{key} = {value}\nT = 0.1\ndelta_list = 1e-3\n"
             with pytest.raises(ConfigError, match=f"line 2.*{key}"):
                 parse_config_text(text)
@@ -126,12 +127,6 @@ class TestConfigParsing:
         cfg = parse_config_text("# header\n\nlength = 1.0  # trailing\nT = 0.25\ndelta_list = 1e-4\n")
         assert cfg.length == 1.0
 
-    def test_round_trip(self, tmp_path):
-        cfg = parse_config_text(SWEEP_CFG)
-        path = tmp_path / "rt.cfg"
-        save_config(cfg, str(path))
-        assert load_config(str(path)) == cfg
-
     def test_empty_delta_list_allowed(self):
         cfg = parse_config_text("length = 1.0\nT = 0.25\ndelta_list =\n")
         assert cfg.delta_list == ()
@@ -174,20 +169,20 @@ class TestOverrides:
 
     @pytest.mark.parametrize("geometry", ["", "omega_a = 0.3\nomega_b = 0.7\n"])
     def test_modes_gives_the_grids_of_the_config_key(self, geometry):
-        cfg = self.overridden(MINIMAL + geometry + "modes = 8\n", "--modes", "40")
-        parsed = parse_config_text(MINIMAL + geometry + "modes = 40\nbank = 8\n")
-        assert cfg == parsed
+        # up from 8 keeps the bank of 8; down from 40 caps its bank of 32 at 16
+        for before, after, bank in ((8, 40, 8), (40, 16, 16)):
+            cfg = self.overridden(MINIMAL + geometry + f"modes = {before}\n", "--modes", str(after))
+            parsed = parse_config_text(MINIMAL + geometry + f"modes = {after}\nbank = {bank}\n")
+            assert cfg == parsed
+            assert cfg.panels(local=False) == 16 * after
 
     def test_modes_obs_grid_matches_parsing(self):
         # the override used to round 16 * modes * span up twice: 82 here
         text = MINIMAL + "omega_a = 0.25\nomega_b = 0.75\n"
         cfg = self.overridden(text + "modes = 8\n", "--modes", "10")
         parsed = parse_config_text(text + "modes = 10\n")
-        assert (cfg.grid, cfg.obs_grid) == (parsed.grid, parsed.obs_grid) == (160, 80)
-
-    def test_modes_keeps_bank_cap_and_finer_grids(self):
-        cfg = self.overridden(MINIMAL + "modes = 32\nbank = 20\ngrid = 2000\n", "--modes", "16")
-        assert (cfg.modes, cfg.bank, cfg.grid, cfg.obs_grid) == (16, 16, 2000, 512)
+        grids = [(c.panels(local=False), c.panels(local=True)) for c in (cfg, parsed)]
+        assert grids == [(160, 80)] * 2
 
     def test_seed_changes_only_seed(self):
         base = parse_config_text(SWEEP_CFG)
@@ -263,8 +258,8 @@ class TestInjectNoise:
         u0 = run.truth()
         uT = evolve(u0, 0.0, cfg.T, run.profile)
         delta_abs, seed = 1e-4 * u0.l2(), [cfg.seed, 0]
-        grids = {False: uniform_grid(0.0, cfg.length, cfg.grid),
-                 True: uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid)}
+        grids = {False: uniform_grid(0.0, cfg.length, cfg.panels(local=False)),
+                 True: uniform_grid(cfg.omega_a, cfg.omega_b, cfg.panels(local=True))}
         for local, expected_xs in grids.items():
             xs, noisy = run.observe(uT, delta_abs, seed, local)
             np.testing.assert_array_equal(xs, expected_xs)
@@ -875,14 +870,6 @@ assert "scipy.linalg" in sys.modules
             keys = ("delta", "epsilon", "alpha", "bound", "error")
             assert [delta, epsilon, alpha, bound, error] == [fmt_value(row[k]) for k in keys]
 
-    @pytest.mark.parametrize("command", ["global-backward", "forward"])
-    def test_commands_without_omega_grid_ignore_obs_grid(self, command, tmp_path, capsys):
-        path = tmp_path / "coarse.cfg"
-        path.write_text(MINIMAL + "modes = 32\nobs_grid = 20\n")
-        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
-        assert cli_main(["local-backward", "--config", str(path)]) == 1
-        assert "too coarse" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, rc", [
         ("global-backward", 0), ("local-backward", 1), ("constants", 1),
     ])
@@ -983,11 +970,48 @@ assert "scipy.linalg" in sys.modules
                          "--emit-observation", str(obs)]) == 0
         xs, noisy = np.loadtxt(obs, delimiter=",", skiprows=1, unpack=True)
         cfg = load_config(str(path))
-        np.testing.assert_array_equal(xs, uniform_grid(cfg.omega_a, cfg.omega_b, cfg.obs_grid))
+        omega_xs = uniform_grid(cfg.omega_a, cfg.omega_b, cfg.panels(local=True))
+        np.testing.assert_array_equal(xs, omega_xs)
         run = harness.Run(cfg)
         clean = evolve(run.truth(), 0.0, cfg.T, run.profile).evaluate(xs)
         w = simpson_weights(xs.size, xs[1] - xs[0])
         assert math.sqrt(float(np.sum(w * (noisy - clean) ** 2))) == pytest.approx(3e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["global-backward", "local-backward"])
+    def test_absolute_delta_below_roundoff_names_delta(self, command, tmp_path, capsys):
+        # as for delta_list; 1e-300 used to overflow the global route's
+        # coefficients, and to fail the local one on eps^2 underflowing
+        path = tmp_path / "tiny.cfg"
+        path.write_text(DEMO_16 + "delta = 1e-300\n")
+        out = tmp_path / "g.csv"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "delta = 1e-300 is below float64 roundoff" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["global-backward", "local-backward"])
+    def test_data_beyond_the_priors_exits_two(self, command, tmp_path, capsys):
+        # honest priors and delta give |g| <= prior_l2 + bound; samples near
+        # 1e308 used to give a_1 = 1.01e304 under a bound of 2.52 and exit 0
+        cfg = parse_config_text(DEMO_16)
+        if command == "local-backward":
+            xs = uniform_grid(cfg.omega_a, cfg.omega_b, cfg.panels(local=True))
+            values = np.full(xs.size, 1e308)
+        else:
+            xs = uniform_grid(0.0, cfg.length, cfg.panels(local=False))
+            values = 1e308 * np.sin(math.pi * xs)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("x,value\n" + "".join(f"{x},{v}\n" for x, v in zip(xs, values)))
+        path = tmp_path / "priors.cfg"
+        path.write_text(DEMO_16 + "prior_l2 = 1\nprior_h01 = 5\ndelta = 1e-4\n")
+        out, rep = tmp_path / "g.csv", tmp_path / "rep.csv"
+        assert cli_main([command, "--config", str(path), "--observation", str(obs),
+                         "--out", str(out), "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds prior_l2 + bound" in err
+        assert all(key in err for key in ("prior_l2", "prior_h01", "delta"))
+        # the field and the report are written first, as a sweep's rows are
+        assert out.exists() and rep.exists()
 
     def test_no_noise_level_names_both_keys(self, tmp_path, capsys):
         path = tmp_path / "no_delta.cfg"

@@ -628,7 +628,8 @@ class TestSubnormalFlush:
             "length = 1.0\nT = 0.25\ndelta_list = 1e-4\nomega_a = 0.3\nomega_b = 0.7\n"
             "modes = 256\nbank = 32\nconstants_mode = empirical\n"
         ))
-        grids = (uniform_grid(0.0, 1.0, run.cfg.grid), uniform_grid(0.3, 0.7, run.cfg.obs_grid))
+        grids = (uniform_grid(0.0, 1.0, run.cfg.panels(local=False)),
+                 uniform_grid(0.3, 0.7, run.cfg.panels(local=True)))
         for trial in range(3):
             uT = evolve(run.truth(trial), 0.0, run.cfg.T, run.profile)
             m = int(np.flatnonzero(uT.coeffs)[-1]) + 1
