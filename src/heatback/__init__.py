@@ -25,9 +25,7 @@ from .filtering import (
     FilterSelection,
     apply_filter,
     eval_A,
-    eval_B,
     global_backward,
-    invert_A_increasing,
     invert_B,
     select_alpha,
     truncation_baseline,

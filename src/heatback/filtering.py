@@ -1,9 +1,10 @@
 """Capped-gain spectral filter for reconstructing the initial state from
 full-domain data at a later time.
 
-The inverse propagator gain exp(lambda_i * int p) is capped at a level alpha
-chosen from the noise level and a-priori norms of the initial state through
-the scalar functions A(x) = e^x / (1 + 2x) and B(x) = sqrt(x) e^x.  The
+The inverse propagator gain exp(lambda_i * int p) is capped at the level
+alpha = A(B^{-1}(sqrt(p2 tau) |u0|_H1 / delta)) that the noise level and the
+a-priori norms of the initial state give, with A(x) = e^x / (1 + 2x) and
+B(x) = sqrt(x) e^x; the route evaluates A and the inverse of B alone.  The
 resulting reconstruction carries a computable error bound of the form
 sqrt((1 + zeta) p2 tau) * |u0|_H1 / sqrt(log term); when the noise is too
 large relative to the slowest mode's decay the zero field already satisfies
@@ -29,13 +30,6 @@ def eval_A(x: float) -> float:
     if x < 0.0:
         raise ValueError(f"A is defined on x >= 0, got {x}")
     return math.exp(x) / (1.0 + 2.0 * x)
-
-
-def eval_B(x: float) -> float:
-    """B(x) = sqrt(x) e^x on x > 0, a strictly increasing bijection onto (0, inf)."""
-    if x <= 0.0:
-        raise ValueError(f"B is defined on x > 0, got {x}")
-    return math.sqrt(x) * math.exp(x)
 
 
 def newton_down(f, df, x: float) -> float:
@@ -73,32 +67,6 @@ def invert_B(y: float) -> float:
     if x < sys.float_info.min:
         raise ValueError(f"invert_B({y!r}) underflows: its root exp({u!r}) is not a normal float")
     return x
-
-
-def invert_A_increasing(beta: float, lower: float = 0.0) -> float:
-    """Inverse of A on its increasing branch x >= max(lower, 1/2).
-
-    A decreases on [0, 1/2] and increases beyond, so the branch floor keeps
-    the inverse single valued; beta below A(floor) is rejected.  Newton on
-    g(x) = x - log(1 + 2x) - log beta, convex and increasing on the branch,
-    starts from max(floor, 2 log beta + 3), where g > 0 for beta >= A(1/2).
-    """
-    if lower < 0.0:
-        raise ValueError("lower must be nonnegative")
-    floor = max(lower, 0.5)
-    beta_floor = eval_A(floor)
-    if beta < beta_floor * (1.0 - 1e-13):
-        raise ValueError(
-            f"beta={beta} below A({floor})={beta_floor}; no solution on the increasing branch"
-        )
-    if beta <= beta_floor:
-        return floor
-    target = math.log(beta)
-    return newton_down(
-        lambda x: x - math.log1p(2.0 * x) - target,
-        lambda x: 1.0 - 2.0 / (1.0 + 2.0 * x),
-        max(floor, 2.0 * target + 3.0),
-    )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Experiment configuration, calibrated noise injection, and sweep orchestration.
 
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
-are rejected and every default is filled in when a config is built.  A
+are rejected and every default is filled in when a config is built.  The
+bound's zeta and the paper chain's xi are no keys: the local route takes
+zeta from ``pipeline.paper_zeta``, and ``constants_convex`` fixes xi = 1/2.  A
 ``Run`` builds the basis, profile, grids, noisy samples, Gram matrix and
 constants chain that a config describes; the parts that depend only on the
 geometry are kept for the last geometry a process used (``_geometry``).
@@ -47,7 +49,6 @@ SWEEP_COLUMNS = ("delta", "method", "epsilon", "alpha", "bound", "error", "bound
 _CHOICES = {
     "profile": ("constant", "affine", "sinusoidal"),
     "constants_mode": ("paper", "empirical"),
-    "zeta_mode": ("paper", "default"),
 }
 
 
@@ -85,8 +86,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 3
     constants_mode: str = "paper"
-    zeta_mode: str = "paper"
-    xi: float = 0.5
     delta: float | None = None
     prior_l2: float | None = None
     prior_h01: float | None = None
@@ -113,7 +112,6 @@ class ExperimentConfig:
         _check(modes >= 1, "modes must be >= 1")
         self._fill(x0=0.5 * self.length, omega_b=self.length, bank=min(32, modes))
         _check(1 <= self.bank <= modes, f"bank must lie in [1, modes={modes}], got {self.bank}")
-        _check(0.0 < self.xi < 1.0, f"xi must lie in (0, 1), got {self.xi}")
         for key, allowed in _CHOICES.items():
             value = getattr(self, key)
             _check(value in allowed, f"{key} must be one of {allowed}, got {value!r}")
@@ -198,15 +196,15 @@ class _Geometry:
     """The basis, Gram matrix and constants chain of one geometry.
 
     None of them depends on the noise levels, seed, trials or bank, and only
-    the paper chain reads x0 and xi, so ``_geometry`` keeps the last one a
+    the paper chain reads x0, so ``_geometry`` keeps the last one a
     process used, with its basis's sine matrices.  The Gram matrix
     (read-only) and the chain are built on first use, so a command that
     needs neither never builds them.
     """
 
-    def __init__(self, domain, modes, subdomain, profile, T, constants_mode, xi):
+    def __init__(self, domain, modes, subdomain, profile, T, constants_mode):
         self.domain, self.subdomain, self.profile = domain, subdomain, profile
-        self.T, self.constants_mode, self.xi = T, constants_mode, xi
+        self.T, self.constants_mode = T, constants_mode
         self.basis = EigenBasis(domain, modes)
 
     @cached_property
@@ -223,7 +221,7 @@ class _Geometry:
         if sub.is_full(domain):
             return chain_full_domain()
         try:
-            return constants_convex(domain, sub.ball_radius(domain), self.profile, self.xi)
+            return constants_convex(domain, sub.ball_radius(domain), self.profile)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -237,8 +235,8 @@ class Run:
 
     The basis, Gram matrix and constants chain come from ``_geometry``, so
     the runs of one geometry in a process share them: a sweep that differs
-    from the last only in noise levels, seed, trials or bank, or in x0 or xi
-    under the empirical fit, builds none of them again.  The Gram matrix and
+    from the last only in noise levels, seed, trials or bank, or in x0 under
+    the empirical fit, builds none of them again.  The Gram matrix and
     the chain are built on first use.
     """
 
@@ -253,12 +251,12 @@ class Run:
             cfg.p_base, cfg.p_slope if affine else 0.0, cfg.p_amp if sinusoidal else 0.0,
             cfg.p_freq if sinusoidal else 0.0, 3.0 * cfg.T,
         )
-        # only the paper chain reads x0 and xi, so under the empirical fit they
-        # key no memo entry either: the basis reads the length alone
+        # only the paper chain reads x0, so under the empirical fit it keys no
+        # memo entry either: the basis reads the length alone
         paper = cfg.constants_mode == "paper"
         self._geo = _geometry(
             self.domain if paper else DomainSpec(cfg.length, 0.5 * cfg.length), cfg.modes,
-            self.subdomain, self.profile, cfg.T, cfg.constants_mode, cfg.xi if paper else None,
+            self.subdomain, self.profile, cfg.T, cfg.constants_mode,
         )
         self.basis = self._geo.basis
 
@@ -299,7 +297,6 @@ class Run:
             chain=self.chain,
             l2_prior=l2_prior,
             h01_prior=h01_prior,
-            zeta_mode=cfg.zeta_mode,
         )
 
 

@@ -90,7 +90,8 @@ def constants_convex(
 
     Needs 0 < r < R and, for nonconstant diffusivity, the smallness condition
     R^2 < 2 p1^2 / |p'|_inf (equivalently C0 < 1, which the ell exponent
-    1/(1 - C0) requires).
+    1/(1 - C0) requires).  xi is the free exponent of the constant-diffusivity
+    branch (C0 = 0); the other branch does not read it and records None.
     """
     R = domain.radius
     if not 0.0 < r < R:
@@ -116,6 +117,7 @@ def constants_convex(
         ell = (2.0 ** (2.0 + xi) * R * R * eC1 / (xi * _LN32 * r * r)) ** (1.0 / (1.0 - xi)) - 1.0
         S_ell = eC1 * math.log1p(ell) / _LN32
     else:
+        xi = None
         shrink = 1.0 - (2.0 / 3.0) ** C0
         if shrink == 0.0:
             raise ValueError(

@@ -108,13 +108,10 @@ class PipelineConfig:
     chain: ObservabilityConstants
     l2_prior: float
     h01_prior: float
-    zeta_mode: str = "paper"
 
     def __post_init__(self):
         if not 1 <= self.n_bank <= self.basis.size:
             raise ValueError(f"bank size must lie in [1, {self.basis.size}]")
-        if self.zeta_mode not in ("paper", "default"):
-            raise ValueError(f"zeta_mode must be 'paper' or 'default', got {self.zeta_mode!r}")
         if self.l2_prior <= 0.0 or self.h01_prior <= 0.0:
             raise ValueError("priors must be positive")
 
@@ -220,8 +217,9 @@ def paper_zeta(
     )
     if 2.0 * ln_P > 700.0:
         raise ConfigError(
-            f"transfer prefactor P overflows zeta = P^2 / (2 lambda1 p2 T): 2 ln P = "
-            f"{2.0 * ln_P:.6g} > 700; set zeta_mode = default"
+            f"T = {T} too small for the constants chain (c3 = {c3:.6g}, c4 = {c4:.6g}): "
+            f"the transfer prefactor P overflows zeta = P^2 / (2 lambda1 p2 T), "
+            f"2 ln P = {2.0 * ln_P:.6g} > 700"
         )
     return math.exp(2.0 * ln_P) / (2.0 * basis.lambda1 * profile.p2 * T)
 
@@ -250,9 +248,7 @@ def local_reconstruct(
     certified = certified_delta_3T(setup, psi_norms, h_qnorms, delta, cfg.l2_prior)
 
     horizon = 3.0 * cfg.T
-    zeta = None  # select_alpha's default_zeta(lambda1, p2, horizon)
-    if cfg.zeta_mode == "paper":
-        zeta = paper_zeta(cfg.basis, cfg.profile, cfg.T, chain.c3, chain.c4)
+    zeta = paper_zeta(cfg.basis, cfg.profile, cfg.T, chain.c3, chain.c4)
     sel = select_alpha(
         horizon, cfg.profile, cfg.basis.lambda1, cfg.h01_prior, claimed, cfg.l2_prior, zeta
     )

@@ -57,13 +57,6 @@ class Subdomain:
             raise ValueError(f"subinterval start {self.a} below 0")
 
     @classmethod
-    def centered(cls, domain: DomainSpec, r: float) -> "Subdomain":
-        """Ball of radius r around the domain's center point."""
-        if not 0.0 < r < domain.radius:
-            raise ValueError(f"radius must lie in (0, {domain.radius}), got {r}")
-        return cls(domain.x0 - r, domain.x0 + r)
-
-    @classmethod
     def full(cls, domain: DomainSpec) -> "Subdomain":
         return cls(0.0, domain.length)
 

@@ -4,7 +4,9 @@ The control's functional J, its gradient, the dual pairing, the physical
 terminal state, a solve-then-refine reference solve and a per-mode surrogate
 assembly check the control solve and the bank; the Hoelder,
 appendix-stability and direct backward estimates check the observability
-constants; the worst tail factor checks the filter's error split.  None of them is part of the route that the commands run.  Import as
+constants; B and the inverse of A on its increasing branch check the
+filter's scalar functions, and the worst tail factor checks its error split.
+None of them is part of the route that the commands run.  Import as
 ``from oracles import ...``.
 """
 
@@ -24,9 +26,9 @@ from heatback import (
     SpectralField,
     eval_A,
     evolve,
-    invert_A_increasing,
 )
 from heatback.control import h_values
+from heatback.filtering import newton_down
 from heatback.observability import _exp_or_inf
 from heatback.spectral import quad_norm
 
@@ -214,6 +216,39 @@ def direct_backward_check(
     ratio = (u0.h01() / l2) ** 2
     ln_rhs = profile.p2 * T * ratio + math.log(uT.l2())
     return _log_compare(math.log(l2), ln_rhs)
+
+
+def eval_B(x: float) -> float:
+    """B(x) = sqrt(x) e^x on x > 0, a strictly increasing bijection onto (0, inf)."""
+    if x <= 0.0:
+        raise ValueError(f"B is defined on x > 0, got {x}")
+    return math.sqrt(x) * math.exp(x)
+
+
+def invert_A_increasing(beta: float, lower: float = 0.0) -> float:
+    """Inverse of A on its increasing branch x >= max(lower, 1/2).
+
+    A decreases on [0, 1/2] and increases beyond, so the branch floor keeps
+    the inverse single valued; beta below A(floor) is rejected.  Newton on
+    g(x) = x - log(1 + 2x) - log beta, convex and increasing on the branch,
+    starts from max(floor, 2 log beta + 3), where g > 0 for beta >= A(1/2).
+    """
+    if lower < 0.0:
+        raise ValueError("lower must be nonnegative")
+    floor = max(lower, 0.5)
+    beta_floor = eval_A(floor)
+    if beta < beta_floor * (1.0 - 1e-13):
+        raise ValueError(
+            f"beta={beta} below A({floor})={beta_floor}; no solution on the increasing branch"
+        )
+    if beta <= beta_floor:
+        return floor
+    target = math.log(beta)
+    return newton_down(
+        lambda x: x - math.log1p(2.0 * x) - target,
+        lambda x: 1.0 - 2.0 / (1.0 + 2.0 * x),
+        max(floor, 2.0 * target + 3.0),
+    )
 
 
 def worst_tail_factor(alpha: float, lambda1: float, p2tau: float) -> float:

@@ -10,10 +10,8 @@ from heatback import (
     SpectralField,
     apply_filter,
     eval_A,
-    eval_B,
     evolve,
     global_backward,
-    invert_A_increasing,
     invert_B,
     project,
     select_alpha,
@@ -23,7 +21,7 @@ from heatback import (
 )
 from heatback.harness import inject_noise
 from heatback.spectral import simpson_weights
-from oracles import worst_tail_factor
+from oracles import eval_B, invert_A_increasing, worst_tail_factor
 
 
 class TestScalarMachinery:
@@ -92,6 +90,11 @@ class TestSelectAlpha:
         sel = select_alpha(T, profile_constant, basis64.lambda1, h01, delta, l2_prior=10.0 * delta)
         assert not sel.gate_zero
         assert sel.alpha == pytest.approx(math.e / 3.0, rel=1e-12)
+        # zeta enters the bound alone: a second zeta keeps alpha and the gate
+        other = select_alpha(T, profile_constant, basis64.lambda1, h01, delta,
+                             l2_prior=10.0 * delta, zeta=4.0 * sel.zeta)
+        assert (other.alpha, other.gate_zero) == (sel.alpha, sel.gate_zero)
+        assert other.bound != sel.bound
 
     def test_gate_when_noise_dominates(self, basis64, profile_constant):
         sel = select_alpha(0.5, profile_constant, basis64.lambda1, 1.0, 0.9, 1.0)

@@ -31,6 +31,7 @@ from heatback import harness, pipeline
 from heatback.cli import _apply_overrides, build_parser
 from heatback.cli import main as cli_main
 from heatback.control import ControlSetup
+from heatback.filtering import default_zeta
 from heatback.harness import (
     _FLOAT_KEYS,
     ExperimentConfig,
@@ -70,17 +71,16 @@ class TestConfigParsing:
     def test_minimal_defaults_filled(self):
         cfg = parse_config_text(MINIMAL)
         assert cfg.x0 == 0.5
-        assert cfg.xi == 0.5
         assert cfg.constants_mode == "paper"
-        assert cfg.zeta_mode == "paper"
         assert cfg.modes == 64
         assert cfg.omega_b == 1.0
         assert cfg.panels(local=False) == cfg.panels(local=True) == 16 * cfg.modes
 
     def test_unknown_key_rejected_with_line(self, tmp_path, capsys):
-        # sabotage, grid and obs_grid were keys once; an old config that still
-        # sets one is misuse
-        keys = (("mystery", "3"), ("sabotage", "k"), ("grid", "2000"), ("obs_grid", "20"))
+        # sabotage, grid, obs_grid, zeta_mode and xi were keys once; an old
+        # config that still sets one is misuse
+        keys = (("mystery", "3"), ("sabotage", "k"), ("grid", "2000"), ("obs_grid", "20"),
+                ("zeta_mode", "paper"), ("xi", "0.5"))
         for key, value in keys:
             text = f"length = 1.0\n{key} = {value}\nT = 0.1\ndelta_list = 1e-3\n"
             with pytest.raises(ConfigError, match=f"line 2.*{key}"):
@@ -110,10 +110,6 @@ class TestConfigParsing:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="delta_list"):
             parse_config_text("length = 1.0\nT = 0.1\n")
-
-    def test_xi_out_of_range(self):
-        with pytest.raises(ConfigError, match="xi"):
-            parse_config_text(MINIMAL + "xi = 1.5\n")
 
     def test_malformed_value_names_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -195,8 +191,8 @@ class TestOverrides:
             replace(cfg, modes=0)
         with pytest.raises(ConfigError, match="'T' must be finite"):
             replace(cfg, T=math.nan)
-        with pytest.raises(ConfigError, match="zeta_mode"):
-            replace(cfg, zeta_mode="bogus")
+        with pytest.raises(ConfigError, match="constants_mode"):
+            replace(cfg, constants_mode="bogus")
         with pytest.raises(ConfigError, match="seed"):
             replace(cfg, seed=-1)
 
@@ -283,6 +279,14 @@ def wrong_weight(monkeypatch):
     """Build every control setup with 1e-9 times the chain's weight k."""
     real = pipeline.weight_from_chain
     monkeypatch.setattr(pipeline, "weight_from_chain", lambda c, T, e: 1e-9 * real(c, T, e))
+
+
+def use_zeta_rule(monkeypatch, rule: str) -> None:
+    """Select local_reconstruct's zeta: "paper" keeps pipeline.paper_zeta,
+    "default" swaps in the canonical default_zeta on the horizon 3T."""
+    if rule == "default":
+        monkeypatch.setattr(pipeline, "paper_zeta", lambda basis, profile, T, c3, c4:
+                            default_zeta(basis.lambda1, profile.p2, 3.0 * T))
 
 
 class TestSweep:
@@ -394,8 +398,8 @@ class TestGeometryMemo:
             assert calls == [], text
 
     def test_empirical_chain_is_not_keyed_by_x0_or_xi(self, monkeypatch):
-        # x0 and xi reach only the paper chain, so sweeps that differ only in
-        # them fit the empirical chain once and write the same bytes
+        # x0 reaches only the paper chain, so sweeps that differ only in it
+        # fit the empirical chain once and write the same bytes
         fits = []
         fit = harness.fit_empirical_constants
 
@@ -406,13 +410,13 @@ class TestGeometryMemo:
         monkeypatch.setattr(harness, "fit_empirical_constants", spy)
         cfg = parse_config_text(DEMO_16)
         outputs = {rows_to_csv(run_sweep(replace(cfg, **changes)))
-                   for changes in ({}, dict(xi=0.3), dict(x0=0.45))}
+                   for changes in ({}, dict(x0=0.45))}
         assert len(fits) == 1
         assert len(outputs) == 1
 
     # (field, base overrides under which the field moves the outcome, new value);
-    # x0 and xi reach only the paper chain, which overflows on a subinterval,
-    # so for them the outcome is the error that names the chain's constants
+    # x0 reaches only the paper chain, which overflows on a subinterval, so
+    # for it the outcome is the error that names the chain's constants
     @pytest.mark.parametrize("key, base, value", [
         ("length", {}, 1.5),
         ("x0", {"constants_mode": "paper"}, 0.45),
@@ -427,7 +431,6 @@ class TestGeometryMemo:
         ("p_freq", {"profile": "sinusoidal"}, 2.0),
         ("constants_mode", {"omega_a": 0.0, "omega_b": 1.0, "constants_mode": "paper"},
          "empirical"),
-        ("xi", {"constants_mode": "paper"}, 0.3),
     ])
     def test_each_geometry_field_is_in_the_key(self, key, base, value):
         kw = {**self.BASE, **base}
@@ -582,7 +585,7 @@ assert "scipy.linalg" in sys.modules
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        for key, line in (("xi", "xi = 1.5"), ("seed", "seed = -1")):
+        for key, line in (("prior_l2", "prior_l2 = -1.0"), ("seed", "seed = -1")):
             path.write_text(SWEEP_CFG + line + "\n")
             assert cli_main(["sweep", "--config", str(path)]) == 1
             assert key in capsys.readouterr().err
@@ -713,7 +716,7 @@ assert "scipy.linalg" in sys.modules
         path.write_text(
             "length = 1.0\nT = 5.785e-4\ndelta_list = 1.29e-14\nomega_a = 0.8042\n"
             "omega_b = 0.8439\nmodes = 11\nconstants_mode = empirical\np_base = 0.191\n"
-            "zeta_mode = default\ndecay = 1.0686\n"
+            "decay = 1.0686\n"
         )
         assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
@@ -723,16 +726,18 @@ assert "scipy.linalg" in sys.modules
         assert named, err
         assert 8e13 < float(named[1]) < 8.2e13 and 6e-209 < float(named[2]) < 6.3e-209
 
-    @pytest.mark.parametrize("zeta_mode", ["paper", "default"])
+    @pytest.mark.parametrize("zeta_rule", ["paper", "default"])
     @pytest.mark.parametrize("command, rc", [
         ("sweep", 1), ("local-backward", 1), ("global-backward", 0),
     ])
-    def test_huge_T_names_T(self, command, rc, zeta_mode, tmp_path, capsys):
-        # every decay factor from 2T to 3T underflows, so the transfer weight S_w is 0
+    def test_huge_T_names_T(self, command, rc, zeta_rule, monkeypatch, tmp_path, capsys):
+        # every decay factor from 2T to 3T underflows, so the transfer weight S_w
+        # is 0; the message is the same under either zeta rule
+        use_zeta_rule(monkeypatch, zeta_rule)
         path = tmp_path / "huge_T.cfg"
         path.write_text(
             MINIMAL.replace("T = 0.25", "T = 1e6")
-            + f"modes = 16\ntrials = 1\nzeta_mode = {zeta_mode}\n"
+            + "modes = 16\ntrials = 1\n"
         )
         assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == rc
         err = capsys.readouterr().err
@@ -924,22 +929,24 @@ assert "scipy.linalg" in sys.modules
         header = rep.read_text().splitlines()[0]
         assert header == "delta,epsilon,effective_delta,alpha,bound,error"
 
-    def test_default_zeta_changes_only_the_local_bound(self, tmp_path, capsys):
+    def test_default_zeta_changes_only_the_local_bound(self, monkeypatch, tmp_path, capsys):
         # zeta enters the bound alone: the field, eps and alpha are the same
-        # under both modes, and each mode's bound covers the error
+        # under paper_zeta and default_zeta, and each rule's bound covers the error
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_CFG)
         runs = {}
-        for mode in ("paper", "default"):
-            path = tmp_path / f"{mode}.cfg"
-            path.write_text(SWEEP_CFG + f"zeta_mode = {mode}\n")
-            field, report, sweep = (tmp_path / f"{mode}_{name}.csv"
+        for rule in ("paper", "default"):
+            field, report, sweep = (tmp_path / f"{rule}_{name}.csv"
                                     for name in ("field", "report", "sweep"))
-            assert cli_main(["local-backward", "--config", str(path), "--out", str(field),
-                             "--report", str(report)]) == 0
-            assert cli_main(["sweep", "--config", str(path), "--out", str(sweep)]) == 0
+            with monkeypatch.context() as patch:
+                use_zeta_rule(patch, rule)
+                assert cli_main(["local-backward", "--config", str(path), "--out", str(field),
+                                 "--report", str(report)]) == 0
+                assert cli_main(["sweep", "--config", str(path), "--out", str(sweep)]) == 0
             rows = csv_rows(report) + [row for row in csv_rows(sweep) if row["method"] == "local"]
             assert len(rows) == 5
             assert all(float(row["bound"]) >= float(row["error"]) for row in rows)
-            runs[mode] = field.read_bytes(), rows
+            runs[rule] = field.read_bytes(), rows
         (paper_field, paper_rows), (default_field, default_rows) = runs.values()
         assert paper_field == default_field
         for paper, default in zip(paper_rows, default_rows):

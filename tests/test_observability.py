@@ -44,6 +44,13 @@ class TestConstantsConvex:
         hand = (4.0 * 0.25 * math.exp(c.C1) / (0.04 * shrink)) ** (1.0 / (1.0 - c.C0)) - 1.0
         assert c.ell == pytest.approx(hand, rel=1e-12)
 
+    def test_xi_is_recorded_where_ell_reads_it(self, unit_domain, profile_constant,
+                                               profile_sinusoidal):
+        # only the constant profile's branch (C0 = 0) reads xi
+        assert constants_convex(unit_domain, 0.2, profile_constant).xi == 0.5
+        chain = constants_convex(unit_domain, 0.2, profile_sinusoidal)
+        assert chain.C0 > 0.0 and chain.xi is None
+
     def test_mu_below_half(self, unit_domain, profile_constant, profile_affine):
         for prof, r in ((profile_constant, 0.1), (profile_affine, 0.3)):
             c = constants_convex(unit_domain, r, prof)
@@ -126,7 +133,7 @@ class TestHolderCheck:
             assert holder_check(u0, 0.4, chain, G, profile_constant).holds
 
     def test_hundred_seeded_fields(self, basis64, unit_domain, profile_constant):
-        sub = Subdomain.centered(unit_domain, 0.2)
+        sub = Subdomain(unit_domain.x0 - 0.2, unit_domain.x0 + 0.2)
         G = gram_subdomain(sub, basis64)
         chain = constants_convex(unit_domain, 0.2, profile_constant)
         holds = sum(
@@ -158,7 +165,7 @@ class TestAppendixStability:
         assert rep.holds
 
     def test_hundred_field_sweep(self, basis64, unit_domain, profile_constant):
-        sub = Subdomain.centered(unit_domain, 0.2)
+        sub = Subdomain(unit_domain.x0 - 0.2, unit_domain.x0 + 0.2)
         G = gram_subdomain(sub, basis64)
         chain = constants_convex(unit_domain, 0.2, profile_constant)
         applicable = held = 0

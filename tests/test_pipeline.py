@@ -373,7 +373,7 @@ class TestPaperZeta:
         k1 = 1.0 / (1.0 + chain.c4)
         assert arg == pytest.approx(math.sqrt(3.0) * (l2 / delta) ** k1, rel=1e-10)
 
-    def test_overflow_names_the_zeta_mode_key(self, basis64, profile_constant):
+    def test_overflow_names_T_and_the_chain(self, basis64, profile_constant):
         # c3 / T = 1200 puts 2 ln P past 700, where P^2 overflows
         T, c3, c4 = 0.25, 300.0, 1.0
         two_ln_P = 2.0 * (math.log(sw_prefactor(basis64, profile_constant, T)) + math.log(2.0)
@@ -381,7 +381,8 @@ class TestPaperZeta:
         with pytest.raises(ConfigError) as caught:
             paper_zeta(basis64, profile_constant, T, c3, c4)
         assert f"2 ln P = {two_ln_P:.6g} > 700" in str(caught.value)
-        assert str(caught.value).endswith("set zeta_mode = default")
+        assert str(caught.value).startswith(
+            "T = 0.25 too small for the constants chain (c3 = 300, c4 = 1): ")
 
 
 class TestSampleGridCheck:
