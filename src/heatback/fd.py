@@ -1,10 +1,11 @@
 """Crank-Nicolson finite-difference solver used as an independent forward oracle.
 
 Second order in space and time, unconditionally stable, with the diffusivity
-sampled at step midpoints.  The first two steps are backward Euler over a
-quarter step each (a Rannacher start): they damp the stiff components that
-Crank-Nicolson alone carries with a factor near -1 when dt is large.  Exists
-only to cross-check the spectral propagator; it shares no code path with it.
+sampled at step midpoints, and one SPD tridiagonal solve (LAPACK ptsv) a step.
+The first two steps are backward Euler over a quarter step each (a Rannacher
+start): they damp the stiff components that Crank-Nicolson alone carries with
+a factor near -1 when dt is large.  Exists only to cross-check the spectral
+propagator; it shares no code path with it.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from numpy.linalg import LinAlgError
 from .spectral import DiffusionProfile, DomainSpec, SpectralField, lapack
 
 
-def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du.
+def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD tridiagonal system with diagonal d and off-diagonal e.
 
-    One LAPACK gtsv call (from spectral.lapack, so the first one imports
-    scipy.linalg), the routine scipy.linalg.solve_banded((1, 1), ...) calls,
-    without its wrapping.  All four arrays are overwritten; the solution is
-    returned in b's memory.  Inputs are not checked for finiteness.
+    One LAPACK ptsv call (LDL^T without pivoting; from spectral.lapack, so the
+    first one imports scipy.linalg), the routine scipy.linalg.solveh_banded
+    calls on a 2-row band, without its wrapping.  All three arrays are
+    overwritten; the solution is returned in b's memory.  Inputs are not
+    checked for finiteness; a non-positive leading minor raises LinAlgError.
     """
-    x, info = lapack("gtsv")(dl, d, du, b, True, True, True, True)[3:]
+    x, info = lapack("ptsv")(d, e, b, True, True, True)[2:]
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise LinAlgError(f"{info}th leading minor not positive definite")
     return x
 
 
@@ -72,10 +74,11 @@ def fd_evolve(
     u_old; a quarter step keeps their O(dt^2) start error a sixteenth of that
     of full steps, which would match Crank-Nicolson's own on smooth data.
     The rest are Crank-Nicolson of equal length over the remaining time,
-    solving (I + r A) u_new = (I - r A) u_old.  Here A = tridiag(-1, 2, -1)/dx^2
-    and r = 0.5 * step * p(step midpoint).  Each step's tridiagonal solve is
-    one direct LAPACK gtsv call (this module's `solve_banded`), bit for bit the result
-    of scipy.linalg.solve_banded((1, 1), ...), which calls the same routine.
+    (I + r A) u_new = (I - r A) u_old, taken as u_new = y + (y - u_old) with
+    (I + r A) y = u_old, as I - r A = 2I - (I + r A).  Here A = tridiag(-1, 2,
+    -1)/dx^2 and r = 0.5 * step * p(step midpoint) > 0, so I + r A is SPD and
+    each step is one direct LAPACK ptsv call (this module's `solve_banded`),
+    bit for bit scipy.linalg.solveh_banded's result, from the same routine.
 
     Finiteness is checked outside the loop, not by each solve: `initial` and
     every r before the first step, the result after the last.  A NaN or inf
@@ -108,26 +111,22 @@ def fd_evolve(
             f"fd_evolve: step coefficient r = dt p / dx^2 overflows (dx={grid.dx}, t={t}); lower "
             "the diffusivity (p_base, p_slope, p_amp) or T, or raise length"
         )
-    # (r_new, r_old) is (r, 0) for backward Euler and (r / 2, r / 2) for Crank-Nicolson
-    r_news = rs.copy()
-    r_olds = 0.5 * rs
-    r_news[n_implicit:] = r_olds[n_implicit:]
-    r_olds[:n_implicit] = 0.0
-    # the diagonals of I + r_new tridiag(-1, 2, -1)
-    dl, d, du = np.empty(u.size - 1), np.empty(u.size), np.empty(u.size - 1)
-    rhs = np.empty_like(u)  # swaps with u every step
-    side = np.empty(u.size - 1)
+    rs[n_implicit:] *= 0.5  # each step solves with I + r tridiag(-1, 2, -1)
+    d, e = np.empty(u.size), np.empty(u.size - 1)
+    y = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r_new, r_old in zip(r_news.tolist(), r_olds.tolist()):
-            np.multiply(u, 1.0 - 2.0 * r_old, out=rhs)
-            rhs[:-1] += np.multiply(u[1:], r_old, out=side)
-            rhs[1:] += np.multiply(u[:-1], r_old, out=side)
-            dl.fill(-r_new)
-            d.fill(1.0 + 2.0 * r_new)
-            du.fill(-r_new)
-            # every step refills the diagonals and rhs, so gtsv may factor in
-            # place and return the solution in rhs's memory
-            u, rhs = solve_banded(dl, d, du, rhs), u
+        for n, r in enumerate(rs.tolist()):
+            np.copyto(y, u)
+            d.fill(1.0 + 2.0 * r)
+            e.fill(-r)
+            # every step refills d, e and y, so ptsv may factor in place and
+            # return the solution in y's memory
+            y = solve_banded(d, e, y)
+            if n < n_implicit:
+                u, y = y, u
+            else:
+                np.subtract(y, u, out=u)
+                np.add(y, u, out=u)
     if not np.isfinite(u).all():
         raise ValueError(
             f"fd_evolve: the solution overflowed to a non-finite value (t={t}, steps={steps})"

@@ -2,27 +2,48 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from heatback import (
     DiffusionProfile, FDGrid, SpectralField, evolve, fd, fd_evolve, oracle_gap, synthesize_initial,
 )
 
 
-def reference_fd_evolve(grid, initial, profile, t, steps):
-    """The per-step loop fd_evolve vectorizes: a running start time, a scalar
-    profile call and a finiteness-checked banded solve in every step."""
-    u = np.asarray(initial, dtype=float).copy()
+def step_schedule(grid, profile, t, steps):
+    """(backward Euler?, r) for each step, with a running start time and a
+    scalar profile call; r = dt p(step midpoint) / dx^2."""
     n_implicit = min(2, steps - 1)
     dt_implicit = 0.25 * t / steps
     dt_cn = (t - n_implicit * dt_implicit) / (steps - n_implicit)
-    dx2 = grid.dx**2
-    ab = np.zeros((3, grid.interior))
     start = 0.0
     for n in range(steps):
         dt = dt_implicit if n < n_implicit else dt_cn
-        r = dt * float(profile(start + 0.5 * dt)) / dx2
-        r_new, r_old = (r, 0.0) if n < n_implicit else (0.5 * r, 0.5 * r)
+        yield n < n_implicit, dt * float(profile(start + 0.5 * dt)) / grid.dx**2
+        start += dt
+
+
+def reference_fd_evolve(grid, initial, profile, t, steps):
+    """The per-step loop fd_evolve vectorizes: a finiteness-checked SPD banded
+    solve (I + r A) y = u in every step, u_new = y for backward Euler and
+    y + (y - u) for Crank-Nicolson (with half the step's r)."""
+    u = np.asarray(initial, dtype=float).copy()
+    ab = np.zeros((2, grid.interior))  # upper form: the off-diagonal, then the diagonal
+    for implicit, r in step_schedule(grid, profile, t, steps):
+        r = r if implicit else 0.5 * r
+        ab[0, 1:] = -r
+        ab[1, :] = 1.0 + 2.0 * r
+        y = solveh_banded(ab, u)
+        u = y if implicit else y + (y - u)
+    return u
+
+
+def textbook_fd_evolve(grid, initial, profile, t, steps):
+    """The same schedule as the textbook step (I + r_new A) u_new = (I - r_old A) u,
+    with the explicit right-hand side and scipy's general banded solver."""
+    u = np.asarray(initial, dtype=float).copy()
+    ab = np.zeros((3, grid.interior))
+    for implicit, r in step_schedule(grid, profile, t, steps):
+        r_new, r_old = (r, 0.0) if implicit else (0.5 * r, 0.5 * r)
         rhs = (1.0 - 2.0 * r_old) * u
         rhs[:-1] += r_old * u[1:]
         rhs[1:] += r_old * u[:-1]
@@ -30,7 +51,6 @@ def reference_fd_evolve(grid, initial, profile, t, steps):
         ab[1, :] = 1.0 + 2.0 * r_new
         ab[2, :-1] = -r_new
         u = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-        start += dt
     return u
 
 
@@ -104,12 +124,24 @@ class TestFDEvolve:
     @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
     def test_equals_the_per_step_loop(self, grid, basis64, kind, steps, request):
         # the vectorized schedule (cumsum of the preceding steps, one profile
-        # call) and the swapped buffers must not move a single bit
+        # call), the direct ptsv call and the swapped buffers must not move a single bit
         profile = request.getfixturevalue(f"profile_{kind}")
         v = grid.sample(synthesize_initial(basis64, 2.0, steps))
         for t in (0.05, 0.4):
             out = fd_evolve(grid, v, profile, t, steps)
             np.testing.assert_array_equal(out, reference_fd_evolve(grid, v, profile, t, steps))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 400, 2000])
+    @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
+    def test_agrees_with_the_textbook_step(self, grid, basis64, kind, steps, request):
+        # y + (y - u) with (I + r A) y = u is the textbook Crank-Nicolson step
+        # in exact arithmetic, so the two schemes differ by roundoff only
+        profile = request.getfixturevalue(f"profile_{kind}")
+        v = grid.sample(synthesize_initial(basis64, 2.0, steps))
+        for t in (0.05, 0.4):
+            old = textbook_fd_evolve(grid, v, profile, t, steps)
+            gap = np.max(np.abs(fd_evolve(grid, v, profile, t, steps) - old))
+            assert gap <= 1e-9 * np.max(np.abs(old))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_initial(self, grid, profile_constant, bad):
@@ -120,9 +152,10 @@ class TestFDEvolve:
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_overflow_raises_named_error(self, grid, profile_constant, steps):
-        # r ~ 1e5, so (1 - 2 r) * 1e308 overflows in the first Crank-Nicolson
-        # step; the warnings stay inside fd_evolve (the suite turns a
-        # RuntimeWarning into an error) and the final check names the solver
+        # r ~ 1e5, so ptsv's forward substitution, whose partial results grow
+        # toward sqrt(r) * 1e308, overflows in the first step although the
+        # solution would not; the warnings stay inside fd_evolve (the suite
+        # turns a RuntimeWarning into an error) and the final check names the solver
         v = np.full(grid.interior, 1e308)
         with pytest.raises(ValueError, match="fd_evolve: the solution overflowed"):
             fd_evolve(grid, v, profile_constant, 0.1, steps)
@@ -152,10 +185,22 @@ class TestFDEvolve:
 
 class TestSolveBanded:
     def test_zero_pivot_raises(self):
-        # the first pivot d[0] is 0 and the sub-diagonal below it too, so no row swap helps
-        d = np.array([0.0, 1.0, 1.0])
-        with pytest.raises(LinAlgError, match="singular matrix"):
-            fd.solve_banded(np.zeros(2), d, np.ones(2), np.ones(3))
+        # LDL^T without pivoting stops at the first leading minor that is not
+        # positive: d[0] = 0 is the first one, and 1 - 2^2 < 0 the second
+        with pytest.raises(LinAlgError, match="1th leading minor not positive definite"):
+            fd.solve_banded(np.array([0.0, 1.0, 1.0]), np.ones(2), np.ones(3))
+        with pytest.raises(LinAlgError, match="2th leading minor not positive definite"):
+            fd.solve_banded(np.ones(3), np.full(2, 2.0), np.ones(3))
+
+    def test_equals_solveh_banded(self):
+        # a diagonally dominant, so SPD, tridiagonal system; fd.solve_banded
+        # overwrites its inputs, so it gets copies
+        rng = np.random.default_rng(7)
+        d = rng.uniform(2.0, 3.0, 500)
+        e = -rng.uniform(0.1, 1.0, 499)
+        b = rng.standard_normal(500)
+        expected = solveh_banded(np.vstack([np.r_[0.0, e], d]), b)
+        np.testing.assert_array_equal(fd.solve_banded(d.copy(), e.copy(), b.copy()), expected)
 
 
 class TestOracleGap:

@@ -28,7 +28,7 @@ from heatback import (
     run_sweep,
 )
 from heatback import harness, pipeline
-from heatback.cli import _apply_overrides, build_parser
+from heatback.cli import _COMMANDS, _apply_overrides, build_parser
 from heatback.cli import main as cli_main
 from heatback.control import ControlSetup
 from heatback.filtering import default_zeta
@@ -1209,7 +1209,7 @@ def test_cli_exits_only_with_an_answer_or_a_named_failure(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.cfg"
         path.write_text(text)
-        for command in ("sweep", "control", "global-backward", "local-backward", "constants"):
+        for command in _COMMANDS:  # every subcommand
             written = [Path(tmp) / f"{command}.csv"]
             argv = [command, "--config", str(path), "--out", str(written[0])]
             if command.endswith("-backward"):
