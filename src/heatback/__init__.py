@@ -48,8 +48,8 @@ from .pipeline import (
     ReconstructionReport,
     assemble_fbar,
     control_setup,
-    effective_delta_3T,
     local_reconstruct,
     select_epsilon,
+    transfer_claim,
 )
 from .harness import ExperimentConfig, inject_noise, load_config, run_sweep

@@ -104,10 +104,14 @@ def _observation(run: Run, args, local: bool):
             raise ConfigError(
                 "external observations need prior_l2, prior_h01 and delta keys in the config"
             )
+        if not cfg.delta < cfg.prior_l2:
+            raise ConfigError(f"delta = {cfg.delta!r} must be below prior_l2 = {cfg.prior_l2!r}")
         return None, xs, values, cfg.prior_l2, cfg.prior_h01, cfg.delta
     u0 = run.truth()
     l2 = u0.l2()
     delta_abs = _first_delta_abs(cfg, l2)
+    if not delta_abs < l2:  # delta_list entries are below 1, so only the delta key gets here
+        raise ConfigError(f"delta = {delta_abs!r} must be below the seeded |u0|_L2 = {l2!r}")
     uT = evolve(u0, 0.0, cfg.T, run.profile)
     xs, values = run.observe(uT, delta_abs, [cfg.seed, 0], local)
     return u0, xs, values, l2, u0.h01(), delta_abs

@@ -3,7 +3,7 @@
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
 are rejected and every default is filled in when a config is built.  The
 bound's zeta and the paper chain's xi are no keys: the local route takes
-zeta from ``pipeline.paper_zeta``, and ``constants_convex`` fixes xi = 1/2.  A
+zeta from ``pipeline.transfer_claim``, and ``constants_convex`` fixes xi = 1/2.  A
 ``Run`` builds the basis, profile, grids, noisy samples, Gram matrix and
 constants chain that a config describes; the parts that depend only on the
 geometry are kept for the last geometry a process used (``_geometry``).

@@ -70,31 +70,6 @@ def weight_from_chain(chain: ObservabilityConstants, T: float, eps: float) -> fl
     return math.exp(ln_k)
 
 
-def sw_prefactor(basis: EigenBasis, profile: DiffusionProfile, T: float) -> float:
-    """Aggregate decay weight (sum_i exp(-2 lambda_i int_{2T}^{3T} p))^{1/2},
-    summed directly over the truncated basis."""
-    total = np.sum(basis.decay(profile, 2.0 * T, 3.0 * T) ** 2)
-    if total == 0.0:
-        raise ConfigError(f"T = {T} too large: every decay factor from 2T to 3T underflows to 0")
-    return float(math.sqrt(total))
-
-
-def effective_delta_3T(
-    delta: float,
-    epsilon: float,
-    T: float,
-    profile: DiffusionProfile,
-    l2_prior: float,
-    basis: EigenBasis,
-    c3: float,
-    c4: float,
-) -> float:
-    """Claimed bound on |u(3T) - fbar|: S_w (eps l2 + c3 e^{c3/T} eps^{-c4} delta),
-    where c3 e^{c3/T} eps^{-c4} is the certified ceiling on every bank control norm."""
-    cost = math.exp(math.log(c3) + c3 / T - c4 * math.log(epsilon))
-    return sw_prefactor(basis, profile, T) * (epsilon * l2_prior + cost * delta)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Fixed data of one local reconstruction: geometry, chain, priors."""
@@ -203,25 +178,31 @@ def certified_delta_3T(
     return banked + tail
 
 
-def paper_zeta(
-    basis: EigenBasis, profile: DiffusionProfile, T: float, c3: float, c4: float
-) -> float:
-    """Transfer-aware zeta: P^2 / (2 lambda_1 p2 T) with P the aggregate
-    prefactor S_w (1 + 1/c4) (c4 c3 e^{c3/T})^{1/(1+c4)} of the minimized
-    transfer error."""
+def transfer_claim(cfg: PipelineConfig, eps: float, delta: float) -> tuple[float, float]:
+    """The transfer estimate |u(3T) - fbar| <= S_w (eps l2 + C eps^{-c4} delta),
+    C = c3 e^{c3/T}, S_w = (sum_i exp(-2 lambda_i int_{2T}^{3T} p))^{1/2} over the basis.
+
+    Returns the claimed aggregate at eps (C eps^{-c4} is the certified ceiling on
+    every bank control norm) and the transfer-aware zeta = P^2 / (2 lambda_1 p2 T),
+    with P = S_w (1 + 1/c4) (c4 C)^{1/(1+c4)} the prefactor minimized over eps.
+    """
+    basis, profile, T, c3, c4 = cfg.basis, cfg.profile, cfg.T, cfg.chain.c3, cfg.chain.c4
+    total = np.sum(basis.decay(profile, 2.0 * T, 3.0 * T) ** 2)
+    if total == 0.0:
+        raise ConfigError(f"T = {T} too large: every decay factor from 2T to 3T underflows to 0")
+    sw = math.sqrt(total)
+    ln_c3 = math.log(c3)
+    cost = math.exp(ln_c3 + c3 / T - c4 * math.log(eps))
+    claimed = sw * (eps * cfg.l2_prior + cost * delta)
     k1 = 1.0 / (1.0 + c4)
-    ln_P = (
-        math.log(sw_prefactor(basis, profile, T))
-        + math.log1p(1.0 / c4)
-        + k1 * (math.log(c4) + math.log(c3) + c3 / T)
-    )
+    ln_P = math.log(sw) + math.log1p(1.0 / c4) + k1 * (math.log(c4) + ln_c3 + c3 / T)
     if 2.0 * ln_P > 700.0:
         raise ConfigError(
             f"T = {T} too small for the constants chain (c3 = {c3:.6g}, c4 = {c4:.6g}): "
             f"the transfer prefactor P overflows zeta = P^2 / (2 lambda1 p2 T), "
             f"2 ln P = {2.0 * ln_P:.6g} > 700"
         )
-    return math.exp(2.0 * ln_P) / (2.0 * basis.lambda1 * profile.p2 * T)
+    return claimed, math.exp(2.0 * ln_P) / (2.0 * basis.lambda1 * profile.p2 * T)
 
 
 def local_reconstruct(
@@ -241,14 +222,10 @@ def local_reconstruct(
     bank = control_mode_bank(setup, cfg.n_bank)
     fbar, psi_norms, h_qnorms = assemble_fbar(bank, setup, xs, values, weights)
 
-    chain = cfg.chain
-    claimed = effective_delta_3T(
-        delta, setup.eps, cfg.T, cfg.profile, cfg.l2_prior, cfg.basis, chain.c3, chain.c4
-    )
+    claimed, zeta = transfer_claim(cfg, setup.eps, delta)
     certified = certified_delta_3T(setup, psi_norms, h_qnorms, delta, cfg.l2_prior)
 
     horizon = 3.0 * cfg.T
-    zeta = paper_zeta(cfg.basis, cfg.profile, cfg.T, chain.c3, chain.c4)
     sel = select_alpha(
         horizon, cfg.profile, cfg.basis.lambda1, cfg.h01_prior, claimed, cfg.l2_prior, zeta
     )

@@ -118,7 +118,11 @@ class DiffusionProfile:
         ends = (self.base, self.base + self.slope * self.horizon)
         p1 = min(ends) - abs(self.amp)
         if not p1 > 0.0:
-            raise ValueError(f"profile not uniformly positive on [0, {self.horizon}] (p1={p1})")
+            raise ValueError(
+                f"profile p_base + p_slope t + p_amp sin(p_freq t) not uniformly positive on "
+                f"[0, 3T] = [0, {self.horizon}] (p1={p1}); raise p_base or lower a negative "
+                "p_slope or |p_amp|"
+            )
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", max(ends) + abs(self.amp))
         object.__setattr__(self, "dp_inf", abs(self.slope) + abs(self.amp * self.freq))

@@ -282,11 +282,17 @@ def wrong_weight(monkeypatch):
 
 
 def use_zeta_rule(monkeypatch, rule: str) -> None:
-    """Select local_reconstruct's zeta: "paper" keeps pipeline.paper_zeta,
-    "default" swaps in the canonical default_zeta on the horizon 3T."""
+    """Select local_reconstruct's zeta: "paper" keeps pipeline.transfer_claim's,
+    "default" keeps its claim and swaps in the canonical default_zeta on the
+    horizon 3T."""
     if rule == "default":
-        monkeypatch.setattr(pipeline, "paper_zeta", lambda basis, profile, T, c3, c4:
-                            default_zeta(basis.lambda1, profile.p2, 3.0 * T))
+        real = pipeline.transfer_claim
+
+        def claim_with_default_zeta(cfg, eps, delta):
+            claimed, _ = real(cfg, eps, delta)
+            return claimed, default_zeta(cfg.basis.lambda1, cfg.profile.p2, 3.0 * cfg.T)
+
+        monkeypatch.setattr(pipeline, "transfer_claim", claim_with_default_zeta)
 
 
 class TestSweep:
@@ -931,7 +937,7 @@ assert "scipy.linalg" in sys.modules
 
     def test_default_zeta_changes_only_the_local_bound(self, monkeypatch, tmp_path, capsys):
         # zeta enters the bound alone: the field, eps and alpha are the same
-        # under paper_zeta and default_zeta, and each rule's bound covers the error
+        # under transfer_claim's zeta and default_zeta, and each rule's bound covers the error
         path = tmp_path / "sweep.cfg"
         path.write_text(SWEEP_CFG)
         runs = {}
@@ -1019,6 +1025,45 @@ assert "scipy.linalg" in sys.modules
         assert all(key in err for key in ("prior_l2", "prior_h01", "delta"))
         # the field and the report are written first, as a sweep's rows are
         assert out.exists() and rep.exists()
+
+    @pytest.mark.parametrize("external", [False, True], ids=["synthetic", "external"])
+    @pytest.mark.parametrize("command", ["global-backward", "local-backward"])
+    def test_delta_at_the_norm_names_delta(self, command, external, tmp_path, capsys):
+        # delta >= |u0| used to fail the global route on a log-argument naming
+        # zeta, which no key sets, and the local one on a message naming no key
+        path, out = tmp_path / "big.cfg", tmp_path / "g.csv"
+        args = [command, "--config", str(path), "--out", str(out)]
+        if external:
+            cfg = parse_config_text(DEMO_16)
+            local = command == "local-backward"
+            a, b = (cfg.omega_a, cfg.omega_b) if local else (0.0, cfg.length)
+            xs = uniform_grid(a, b, cfg.panels(local=local))
+            obs = tmp_path / "obs.csv"
+            obs.write_text("x,value\n" + "".join(f"{x},{0.1 * math.sin(math.pi * x)}\n"
+                                                  for x in xs))
+            path.write_text(DEMO_16 + "prior_l2 = 1.0\nprior_h01 = 10.0\ndelta = 1.0\n")
+            args += ["--observation", str(obs)]
+            expected = r"delta = 1\.0 must be below prior_l2 = 1\.0"
+        else:
+            path.write_text(DEMO_16 + "delta = 5.0\n")
+            expected = r"delta = 5\.0 must be below the seeded \|u0\|_L2 = 0\.6\d+"
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"configuration error: {expected}\n", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keys, p1", [
+        ("p_base = -1.0\n", "-1.0"),
+        ("profile = affine\np_slope = -10.0\n", "-6.5"),
+        ("profile = sinusoidal\np_amp = 2.0\n", "-1.0"),
+    ], ids=["constant", "affine", "sinusoidal"])
+    def test_nonpositive_profile_names_its_keys(self, keys, p1, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(MINIMAL + keys)
+        assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"on [0, 3T] = [0, 0.75] (p1={p1})" in err, err
+        assert all(key in err for key in ("p_base", "p_slope", "p_amp")), err
 
     def test_no_noise_level_names_both_keys(self, tmp_path, capsys):
         path = tmp_path / "no_delta.cfg"

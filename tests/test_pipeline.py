@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from heatback import (
     ConfigError,
+    DiffusionProfile,
     PipelineConfig,
     SpectralField,
     Subdomain,
@@ -27,9 +29,7 @@ from heatback.harness import inject_noise
 from heatback.pipeline import (
     assemble_fbar,
     certified_delta_3T,
-    effective_delta_3T,
-    paper_zeta,
-    sw_prefactor,
+    transfer_claim,
     weight_from_chain,
 )
 from heatback.spectral import EigenBasis, observation_weights, project, simpson_weights
@@ -58,6 +58,17 @@ def _pipe_cfg(basis, profile, sub, setup, l2, h01):
     return PipelineConfig(
         basis, setup["T"], profile, sub, setup["gram"], 32, setup["chain"], l2, h01
     )
+
+
+def _claim_cfg(basis, profile, T, c3=1.0, c4=1.0, l2=1.0):
+    """A PipelineConfig holding only what transfer_claim reads: the basis, the
+    profile, T, the chain's c3 and c4, and the L2 prior."""
+    return PipelineConfig(basis, T, profile, None, None, 1, SimpleNamespace(c3=c3, c4=c4), l2, 1.0)
+
+
+def _sw(basis, profile, T):
+    """S_w as transfer_claim computes it: the claim at eps = l2 = 1 and delta = 0."""
+    return transfer_claim(_claim_cfg(basis, profile, T), 1.0, 0.0)[0]
 
 
 class TestSelectEpsilon:
@@ -92,18 +103,16 @@ class TestSelectEpsilon:
 
 class TestAggregatePrefactor:
     def test_single_mode_value(self, unit_domain):
-        from heatback import DiffusionProfile
-
         basis1 = EigenBasis(unit_domain, 1)
         prof = DiffusionProfile.constant(1.0, 0.3)
-        assert sw_prefactor(basis1, prof, 0.1) == pytest.approx(
+        assert _sw(basis1, prof, 0.1) == pytest.approx(
             math.exp(-math.pi**2 * 0.1), rel=1e-14
         )
 
     def test_partial_sums_converge(self, unit_domain, profile_constant):
         # consecutive partial sums agree to 1e-12 well before N = 64
         vals = [
-            sw_prefactor(EigenBasis(unit_domain, n), profile_constant, 0.1)
+            _sw(EigenBasis(unit_domain, n), profile_constant, 0.1)
             for n in range(1, 65)
         ]
         assert abs(vals[63] / vals[40] - 1.0) < 1e-12
@@ -115,9 +124,17 @@ class TestAggregatePrefactor:
         eps = select_epsilon(delta, T, c3, c4, l2)
         noise_term = c3 * math.exp(c3 / T) * eps ** (-c4) * delta
         assert noise_term * c4 == pytest.approx(eps * l2, rel=1e-10)
-        total = effective_delta_3T(delta, eps, T, profile_constant, l2, basis64, c3, c4)
-        sw = sw_prefactor(basis64, profile_constant, T)
+        total, _ = transfer_claim(_claim_cfg(basis64, profile_constant, T, c3, c4, l2), eps, delta)
+        sw = _sw(basis64, profile_constant, T)
         assert total == pytest.approx(sw * (eps * l2 + noise_term), rel=1e-13)
+
+    def test_underflow_names_T(self, basis64):
+        # exp(-2 pi^2 T) underflows to 0 for T = 40, and the higher modes sooner
+        cfg = _claim_cfg(basis64, DiffusionProfile.constant(1.0, 120.0), 40.0)
+        with pytest.raises(ConfigError) as caught:
+            transfer_claim(cfg, 1.0, 1e-4)
+        assert str(caught.value) == (
+            "T = 40.0 too large: every decay factor from 2T to 3T underflows to 0")
 
 
 class TestAssembleFbar:
@@ -365,21 +382,21 @@ class TestPaperZeta:
         T = local_setup["T"]
         l2, delta = 1.3, 1e-6
         eps = select_epsilon(delta, T, chain.c3, chain.c4, l2)
-        claimed = effective_delta_3T(
-            delta, eps, T, profile_constant, l2, basis64, chain.c3, chain.c4
-        )
-        zeta = paper_zeta(basis64, profile_constant, T, chain.c3, chain.c4)
+        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, l2, math.pi)
+        claimed, zeta = transfer_claim(cfg, eps, delta)
         arg = math.sqrt(2.0 * zeta * basis64.lambda1 * profile_constant.p2 * 3.0 * T) * l2 / claimed
         k1 = 1.0 / (1.0 + chain.c4)
         assert arg == pytest.approx(math.sqrt(3.0) * (l2 / delta) ** k1, rel=1e-10)
 
     def test_overflow_names_T_and_the_chain(self, basis64, profile_constant):
-        # c3 / T = 1200 puts 2 ln P past 700, where P^2 overflows
+        # c3 / T = 1200 puts 2 ln P past 700, where P^2 overflows; the claim's
+        # control-norm ceiling at the minimizing eps stays finite
         T, c3, c4 = 0.25, 300.0, 1.0
-        two_ln_P = 2.0 * (math.log(sw_prefactor(basis64, profile_constant, T)) + math.log(2.0)
+        two_ln_P = 2.0 * (math.log(_sw(basis64, profile_constant, T)) + math.log(2.0)
                           + 0.5 * (math.log(c3) + c3 / T))
+        eps = select_epsilon(1e-4, T, c3, c4, 1.0)
         with pytest.raises(ConfigError) as caught:
-            paper_zeta(basis64, profile_constant, T, c3, c4)
+            transfer_claim(_claim_cfg(basis64, profile_constant, T, c3, c4), eps, 1e-4)
         assert f"2 ln P = {two_ln_P:.6g} > 700" in str(caught.value)
         assert str(caught.value).startswith(
             "T = 0.25 too small for the constants chain (c3 = 300, c4 = 1): ")
