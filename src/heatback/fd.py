@@ -1,11 +1,13 @@
 """Crank-Nicolson finite-difference solver used as an independent forward oracle.
 
-Second order in space and time, unconditionally stable, with the diffusivity
-sampled at step midpoints, and one SPD tridiagonal solve (LAPACK ptsv) a step.
-The first two steps are backward Euler over a quarter step each (a Rannacher
-start): they damp the stiff components that Crank-Nicolson alone carries with
-a factor near -1 when dt is large.  Exists only to cross-check the spectral
-propagator; it shares no code path with it.
+Second order in space and time, unconditionally stable.  Steps are equal in
+diffusive time w = int_0^t p, with W from the oracle's own Simpson rule, so
+every step solves with one of two SPD tridiagonal matrices, each factored once
+(LAPACK pttrf), and each step is one pttrs solve.  The first two steps are
+backward Euler over a quarter step each (a Rannacher start): they damp the
+stiff components that Crank-Nicolson alone carries with a factor near -1 when
+the step is large.  Exists only to cross-check the spectral propagator; it
+shares no code path with it.
 """
 
 from __future__ import annotations
@@ -18,19 +20,40 @@ from numpy.linalg import LinAlgError
 from .spectral import DiffusionProfile, DomainSpec, SpectralField, lapack
 
 
-def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD tridiagonal system with diagonal d and off-diagonal e.
+def factor_banded(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LDL^T factor of the SPD tridiagonal matrix with diagonal d and off-diagonal e.
 
-    One LAPACK ptsv call (LDL^T without pivoting; from spectral.lapack, so the
-    first one imports scipy.linalg), the routine scipy.linalg.solveh_banded
-    calls on a 2-row band, without its wrapping.  All three arrays are
-    overwritten; the solution is returned in b's memory.  Inputs are not
-    checked for finiteness; a non-positive leading minor raises LinAlgError.
+    One LAPACK pttrf call (no pivoting; from spectral.lapack, so the first one
+    imports scipy.linalg).  Both arrays are overwritten with the factor, which
+    is returned for `solve_banded`.  Inputs are not checked for finiteness; a
+    non-positive leading minor raises LinAlgError.
     """
-    x, info = lapack("ptsv")(d, e, b, True, True, True)[2:]
+    d, e, info = lapack("pttrf")(d, e, True, True)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
-    return x
+    return d, e
+
+
+def solve_banded(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve A x = b with the `factor_banded` factor of A: one LAPACK pttrs call.
+
+    pttrf then pttrs is ptsv, the routine scipy.linalg.solveh_banded calls on
+    a 2-row band, so the result is bit for bit solveh_banded's.  b is
+    overwritten; the solution is returned in its memory.
+    """
+    return lapack("pttrs")(*factor, b, True)[0]
+
+
+def diffusive_time(profile: DiffusionProfile, t: float, steps: int) -> float:
+    """W = int_0^t p by composite Simpson over 2 * steps panels of profile samples.
+
+    The oracle's own quadrature: the spectral propagator takes W from
+    DiffusionProfile.integral, which the oracle must not share.  A p huge
+    enough to overflow the sum gives W = inf, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = profile(np.linspace(0.0, t, 2 * steps + 1))
+        return float(t / (6.0 * steps) * (p[0] + 4.0 * p[1::2].sum() + 2.0 * p[2:-1:2].sum() + p[-1]))
 
 
 @dataclass(frozen=True)
@@ -69,19 +92,22 @@ def fd_evolve(
 ) -> np.ndarray:
     """Advance interior values from time 0 to t <= profile.horizon in `steps` banded solves.
 
-    With dt = t / steps, the first two steps (one if steps = 2, none if
-    steps = 1) are backward Euler over dt / 4, solving (I + 2r A) u_new =
-    u_old; a quarter step keeps their O(dt^2) start error a sixteenth of that
-    of full steps, which would match Crank-Nicolson's own on smooth data.
-    The rest are Crank-Nicolson of equal length over the remaining time,
-    (I + r A) u_new = (I - r A) u_old, taken as u_new = y + (y - u_old) with
-    (I + r A) y = u_old, as I - r A = 2I - (I + r A).  Here A = tridiag(-1, 2,
-    -1)/dx^2 and r = 0.5 * step * p(step midpoint) > 0, so I + r A is SPD and
-    each step is one direct LAPACK ptsv call (this module's `solve_banded`),
-    bit for bit scipy.linalg.solveh_banded's result, from the same routine.
+    The steps are equal in diffusive time w = int_0^t p, in which u_t = p(t)
+    u_xx is u_w = u_xx, over W = `diffusive_time(profile, t, steps)`.  With
+    dw = W / steps, the first two steps (one if steps = 2, none if steps = 1)
+    are backward Euler over dw / 4, solving (I + 2r A) u_new = u_old; a
+    quarter step keeps their O(dw^2) start error a sixteenth of that of full
+    steps, which would match Crank-Nicolson's own on smooth data.  The rest
+    are Crank-Nicolson of equal length over the remaining W, (I + r A) u_new =
+    (I - r A) u_old, taken as u_new = y + (y - u_old) with (I + r A) y =
+    u_old, as I - r A = 2I - (I + r A).  Here A = tridiag(-1, 2, -1)/dx^2 and
+    r is half the step in w, so I + r A is SPD and the same for every step of
+    one kind: each kind is factored once (`factor_banded`), and each step is
+    one LAPACK pttrs call (`solve_banded`), bit for bit the result of
+    scipy.linalg.solveh_banded on that step's matrix.
 
     Finiteness is checked outside the loop, not by each solve: `initial` and
-    every r before the first step, the result after the last.  A NaN or inf
+    both r before the first step, the result after the last.  A NaN or inf
     that appears in any step (an overflow) survives every later tridiagonal
     solve, so the final check catches it.  Such a run raises a ValueError
     naming fd_evolve; numpy's overflow and invalid-value warnings inside the
@@ -99,34 +125,31 @@ def fd_evolve(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     n_implicit = min(2, steps - 1)
-    dt_implicit = 0.25 * t / steps
-    dts = np.full(steps, (t - n_implicit * dt_implicit) / (steps - n_implicit))
-    dts[:n_implicit] = dt_implicit
-    starts = np.zeros(steps)
-    np.cumsum(dts[:-1], out=starts[1:])  # bit for bit a running sum of the preceding steps
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rs = dts * profile(starts + 0.5 * dts) / grid.dx**2
-    if not np.isfinite(rs).all():
+    w = diffusive_time(profile, t, steps)
+    dw_implicit = 0.25 * w / steps
+    dw = (w - n_implicit * dw_implicit) / (steps - n_implicit)
+    r_implicit, r = dw_implicit / grid.dx**2, 0.5 * dw / grid.dx**2
+    if not np.isfinite((r_implicit, r)).all():
         raise ValueError(
-            f"fd_evolve: step coefficient r = dt p / dx^2 overflows (dx={grid.dx}, t={t}); lower "
-            "the diffusivity (p_base, p_slope, p_amp) or T, or raise length"
+            f"fd_evolve: step coefficient r = dw / dx^2, dw a step of W = int_0^t p, overflows "
+            f"(dx={grid.dx}, t={t}); lower the diffusivity (p_base, p_slope, p_amp) or T, or "
+            "raise length"
         )
-    rs[n_implicit:] *= 0.5  # each step solves with I + r tridiag(-1, 2, -1)
-    d, e = np.empty(u.size), np.empty(u.size - 1)
+
+    def factor(r):  # I + r tridiag(-1, 2, -1)
+        return factor_banded(np.full(u.size, 1.0 + 2.0 * r), np.full(u.size - 1, -r))
+
+    implicit = factor(r_implicit) if n_implicit else None
+    crank_nicolson = factor(r)
     y = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, r in enumerate(rs.tolist()):
+        for _ in range(n_implicit):
+            u = solve_banded(implicit, u)
+        for _ in range(steps - n_implicit):
             np.copyto(y, u)
-            d.fill(1.0 + 2.0 * r)
-            e.fill(-r)
-            # every step refills d, e and y, so ptsv may factor in place and
-            # return the solution in y's memory
-            y = solve_banded(d, e, y)
-            if n < n_implicit:
-                u, y = y, u
-            else:
-                np.subtract(y, u, out=u)
-                np.add(y, u, out=u)
+            y = solve_banded(crank_nicolson, y)
+            np.subtract(y, u, out=u)
+            np.add(y, u, out=u)
     if not np.isfinite(u).all():
         raise ValueError(
             f"fd_evolve: the solution overflowed to a non-finite value (t={t}, steps={steps})"

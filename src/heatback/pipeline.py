@@ -66,7 +66,11 @@ def weight_from_chain(chain: ObservabilityConstants, T: float, eps: float) -> fl
         raise ValueError("eps must be positive")
     ln_k = 0.5 * (chain.ln_c1 + chain.c1 / T) - chain.c2 * math.log(eps)
     if ln_k > 350.0:
-        raise ConfigError(f"control weight exp({ln_k:.3g}) not representable")
+        raise ConfigError(
+            f"T = {T} too small for the constants chain (c1 = {chain.c1:.6g}, c2 = "
+            f"{chain.c2:.6g}): the control weight k = exp({ln_k:.3g}) is not representable; "
+            "raise T or change constants_mode"
+        )
     return math.exp(ln_k)
 
 

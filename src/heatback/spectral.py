@@ -415,9 +415,10 @@ def synthesize_initial(basis: EigenBasis, decay: float, seed: int) -> SpectralFi
 def lapack(name: str):
     """The float64 LAPACK routine ``name`` as scipy wraps it, bound once.
 
-    The one source of LAPACK in the package (the control bank's Cholesky and
-    the oracle's tridiagonal solves).  scipy.linalg is imported on the first
-    call, so the spectral route alone never loads it.
+    The one source of LAPACK in the package (the control bank's Cholesky,
+    potrf and potrs, and the oracle's tridiagonal factor and solves, pttrf
+    and pttrs).  scipy.linalg is imported on the first call, so the spectral
+    route alone never loads it.
     """
     from scipy.linalg import get_lapack_funcs
 

@@ -5,27 +5,26 @@ import pytest
 from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from heatback import (
-    DiffusionProfile, FDGrid, SpectralField, evolve, fd, fd_evolve, oracle_gap, synthesize_initial,
+    DiffusionProfile, EigenBasis, FDGrid, SpectralField, evolve, fd, fd_evolve, oracle_gap,
+    synthesize_initial,
 )
 
 
 def step_schedule(grid, profile, t, steps):
-    """(backward Euler?, r) for each step, with a running start time and a
-    scalar profile call; r = dt p(step midpoint) / dx^2."""
+    """(backward Euler?, r) for each step, equal in diffusive time: W from the
+    oracle's Simpson rule, then r = dw / dx^2 for each step dw of W."""
     n_implicit = min(2, steps - 1)
-    dt_implicit = 0.25 * t / steps
-    dt_cn = (t - n_implicit * dt_implicit) / (steps - n_implicit)
-    start = 0.0
+    w = fd.diffusive_time(profile, t, steps)
+    dw_implicit = 0.25 * w / steps
+    dw_cn = (w - n_implicit * dw_implicit) / (steps - n_implicit)
     for n in range(steps):
-        dt = dt_implicit if n < n_implicit else dt_cn
-        yield n < n_implicit, dt * float(profile(start + 0.5 * dt)) / grid.dx**2
-        start += dt
+        yield n < n_implicit, (dw_implicit if n < n_implicit else dw_cn) / grid.dx**2
 
 
 def reference_fd_evolve(grid, initial, profile, t, steps):
-    """The per-step loop fd_evolve vectorizes: a finiteness-checked SPD banded
-    solve (I + r A) y = u in every step, u_new = y for backward Euler and
-    y + (y - u) for Crank-Nicolson (with half the step's r)."""
+    """The per-step loop fd_evolve factors once: a finiteness-checked SPD banded
+    solve (I + r A) y = u that factors in every step, u_new = y for backward
+    Euler and y + (y - u) for Crank-Nicolson (with half the step's r)."""
     u = np.asarray(initial, dtype=float).copy()
     ab = np.zeros((2, grid.interior))  # upper form: the off-diagonal, then the diagonal
     for implicit, r in step_schedule(grid, profile, t, steps):
@@ -84,22 +83,31 @@ class TestFDEvolve:
             assert after < before
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 50])
-    def test_grid_mode_follows_the_step_schedule(self, grid, profile_constant, steps):
+    def test_grid_mode_follows_the_step_schedule(
+        self, grid, profile_constant, profile_affine, profile_sinusoidal, steps
+    ):
         # a grid sine mode is an eigenvector of tridiag(-1, 2, -1)/dx^2, so each
-        # step scales it by its amplification factor: backward Euler over dt/4
-        # for the first two steps (fewer when steps < 3), Crank-Nicolson after
+        # step scales it by its amplification factor: backward Euler over dw/4
+        # for the first two steps (fewer when steps < 3), Crank-Nicolson after,
+        # all equal steps in diffusive time, here W from the exact integral of p;
+        # the schedule in w is the same for every profile, and at steps = 1 the
+        # oracle's 2-panel Simpson rule misses the sinusoidal W by 3.5e-11,
+        # above what atol admits, so that profile starts at steps = 2
         t, k = 0.1, 3
         theta = k * np.pi * grid.dx / grid.domain.length
         mu = 4.0 / grid.dx**2 * np.sin(0.5 * theta) ** 2
         n_be = min(2, steps - 1)
-        dt_be = 0.25 * t / steps
-        dt_cn = (t - n_be * dt_be) / (steps - n_be)
-        factor = (1.0 + mu * dt_be) ** -n_be * (
-            (1.0 - 0.5 * mu * dt_cn) / (1.0 + 0.5 * mu * dt_cn)
-        ) ** (steps - n_be)
         v = np.sin(theta * np.arange(1, grid.interior + 1))
-        out = fd_evolve(grid, v, profile_constant, t, steps)
-        np.testing.assert_allclose(out, factor * v, rtol=0.0, atol=1e-12)
+        profiles = (profile_constant, profile_affine) + ((profile_sinusoidal,) if steps > 1 else ())
+        for profile in profiles:
+            w = profile.integral(0.0, t)
+            dw_be = 0.25 * w / steps
+            dw_cn = (w - n_be * dw_be) / (steps - n_be)
+            factor = (1.0 + mu * dw_be) ** -n_be * (
+                (1.0 - 0.5 * mu * dw_cn) / (1.0 + 0.5 * mu * dw_cn)
+            ) ** (steps - n_be)
+            out = fd_evolve(grid, v, profile, t, steps)
+            np.testing.assert_allclose(out, factor * v, rtol=0.0, atol=1e-12)
 
     def test_stiff_step_is_damped(self, grid, profile_constant):
         # mu dt ~ 1e6 for the top grid mode: Crank-Nicolson alone keeps it at
@@ -123,8 +131,8 @@ class TestFDEvolve:
     @pytest.mark.parametrize("steps", [1, 2, 3, 400, 2000])
     @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
     def test_equals_the_per_step_loop(self, grid, basis64, kind, steps, request):
-        # the vectorized schedule (cumsum of the preceding steps, one profile
-        # call), the direct ptsv call and the swapped buffers must not move a single bit
+        # one factorization per kind of step, the direct pttrs call and the
+        # buffers solved in place must not move a single bit
         profile = request.getfixturevalue(f"profile_{kind}")
         v = grid.sample(synthesize_initial(basis64, 2.0, steps))
         for t in (0.05, 0.4):
@@ -152,7 +160,7 @@ class TestFDEvolve:
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_overflow_raises_named_error(self, grid, profile_constant, steps):
-        # r ~ 1e5, so ptsv's forward substitution, whose partial results grow
+        # r ~ 1e5, so pttrs's forward substitution, whose partial results grow
         # toward sqrt(r) * 1e308, overflows in the first step although the
         # solution would not; the warnings stay inside fd_evolve (the suite
         # turns a RuntimeWarning into an error) and the final check names the solver
@@ -176,6 +184,35 @@ class TestFDEvolve:
         fd_evolve(grid, v, profile_affine, 0.1, steps)
         assert len(calls) == steps
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 50])
+    def test_at_most_two_factorizations(self, grid, profile_sinusoidal, steps, monkeypatch):
+        # every step of one kind has the same r, so one factor per kind: the
+        # Crank-Nicolson matrix, and the backward-Euler one once steps > 1
+        calls = []
+        factor = fd.factor_banded
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(fd, "factor_banded", counted)
+        v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))
+        fd_evolve(grid, v, profile_sinusoidal, 0.1, steps)
+        assert len(calls) == min(2, steps)
+
+    @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
+    def test_never_calls_the_spectral_propagator(self, grid, kind, request, monkeypatch):
+        # the oracle integrates p itself; the spectral path's exact integral and
+        # its decay factors must not enter the result it is checked against
+        profile = request.getfixturevalue(f"profile_{kind}")
+        calls = []
+        for cls, name in ((DiffusionProfile, "integral"), (EigenBasis, "decay")):
+            monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+        v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))
+        for steps in (1, 3, 50):
+            fd_evolve(grid, v, profile, 0.4, steps)
+        assert calls == []
+
     def test_leaves_its_input_untouched(self, grid, profile_constant):
         v = np.sin(3.0 * np.pi * grid.dx * np.arange(1, grid.interior + 1))
         before = v.copy()
@@ -188,19 +225,31 @@ class TestSolveBanded:
         # LDL^T without pivoting stops at the first leading minor that is not
         # positive: d[0] = 0 is the first one, and 1 - 2^2 < 0 the second
         with pytest.raises(LinAlgError, match="1th leading minor not positive definite"):
-            fd.solve_banded(np.array([0.0, 1.0, 1.0]), np.ones(2), np.ones(3))
+            fd.factor_banded(np.array([0.0, 1.0, 1.0]), np.ones(2))
         with pytest.raises(LinAlgError, match="2th leading minor not positive definite"):
-            fd.solve_banded(np.ones(3), np.full(2, 2.0), np.ones(3))
+            fd.factor_banded(np.ones(3), np.full(2, 2.0))
 
     def test_equals_solveh_banded(self):
-        # a diagonally dominant, so SPD, tridiagonal system; fd.solve_banded
-        # overwrites its inputs, so it gets copies
+        # a diagonally dominant, so SPD, tridiagonal system; factor_banded and
+        # solve_banded overwrite their inputs, so they get copies, and one
+        # factor serves every right-hand side
         rng = np.random.default_rng(7)
         d = rng.uniform(2.0, 3.0, 500)
         e = -rng.uniform(0.1, 1.0, 499)
-        b = rng.standard_normal(500)
-        expected = solveh_banded(np.vstack([np.r_[0.0, e], d]), b)
-        np.testing.assert_array_equal(fd.solve_banded(d.copy(), e.copy(), b.copy()), expected)
+        factor = fd.factor_banded(d.copy(), e.copy())
+        for b in rng.standard_normal((2, 500)):
+            expected = solveh_banded(np.vstack([np.r_[0.0, e], d]), b)
+            np.testing.assert_array_equal(fd.solve_banded(factor, b.copy()), expected)
+
+
+class TestDiffusiveTime:
+    @pytest.mark.parametrize("steps", [50, 400, 2000])
+    @pytest.mark.parametrize("kind", ["constant", "affine", "sinusoidal"])
+    def test_matches_the_exact_integral(self, kind, steps, request):
+        profile = request.getfixturevalue(f"profile_{kind}")
+        for t in (0.05, 0.1, 0.4, 0.75):
+            exact = profile.integral(0.0, t)
+            assert fd.diffusive_time(profile, t, steps) == pytest.approx(exact, rel=1e-11, abs=0.0)
 
 
 class TestOracleGap:

@@ -809,6 +809,20 @@ assert "scipy.linalg" in sys.modules
             for out in outs:
                 assert not re.search(r"\b(nan|inf)\b", out.read_text(), re.IGNORECASE), out
 
+    @pytest.mark.parametrize("command", ["sweep", "control", "local-backward"])
+    def test_unrepresentable_control_weight_names_the_keys(self, command, tmp_path, capsys):
+        # on the whole domain the paper chain has c1 = 4, so at T = 0.002 the
+        # weight k = sqrt(c1 e^{c1/T}) / eps^{c2} is about exp(505)
+        path = tmp_path / "short_T.cfg"
+        path.write_text(MINIMAL.replace("T = 0.25", "T = 0.002").replace(", 1e-6", "")
+                        + "omega_a = 0.0\nomega_b = 1.0\nmodes = 32\n")
+        out = tmp_path / "o.csv"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: T = 0.002 too small") and err.count("\n") == 1
+        assert "control weight k = exp(505)" in err and "constants_mode" in err
+        assert not out.exists()
+
     def test_oracle_check_at_huge_T_exits_zero(self, tmp_path):
         # dt = 500: Crank-Nicolson alone keeps the stiff grid modes at a factor
         # near -1 per step, which the backward-Euler start damps
@@ -829,6 +843,18 @@ assert "scipy.linalg" in sys.modules
         assert err.count("\n") == 1 and "step coefficient r" in err
         assert all(key in err for key in ("p_base", "p_slope", "p_amp", " T", "length"))
         assert not out.exists()
+
+    def test_oracle_check_fails_on_a_shifted_integral(self, tmp_path, monkeypatch, capsys):
+        # the oracle integrates p itself, so an exact integral off by 1% moves
+        # only the spectral side, and the check must catch it
+        integral = DiffusionProfile.integral
+        monkeypatch.setattr(
+            DiffusionProfile, "integral", lambda self, t0, t1: 1.01 * integral(self, t0, t1)
+        )
+        path = tmp_path / "demo.cfg"
+        path.write_text(DEMO_16)
+        assert cli_main(["oracle-check", "--config", str(path)]) == 2
+        assert "oracle disagrees" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "global-backward"])
     def test_huge_decay_leaves_one_mode(self, command, tmp_path):
