@@ -185,6 +185,9 @@ def _cmd_constants(cfg: ExperimentConfig, args) -> int:
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows = run_sweep(cfg)
     _write(args.out or cfg.out, rows_to_csv(rows))
+    failures = [row["failure"] for row in rows if "failure" in row]
+    if failures:
+        raise failures[0]
     bad = [row for row in rows if row["bound_ok"] is False]
     if bad:
         raise BoundViolation(

@@ -345,10 +345,16 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
     rows = [row("global", None, sel.alpha, sel.bound, err_global, err_global <= sel.bound)]
 
     xs_omega, noisy_omega = run.observe(uT, delta_abs, seed, local=True)
-    report = local_reconstruct(xs_omega, noisy_omega, delta_abs, run.pipeline(l2, h01))
-    err_local, bound = (u0 - report.g).l2(), report.selection.bound
-    local_ok = err_local <= bound and report.consistency_ok
-    rows.append(row("local", report.epsilon, report.selection.alpha, bound, err_local, local_ok))
+    try:
+        report = local_reconstruct(xs_omega, noisy_omega, delta_abs, run.pipeline(l2, h01))
+    except ConfigError as exc:
+        # the other methods' rows stand; the CLI writes them, then exits 1 with exc
+        rows.append({"delta": delta_abs, "method": "local", "failure": exc})
+    else:
+        err_local, bound = (u0 - report.g).l2(), report.selection.bound
+        local_ok = err_local <= bound and report.consistency_ok
+        alpha = report.selection.alpha
+        rows.append(row("local", report.epsilon, alpha, bound, err_local, local_ok))
 
     observed = project(xs_full, noisy_full, basis)
     if sel.gate_zero:
@@ -363,6 +369,10 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
 
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[dict]:
     """All (delta, seed) cells in turn, three methods each, in deterministic order.
+
+    A cell whose local route raises a ``ConfigError`` keeps its other rows; its
+    local row holds only ``delta`` and ``method``, and the error under
+    ``failure``, which is no CSV column.
 
     ``parallel`` is ignored: only the benchmark (``perfbench/bench.py``) still
     passes it, and ROADMAP item 2 removes it with its ``sweep-threads`` workload.

@@ -281,7 +281,11 @@ class SpectralField:
         return cls(basis, c)
 
     def l2(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        # a finite field whose sum of squares overflows (a baseline that inverts
+        # mode 1 at a huge T) takes hypot's scaled sum instead
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.coeffs))
+        return math.hypot(*self.coeffs) if norm == math.inf else norm
 
     def h01(self) -> float:
         return float(math.sqrt(np.sum(self.basis.eigenvalues * self.coeffs**2)))
@@ -360,20 +364,47 @@ def observation_weights(xs: np.ndarray, sub: Subdomain, basis: EigenBasis) -> np
     return simpson_weights(xs.size, spacing)
 
 
+# bytes of the sine matrix in one block of a projection, each block taken by
+# one product with both folded vectors; on the global benchmark (one-thread
+# OpenBLAS, Xeon) 128 KiB blocks cut both the median and the tail, 256 KiB ones
+# raised the tail above the unfolded product's, and 512 KiB ones made it 1.6x slower
+_PROJECT_BLOCK_BYTES = 1 << 17
+
+
 def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralField:
     """Quadrature projection of full-domain samples onto the eigenbasis.
 
     Requires a grid that observation_weights accepts on [0, L]; composite
     Simpson then integrates every product e_i * e_j exactly up to roundoff, so
     projecting band-limited samples is spectrally accurate.
+
+    On that grid of P panels node P - j mirrors node j, and e_k there is
+    (-1)^(k+1) e_k at node j.  So the weighted samples wv are folded once,
+    s_j = wv_j + wv_{P-j} and d_j = wv_j - wv_{P-j} for j < P/2 (s = wv_{P/2}
+    and d = 0 at the centre), and the odd modes' coefficients are the sums of
+    s, the even modes' those of d, over rows 0..P/2 of the full grid's sine
+    matrix only, taken in blocks of 128 KiB.  On a grid that is uniform
+    only to the 1e-9 L that observation_weights admits, a mirrored sine is
+    off its node's own by at most k pi / L times that, the order of error the
+    nominal Simpson weights already make there.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape or xs.ndim != 1:
         raise ValueError("xs and values must be matching 1-d arrays")
-    w = observation_weights(xs, Subdomain.full(basis.domain), basis)
-    coeffs = basis.eigenfunction_matrix(xs).T @ (w * values)
-    return SpectralField(basis, coeffs)
+    wv = observation_weights(xs, Subdomain.full(basis.domain), basis) * values
+    h = xs.size // 2
+    folded = np.empty((2, h + 1))
+    np.add(wv[:h], wv[:h:-1], out=folded[0, :h])
+    np.subtract(wv[:h], wv[:h:-1], out=folded[1, :h])
+    folded[:, h] = wv[h], 0.0
+    half = basis.eigenfunction_matrix(xs)[:h + 1]
+    rows = max(1, _PROJECT_BLOCK_BYTES // half.strides[0])
+    sums = np.zeros((2, basis.size))
+    for j in range(0, h + 1, rows):
+        sums += folded[:, j:j + rows] @ half[j:j + rows]
+    sums[0, 1::2] = sums[1, 1::2]
+    return SpectralField(basis, sums[0])
 
 
 def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:

@@ -34,6 +34,7 @@ from heatback.control import ControlSetup
 from heatback.filtering import default_zeta
 from heatback.harness import (
     _FLOAT_KEYS,
+    SWEEP_COLUMNS,
     ExperimentConfig,
     fmt_value,
     parse_config_text,
@@ -355,11 +356,13 @@ class TestSweep:
 
 
 def _sweep_outcome(cfg) -> str:
-    """The sweep's CSV, or the message of the ConfigError it raises."""
+    """The sweep's CSV and the errors its local rows hold, or the message of
+    the ConfigError it raises."""
     try:
-        return rows_to_csv(run_sweep(cfg))
+        rows = run_sweep(cfg)
     except ConfigError as exc:
         return f"ConfigError: {exc}"
+    return rows_to_csv(rows) + "".join(f"ConfigError: {r['failure']}" for r in rows if "failure" in r)
 
 
 class TestGeometryMemo:
@@ -731,6 +734,18 @@ assert "scipy.linalg" in sys.modules
         )
         assert named, err
         assert 8e13 < float(named[1]) < 8.2e13 and 6e-209 < float(named[2]) < 6.3e-209
+        if command == "sweep":
+            # the local route's failure loses no other method's checked row
+            lines = (tmp_path / "o.csv").read_text().splitlines()
+            rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+            assert [row["method"] for row in rows] == ["global"] * 3 + ["local"] * 3 + [
+                "baseline"] * 3
+            for row in rows:
+                assert float(row["delta"]) > 0.0
+                if row["method"] == "local":
+                    assert all(row[col] == "" for col in SWEEP_COLUMNS[2:]), row
+                else:
+                    assert row["bound_ok"] == "true" and math.isfinite(float(row["error"]))
 
     @pytest.mark.parametrize("zeta_rule", ["paper", "default"])
     @pytest.mark.parametrize("command, rc", [
@@ -821,7 +836,8 @@ assert "scipy.linalg" in sys.modules
         err = capsys.readouterr().err
         assert err.startswith("configuration error: T = 0.002 too small") and err.count("\n") == 1
         assert "control weight k = exp(505)" in err and "constants_mode" in err
-        assert not out.exists()
+        # a sweep writes its global and baseline rows before it exits
+        assert out.exists() == (command == "sweep")
 
     def test_oracle_check_at_huge_T_exits_zero(self, tmp_path):
         # dt = 500: Crank-Nicolson alone keeps the stiff grid modes at a factor

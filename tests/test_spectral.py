@@ -508,6 +508,42 @@ class TestProject:
         with pytest.raises(ConfigError, match="span"):
             project(xs, np.zeros(xs.size), basis16)
 
+    @staticmethod
+    def _noise_grid(n, length, seed):
+        basis = EigenBasis(DomainSpec(length, 0.5 * length), n)
+        xs = uniform_grid(0.0, length, 16 * n)
+        return basis, xs, np.random.default_rng(seed).standard_normal(xs.size)
+
+    # jitter moves the nodes by up to 2e-10 L, inside observation_weights'
+    # 1e-9 L, while the fold still reads each mirrored node's sines off its
+    # partner's; odd n splits the modes unevenly by parity, and at n 512 the
+    # half grid spans several blocks
+    @pytest.mark.parametrize("jitter, rtol", [(0.0, 1e-12), (2e-10, 1e-6)])
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 97, 256, 512])
+    def test_fold_equals_the_dense_product(self, n, length, jitter, rtol):
+        basis, xs, v = self._noise_grid(n, length, seed=n)
+        xs[1:-1] += np.random.default_rng([n, 1]).uniform(-jitter, jitter, xs.size - 2) * length
+        w = spectral.simpson_weights(xs.size, xs[1] - xs[0])
+        dense = spectral._sine_matrix(xs, n, length).T @ (w * v)
+        c = project(xs, v, basis).coeffs
+        assert np.max(np.abs(c - dense)) <= rtol * np.max(np.abs(dense))
+
+    def test_one_matrix_keyed_by_the_full_grid(self, monkeypatch):
+        basis, xs, v = self._noise_grid(64, 1.0, seed=3)
+        calls = []
+        original = EigenBasis.eigenfunction_matrix
+
+        def spy(self, grid, modes=None):
+            calls.append((np.array(grid), modes))
+            return original(self, grid, modes)
+
+        monkeypatch.setattr(EigenBasis, "eigenfunction_matrix", spy)
+        project(xs, v, basis)
+        [(grid, modes)] = calls
+        np.testing.assert_array_equal(grid, xs)
+        assert modes is None
+
 
 class TestGram:
     def test_full_domain_is_identity(self, basis16, unit_domain):
@@ -591,6 +627,12 @@ class TestNorms:
         u = SpectralField.unit_mode(basis16, 1)
         assert u.l2() == pytest.approx(1.0)
         assert u.h01() == pytest.approx(math.pi, rel=1e-14)
+
+    def test_l2_past_the_float_square(self, basis16):
+        # the sum of squares overflows while the norm does not
+        coeffs = np.zeros(16)
+        coeffs[[0, 5]] = (3e300, -4e300)
+        assert SpectralField(basis16, coeffs).l2() == pytest.approx(5e300, rel=1e-15)
 
     def test_zero_field(self, basis16):
         u = SpectralField.zero(basis16)
