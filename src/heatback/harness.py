@@ -356,13 +356,14 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
         alpha = report.selection.alpha
         rows.append(row("local", report.epsilon, alpha, bound, err_local, local_ok))
 
-    observed = project(xs_full, noisy_full, basis)
     if sel.gate_zero:
-        cutoff = 1
+        # the data hold no mode above the noise, so the baseline is the zero
+        # answer too, not mode 1's noise blown up by its decay
+        g_base = SpectralField.zero(basis)
     else:
         w0T = profile.integral(0.0, cfg.T)
         cutoff = max(1, int(np.sum(basis.eigenvalues * w0T <= math.log(sel.alpha))))
-    g_base = truncation_baseline(observed, cutoff, cfg.T, profile)
+        g_base = truncation_baseline(project(xs_full, noisy_full, basis), cutoff, cfg.T, profile)
     rows.append(row("baseline", None, None, None, (u0 - g_base).l2(), True))
     return rows
 

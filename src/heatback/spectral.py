@@ -213,14 +213,17 @@ class EigenBasis:
         """Read-only matrix E with E[j, i] = e_{i+1}(xs.flat[j]), i < modes.
 
         ``modes`` defaults to the basis size; a caller that needs only the
-        leading modes asks for just those columns.  The matrices of the few
-        most recently used (modes, grid) pairs are kept with a copy of the
-        grid's float64 bytes, so each returned matrix depends only on the
-        column count and those bytes.  An entry is found by comparing them (a
-        length check, then a memcmp), which is far cheaper than hashing them.
-        A missing matrix is built under a lock, for callers that share a basis
-        across threads (the package starts none): two that ask for it at once
-        build it once, and the second waits for it.
+        leading modes asks for just those columns.  E is the transpose view of
+        the mode-major matrix that ``_sine_matrix`` builds, so E is
+        F-contiguous and row i of the C-contiguous E.T holds e_{i+1} on the
+        grid.  The matrices of the few most recently used (modes, grid) pairs
+        are kept with a copy of the grid's float64 bytes, so each returned
+        matrix depends only on the column count and those bytes.  An entry is
+        found by comparing them (a length check, then a memcmp), which is far
+        cheaper than hashing them.  A missing matrix is built under a lock,
+        for callers that share a basis across threads (the package starts
+        none): two that ask for it at once build it once, and the second
+        waits for it.
         """
         n = self.size if modes is None else modes
         if not 0 <= n <= self.size:
@@ -233,8 +236,9 @@ class EigenBasis:
                     del self._sines[i]
                     break
             else:
-                E = _sine_matrix(xs.ravel(), n, self.domain.length)
-                E.flags.writeable = False
+                rows = _sine_matrix(xs.ravel(), n, self.domain.length)
+                rows.flags.writeable = False
+                E = rows.T
                 if len(self._sines) == _SINE_CACHE_SIZE:
                     del self._sines[0]
             self._sines.append((n, data, E))
@@ -242,18 +246,19 @@ class EigenBasis:
 
 
 def _sine_matrix(xs: np.ndarray, n: int, L: float) -> np.ndarray:
-    """sqrt(2/L) sin(k pi xs[j] / L), k = 1..n, as one np.sin.
+    """Mode-major sqrt(2/L) sin(k pi xs[j] / L): row k - 1 holds mode k on the
+    grid, k = 1..n, as one np.sin into a C-ordered (n, points) array.
 
     A faster kernel would buy little: the cache keeps each (grid, width)
-    matrix, so it is built once per process.  The outer product of xs and
-    k pi / L is a matmul of a (points, 1) and a (1, n) array, which, unlike
+    matrix, so it is built once per process.  The outer product of k pi / L
+    and xs is a matmul of an (n, 1) and a (1, points) array, which, unlike
     a broadcasting ufunc, allocates no iterator buffers next to the result.
     """
     wavenumbers = np.arange(1.0, n + 1.0) * (math.pi / L)
-    E = np.matmul(xs.reshape(-1, 1), wavenumbers.reshape(1, -1))
-    np.sin(E, out=E)
-    E *= math.sqrt(2.0 / L)
-    return E
+    rows = np.matmul(wavenumbers.reshape(-1, 1), xs.reshape(1, -1))
+    np.sin(rows, out=rows)
+    rows *= math.sqrt(2.0 / L)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -364,13 +369,6 @@ def observation_weights(xs: np.ndarray, sub: Subdomain, basis: EigenBasis) -> np
     return simpson_weights(xs.size, spacing)
 
 
-# bytes of the sine matrix in one block of a projection, each block taken by
-# one product with both folded vectors; on the global benchmark (one-thread
-# OpenBLAS, Xeon) 128 KiB blocks cut both the median and the tail, 256 KiB ones
-# raised the tail above the unfolded product's, and 512 KiB ones made it 1.6x slower
-_PROJECT_BLOCK_BYTES = 1 << 17
-
-
 def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralField:
     """Quadrature projection of full-domain samples onto the eigenbasis.
 
@@ -382,11 +380,13 @@ def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralFi
     (-1)^(k+1) e_k at node j.  So the weighted samples wv are folded once,
     s_j = wv_j + wv_{P-j} and d_j = wv_j - wv_{P-j} for j < P/2 (s = wv_{P/2}
     and d = 0 at the centre), and the odd modes' coefficients are the sums of
-    s, the even modes' those of d, over rows 0..P/2 of the full grid's sine
-    matrix only, taken in blocks of 128 KiB.  On a grid that is uniform
-    only to the 1e-9 L that observation_weights admits, a mirrored sine is
-    off its node's own by at most k pi / L times that, the order of error the
-    nominal Simpson weights already make there.
+    s, the even modes' those of d, over nodes 0..P/2 of the full grid's sine
+    matrix only.  That matrix is stored mode-major, so each parity is one
+    matrix-vector product over every other mode row, a strided view that BLAS
+    reads in place: the two read the half matrix once, and copy none of it.
+    On a grid that is uniform only to the 1e-9 L that observation_weights
+    admits, a mirrored sine is off its node's own by at most k pi / L times
+    that, the order of error the nominal Simpson weights already make there.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -398,13 +398,11 @@ def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralFi
     np.add(wv[:h], wv[:h:-1], out=folded[0, :h])
     np.subtract(wv[:h], wv[:h:-1], out=folded[1, :h])
     folded[:, h] = wv[h], 0.0
-    half = basis.eigenfunction_matrix(xs)[:h + 1]
-    rows = max(1, _PROJECT_BLOCK_BYTES // half.strides[0])
-    sums = np.zeros((2, basis.size))
-    for j in range(0, h + 1, rows):
-        sums += folded[:, j:j + rows] @ half[j:j + rows]
-    sums[0, 1::2] = sums[1, 1::2]
-    return SpectralField(basis, sums[0])
+    rows = basis.eigenfunction_matrix(xs).T[:, :h + 1]
+    sums = np.empty(basis.size)
+    sums[0::2] = rows[0::2] @ folded[0]
+    sums[1::2] = rows[1::2] @ folded[1]
+    return SpectralField(basis, sums)
 
 
 def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:

@@ -764,6 +764,15 @@ assert "scipy.linalg" in sys.modules
         err = capsys.readouterr().err
         if rc:
             assert "T = 1000000.0 too large" in err and "Traceback" not in err
+        if command == "sweep":
+            # the global gate fires on every cell, so the baseline is the zero
+            # answer too, not mode 1's noise inverted (errors near 1e298)
+            lines = (tmp_path / "o.csv").read_text().splitlines()
+            rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+            by_method = {m: [r for r in rows if r["method"] == m] for m in ("global", "baseline")}
+            assert len(by_method["global"]) == len(by_method["baseline"]) == 2
+            for glob, base in zip(by_method["global"], by_method["baseline"]):
+                assert base["delta"] == glob["delta"] and base["error"] == glob["error"]
 
     @pytest.mark.parametrize("command", ["sweep", "global-backward"])
     def test_short_horizon_cap_names_horizon_noise_and_prior(self, command, tmp_path, capsys):

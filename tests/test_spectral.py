@@ -150,7 +150,7 @@ class TestSineMatrixCache:
         for cols in sorted({0, 1, min(17, modes), modes}):
             E = basis.eigenfunction_matrix(xs, cols)
             assert E.shape == (flat.size, cols)
-            assert E.flags.c_contiguous and not E.flags.writeable
+            assert E.T.flags.c_contiguous and not E.flags.writeable
             with pytest.raises(ValueError):
                 E[...] = 1.0
             if flat.size == 0 or cols == 0:
@@ -516,8 +516,7 @@ class TestProject:
 
     # jitter moves the nodes by up to 2e-10 L, inside observation_weights'
     # 1e-9 L, while the fold still reads each mirrored node's sines off its
-    # partner's; odd n splits the modes unevenly by parity, and at n 512 the
-    # half grid spans several blocks
+    # partner's; odd n splits the modes unevenly by parity
     @pytest.mark.parametrize("jitter, rtol", [(0.0, 1e-12), (2e-10, 1e-6)])
     @pytest.mark.parametrize("length", [1.0, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 97, 256, 512])
@@ -525,9 +524,23 @@ class TestProject:
         basis, xs, v = self._noise_grid(n, length, seed=n)
         xs[1:-1] += np.random.default_rng([n, 1]).uniform(-jitter, jitter, xs.size - 2) * length
         w = spectral.simpson_weights(xs.size, xs[1] - xs[0])
-        dense = spectral._sine_matrix(xs, n, length).T @ (w * v)
+        dense = spectral._sine_matrix(xs, n, length) @ (w * v)
         c = project(xs, v, basis).coeffs
         assert np.max(np.abs(c - dense)) <= rtol * np.max(np.abs(dense))
+
+    def test_warm_projection_copies_no_strided_view(self):
+        # at the global benchmark's N 512 (8193 points) the half matrix read is
+        # 16.8 MB; a copy of either parity's rows would be 8.4 MB, where the
+        # folded pair, the weights and the result take under 0.2 MB
+        basis, xs, v = self._noise_grid(512, 1.0, seed=5)
+        project(xs, v, basis)
+        tracemalloc.start()
+        try:
+            project(xs, v, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_one_matrix_keyed_by_the_full_grid(self, monkeypatch):
         basis, xs, v = self._noise_grid(64, 1.0, seed=3)
