@@ -377,31 +377,42 @@ def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralFi
     projecting band-limited samples is spectrally accurate.
 
     On that grid of P panels node P - j mirrors node j, and e_k there is
-    (-1)^(k+1) e_k at node j.  So the weighted samples wv are folded once,
+    (-1)^(k+1) e_k at node j.  So the weighted samples wv are folded,
     s_j = wv_j + wv_{P-j} and d_j = wv_j - wv_{P-j} for j < P/2 (s = wv_{P/2}
     and d = 0 at the centre), and the odd modes' coefficients are the sums of
-    s, the even modes' those of d, over nodes 0..P/2 of the full grid's sine
-    matrix only.  That matrix is stored mode-major, so each parity is one
-    matrix-vector product over every other mode row, a strided view that BLAS
-    reads in place: the two read the half matrix once, and copy none of it.
-    On a grid that is uniform only to the 1e-9 L that observation_weights
-    admits, a mirrored sine is off its node's own by at most k pi / L times
-    that, the order of error the nominal Simpson weights already make there.
+    s over nodes 0..P/2 of the full grid's sine matrix.  The even modes
+    k = 2m there are the sine modes m of the half interval at P/2 panels,
+    so d is folded again about node P/4, and so on: level l (step 2^l) sums
+    modes k = step (2i + 1) against its s over nodes 0..P/(2 step), and the
+    modes left when a level's panel count is odd take one sum over all of its
+    nodes.  That matrix is stored mode-major, so each level is one
+    matrix-vector product over every other remaining mode row, a strided view
+    that BLAS reads in place: the levels read a quarter of the matrix, then a
+    sixteenth, and so on, about a third in all, and copy none of it.  On a
+    grid that is uniform only to the 1e-9 L that observation_weights admits,
+    a mirrored sine is off its node's own by at most k pi / L times that, the
+    order of error the nominal Simpson weights already make there; each fold
+    adds at most one such mirrored-node error.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape or xs.ndim != 1:
         raise ValueError("xs and values must be matching 1-d arrays")
-    wv = observation_weights(xs, Subdomain.full(basis.domain), basis) * values
-    h = xs.size // 2
-    folded = np.empty((2, h + 1))
-    np.add(wv[:h], wv[:h:-1], out=folded[0, :h])
-    np.subtract(wv[:h], wv[:h:-1], out=folded[1, :h])
-    folded[:, h] = wv[h], 0.0
-    rows = basis.eigenfunction_matrix(xs).T[:, :h + 1]
+    v = observation_weights(xs, Subdomain.full(basis.domain), basis) * values
+    rows = basis.eigenfunction_matrix(xs).T
     sums = np.empty(basis.size)
-    sums[0::2] = rows[0::2] @ folded[0]
-    sums[1::2] = rows[1::2] @ folded[1]
+    panels, step = xs.size - 1, 1
+    while step <= basis.size:
+        if panels % 2:
+            sums[step - 1::step] = rows[step - 1::step, :panels + 1] @ v
+            break
+        h = panels // 2
+        folded = np.empty((2, h + 1))
+        np.add(v[:h], v[:h:-1], out=folded[0, :h])
+        np.subtract(v[:h], v[:h:-1], out=folded[1, :h])
+        folded[:, h] = v[h], 0.0
+        sums[step - 1::2 * step] = rows[step - 1::2 * step, :h + 1] @ folded[0]
+        v, panels, step = folded[1], h, 2 * step
     return SpectralField(basis, sums)
 
 

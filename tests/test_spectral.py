@@ -509,29 +509,61 @@ class TestProject:
             project(xs, np.zeros(xs.size), basis16)
 
     @staticmethod
-    def _noise_grid(n, length, seed):
+    def _noise_grid(n, length, seed, panels=None):
         basis = EigenBasis(DomainSpec(length, 0.5 * length), n)
-        xs = uniform_grid(0.0, length, 16 * n)
+        xs = uniform_grid(0.0, length, 16 * n if panels is None else panels)
         return basis, xs, np.random.default_rng(seed).standard_normal(xs.size)
 
     # jitter moves the nodes by up to 2e-10 L, inside observation_weights'
-    # 1e-9 L, while the fold still reads each mirrored node's sines off its
-    # partner's; odd n splits the modes unevenly by parity
+    # 1e-9 L, while each fold still reads each mirrored node's sines off its
+    # partner's; odd n splits the modes unevenly by parity.  16 n panels fold
+    # until the modes run out, or until n 97 reaches an odd 97 panels at
+    # level 4, where the modes left take one product over all its nodes
     @pytest.mark.parametrize("jitter, rtol", [(0.0, 1e-12), (2e-10, 1e-6)])
     @pytest.mark.parametrize("length", [1.0, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 97, 256, 512])
     def test_fold_equals_the_dense_product(self, n, length, jitter, rtol):
-        basis, xs, v = self._noise_grid(n, length, seed=n)
+        self._assert_fold_is_dense(n, length, jitter, rtol, 16 * n)
+
+    # 8 n + 2 panels, the coarsest grid observation_weights accepts, and
+    # 16 n + 2 turn odd at level 1 (4 n + 1 and 8 n + 1 panels), where every
+    # even mode takes one product; global-backward --observation can pass
+    # such grids
+    @pytest.mark.parametrize("scale", [8, 16])
+    @pytest.mark.parametrize("jitter, rtol", [(0.0, 1e-12), (2e-10, 1e-6)])
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 97, 256, 512])
+    def test_fold_on_grids_off_16n(self, n, length, jitter, rtol, scale):
+        self._assert_fold_is_dense(n, length, jitter, rtol, scale * n + 2)
+
+    def _assert_fold_is_dense(self, n, length, jitter, rtol, panels):
+        basis, xs, v = self._noise_grid(n, length, seed=n, panels=panels)
         xs[1:-1] += np.random.default_rng([n, 1]).uniform(-jitter, jitter, xs.size - 2) * length
         w = spectral.simpson_weights(xs.size, xs[1] - xs[0])
         dense = spectral._sine_matrix(xs, n, length) @ (w * v)
         c = project(xs, v, basis).coeffs
         assert np.max(np.abs(c - dense)) <= rtol * np.max(np.abs(dense))
 
+    # the DST-I of the interior weighted samples is the same sum: node j of P
+    # panels carries sin(pi k j / P), and scipy's type-1 dst doubles the sum,
+    # so c_k = sqrt(2 / L) dst(wv[1:-1])[k - 1] / 2, the identity a DST-I
+    # projection would rest on
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    @pytest.mark.parametrize("n, panels", [(16, 256), (97, 1552), (512, 8192), (17, 138)])
+    def test_equals_the_dst_of_the_weighted_samples(self, n, panels, length):
+        from scipy.fft import dst
+
+        basis, xs, v = self._noise_grid(n, length, seed=n, panels=panels)
+        wv = spectral.simpson_weights(xs.size, xs[1] - xs[0]) * v
+        reference = 0.5 * math.sqrt(2.0 / length) * dst(wv[1:-1], type=1)[:n]
+        c = project(xs, v, basis).coeffs
+        assert np.max(np.abs(c - reference)) <= 1e-13 * np.max(np.abs(reference))
+
     def test_warm_projection_copies_no_strided_view(self):
-        # at the global benchmark's N 512 (8193 points) the half matrix read is
-        # 16.8 MB; a copy of either parity's rows would be 8.4 MB, where the
-        # folded pair, the weights and the result take under 0.2 MB
+        # at the global benchmark's N 512 (8193 points) the folds read about
+        # 11.2 MB of the 33.6 MB matrix; a copy of the odd modes' rows would
+        # be 8.4 MB, where each level's folded pair (under 66 KB), the
+        # weights and the result take under 0.2 MB
         basis, xs, v = self._noise_grid(512, 1.0, seed=5)
         project(xs, v, basis)
         tracemalloc.start()
