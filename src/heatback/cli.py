@@ -120,8 +120,9 @@ def _observation(run: Run, args, local: bool):
 def _cmd_backward(cfg: ExperimentConfig, args, local: bool) -> int:
     run = Run(cfg)
     u0, xs, values, l2, h01, delta_abs = _observation(run, args, local)
-    if local:
-        report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
+    if local:  # external samples bring their own grid, so their own Gram matrix
+        pipe = run.pipeline(l2, h01, xs if args.observation else None)
+        report = local_reconstruct(xs, values, delta_abs, pipe)
         g, sel, epsilon = report.g, report.selection, report.epsilon
     else:
         g, sel = global_backward(xs, values, run.basis, cfg.T, run.profile, delta_abs, l2, h01)

@@ -19,13 +19,15 @@ pipeline's choice (pipeline.control_setup); this module takes them as given.
 
 Only the first m = ControlSetup.active modes, those with k D_T_j >= 2^-60 eps
 (D_T decreases in j, so they lead), enter the m x m Cholesky block M_a; below
-it the system is taken as eps^2 c = D_2T phi0.  As G is a Gram matrix with
-G_jj <= 1, |G_ij| <= sqrt(G_ii G_jj) and k D_T_i sqrt(G_ii) <= sqrt(M_ii), so
-each coupling of a dropped mode j (k D_T_j < 2^-60 eps <= 2^-60 sqrt(M_jj))
-obeys |M_ij| = k^2 D_T_i D_T_j |G_ij| <= 2^-60 sqrt(M_ii M_jj).  That is below
-the backward error gamma_{n+1} sqrt(M_ii M_jj), gamma_{n+1} > 2^-52, that
-Cholesky already allows in each entry (Higham, Accuracy and Stability of
-Numerical Algorithms, 2002, sec. 10.1): the same system to below rounding.
+it the system is taken as eps^2 c = D_2T phi0.  G is the Gram matrix of a
+quadrature with positive weights, so |G_ij| <= sqrt(G_ii G_jj) and
+k D_T_i sqrt(G_ii) <= sqrt(M_ii), and G_jj, the quadrature of e_j^2 over
+omega, is at most 1 up to rounding (the tests hold it to 1 + 1e-12).  So each
+coupling of a dropped mode j (k D_T_j < 2^-60 eps <= 2^-60 sqrt(M_jj)) obeys
+|M_ij| = k^2 D_T_i D_T_j |G_ij| < 2^-59 sqrt(M_ii M_jj).  That is below the
+backward error gamma_{n+1} sqrt(M_ii M_jj), gamma_{n+1} > 2^-52, that Cholesky
+already allows in each entry (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, sec. 10.1): the same system to below rounding.
 """
 
 from __future__ import annotations

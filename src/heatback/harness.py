@@ -197,19 +197,21 @@ class _Geometry:
 
     None of them depends on the noise levels, seed, trials or bank, and only
     the paper chain reads x0, so ``_geometry`` keeps the last one a
-    process used, with its basis's sine matrices.  The Gram matrix
-    (read-only) and the chain are built on first use, so a command that
-    needs neither never builds them.
+    process used, with its basis's sine matrices.  The Gram matrix (read-only,
+    on the omega grid of ``panels`` panels) and the chain are built on first
+    use, so a command that needs neither never builds them.
     """
 
-    def __init__(self, domain, modes, subdomain, profile, T, constants_mode):
+    def __init__(self, domain, modes, subdomain, profile, T, constants_mode, panels):
         self.domain, self.subdomain, self.profile = domain, subdomain, profile
-        self.T, self.constants_mode = T, constants_mode
+        self.T, self.constants_mode, self.panels = T, constants_mode, panels
         self.basis = EigenBasis(domain, modes)
 
     @cached_property
     def gram(self) -> np.ndarray:
-        G = gram_subdomain(self.subdomain, self.basis)
+        sub, basis = self.subdomain, self.basis
+        xs = uniform_grid(sub.a, sub.b, self.panels)
+        G = gram_subdomain(xs, observation_weights(xs, sub, basis), basis)
         G.flags.writeable = False
         return G
 
@@ -217,7 +219,7 @@ class _Geometry:
     def chain(self) -> ObservabilityConstants:
         domain, sub = self.domain, self.subdomain
         if self.constants_mode == "empirical":
-            return fit_empirical_constants(self.basis, sub, self.gram, self.T, self.profile)
+            return fit_empirical_constants(self.basis, self.gram, self.T, self.profile)
         if sub.is_full(domain):
             return chain_full_domain()
         try:
@@ -256,7 +258,7 @@ class Run:
         paper = cfg.constants_mode == "paper"
         self._geo = _geometry(
             self.domain if paper else DomainSpec(cfg.length, 0.5 * cfg.length), cfg.modes,
-            self.subdomain, self.profile, cfg.T, cfg.constants_mode,
+            self.subdomain, self.profile, cfg.T, cfg.constants_mode, cfg.panels(True),
         )
         self.basis = self._geo.basis
 
@@ -284,15 +286,16 @@ class Run:
         """Constants chain for the configured geometry and mode."""
         return self._geo.chain
 
-    def pipeline(self, l2_prior: float, h01_prior: float) -> PipelineConfig:
-        """Data of one local reconstruction under the given priors."""
-        cfg = self.cfg
+    def pipeline(self, l2_prior: float, h01_prior: float, xs=None) -> PipelineConfig:
+        """Data of one local reconstruction, on the Gram matrix of the samples xs if given."""
+        cfg, sub, basis = self.cfg, self.subdomain, self.basis
         return PipelineConfig(
-            basis=self.basis,
+            basis=basis,
             T=cfg.T,
             profile=self.profile,
-            subdomain=self.subdomain,
-            gram=self.gram,
+            subdomain=sub,
+            gram=self.gram if xs is None else gram_subdomain(
+                xs, observation_weights(xs, sub, basis), basis),
             n_bank=cfg.bank,
             chain=self.chain,
             l2_prior=l2_prior,

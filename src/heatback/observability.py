@@ -24,7 +24,6 @@ from .spectral import (
     DiffusionProfile,
     DomainSpec,
     EigenBasis,
-    Subdomain,
     synthesize_initial,
 )
 
@@ -153,7 +152,6 @@ def chain_full_domain() -> ObservabilityConstants:
 
 def fit_empirical_constants(
     basis: EigenBasis,
-    sub: Subdomain,
     gram: np.ndarray,
     T: float,
     profile: DiffusionProfile,

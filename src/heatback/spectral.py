@@ -4,8 +4,8 @@ Everything downstream works in the span of the first N eigenfunctions of
 -d^2/dx^2 on (0, L) with zero boundary values.  A field is a coefficient
 vector in that basis; evolving it under du/dt = p(t) u_xx is a diagonal
 multiplication by exp(-lambda_i * int p).  Subinterval geometry enters only
-through the Gram matrix of the eigenfunctions on the subinterval, which is
-closed form.
+through the Gram matrix of the eigenfunctions in the Simpson rule of the
+samples there (gram_subdomain), the package's one L2(omega) inner product.
 """
 
 from __future__ import annotations
@@ -348,9 +348,10 @@ def quad_norm(weights: np.ndarray, values: np.ndarray) -> float:
 def observation_weights(xs: np.ndarray, sub: Subdomain, basis: EigenBasis) -> np.ndarray:
     """Simpson weights for samples on a uniform grid spanning [a, b].
 
-    The ends may be off by 1e-12 L.  Rejects an odd panel count and grids
-    coarser than 8 points per shortest resolved wavelength.
+    The ends may be off by 1e-12 L.  Rejects a subinterval past L, an odd panel
+    count and grids coarser than 8 points per shortest resolved wavelength.
     """
+    sub.validate_inside(basis.domain)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 3:
         raise ConfigError("observation needs at least 3 samples")
@@ -416,26 +417,20 @@ def project(xs: np.ndarray, values: np.ndarray, basis: EigenBasis) -> SpectralFi
     return SpectralField(basis, sums)
 
 
-def gram_subdomain(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
-    """Gram matrix G_ij = int_a^b e_i e_j dx via the product-to-sum antiderivative.
+def gram_subdomain(xs: np.ndarray, weights: np.ndarray, basis: EigenBasis) -> np.ndarray:
+    """Gram matrix G_ij = sum_k w_k e_i(x_k) e_j(x_k) of the quadrature (xs, weights).
 
-    Off the diagonal G_ij = f(i - j) - f(i + j) with f(m) = [sin(m pi x / L)]_a^b
-    / (m pi): a Toeplitz minus a Hankel matrix, both read as sliding windows
-    of one table of f over the 3 N integers m in [1 - N, 2 N].
+    With the samples' observation_weights it is the inner product that fbar and
+    the impulses' quadrature norms use, so the transfer identity holds for the
+    data up to rounding.  Built N samples at a time: no temporary exceeds G.
     """
-    sub.validate_inside(basis.domain)
-    L = basis.domain.length
-    n = basis.size
-    ms = np.arange(1 - n, 2 * n + 1, dtype=float)
-    with np.errstate(invalid="ignore"):  # f(0) = 0/0 sits on the diagonal, replaced below
-        f = (np.sin(ms * math.pi * sub.b / L) - np.sin(ms * math.pi * sub.a / L)) / (ms * math.pi)
-    # f[t] holds f(t + 1 - n); for modes i + 1 and j + 1 the difference is i - j,
-    # so row i of the Toeplitz part is f[i:i + n] reversed, and the sum is
-    # i + j + 2, so row i of the Hankel part is f[i + n + 1:i + 2 n + 1]
-    windows = np.lib.stride_tricks.sliding_window_view(f, n)
-    off = windows[:n, ::-1] - windows[n + 1:]
-    np.fill_diagonal(off, (sub.b - sub.a) / L - f[n + 1::2])
-    return 0.5 * (off + off.T)
+    xs = np.asarray(xs, dtype=float)
+    n, L = basis.size, basis.domain.length
+    G = np.zeros((n, n))
+    for s in range(0, xs.size, n):
+        rows = _sine_matrix(xs[s:s + n], n, L)
+        G += (rows * weights[s:s + n]) @ rows.T
+    return 0.5 * (G + G.T)
 
 
 def synthesize_initial(basis: EigenBasis, decay: float, seed: int) -> SpectralField:

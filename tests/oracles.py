@@ -1,6 +1,8 @@
 """Independent checks of the reconstruction route, read only by the tests.
 
-The control's functional J, its gradient, the dual pairing, the physical
+The closed-form Gram matrix of the continuous L2(omega) inner product is the
+reference for the quadrature Gram matrix and for the tests of continuous
+norms.  The control's functional J, its gradient, the dual pairing, the physical
 terminal state, a solve-then-refine reference solve and a per-mode surrogate
 assembly check the control solve and the bank; the Hoelder,
 appendix-stability and direct backward estimates check the observability
@@ -22,8 +24,10 @@ from heatback import (
     ControlSetup,
     ControlSolution,
     DiffusionProfile,
+    EigenBasis,
     ObservabilityConstants,
     SpectralField,
+    Subdomain,
     eval_A,
     evolve,
 )
@@ -31,6 +35,28 @@ from heatback.control import h_values
 from heatback.filtering import newton_down
 from heatback.observability import _exp_or_inf
 from heatback.spectral import quad_norm
+
+
+def gram_closed_form(sub: Subdomain, basis: EigenBasis) -> np.ndarray:
+    """Gram matrix G_ij = int_a^b e_i e_j dx via the product-to-sum antiderivative.
+
+    Off the diagonal G_ij = f(i - j) - f(i + j) with f(m) = [sin(m pi x / L)]_a^b
+    / (m pi): a Toeplitz minus a Hankel matrix, both read as sliding windows
+    of one table of f over the 3 N integers m in [1 - N, 2 N].
+    """
+    sub.validate_inside(basis.domain)
+    L = basis.domain.length
+    n = basis.size
+    ms = np.arange(1 - n, 2 * n + 1, dtype=float)
+    with np.errstate(invalid="ignore"):  # f(0) = 0/0 sits on the diagonal, replaced below
+        f = (np.sin(ms * math.pi * sub.b / L) - np.sin(ms * math.pi * sub.a / L)) / (ms * math.pi)
+    # f[t] holds f(t + 1 - n); for modes i + 1 and j + 1 the difference is i - j,
+    # so row i of the Toeplitz part is f[i:i + n] reversed, and the sum is
+    # i + j + 2, so row i of the Hankel part is f[i + n + 1:i + 2 n + 1]
+    windows = np.lib.stride_tricks.sliding_window_view(f, n)
+    off = windows[:n, ::-1] - windows[n + 1:]
+    np.fill_diagonal(off, (sub.b - sub.a) / L - f[n + 1::2])
+    return 0.5 * (off + off.T)
 
 
 def l2_sub(field: SpectralField, gram: np.ndarray) -> float:

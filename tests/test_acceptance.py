@@ -44,6 +44,7 @@ from oracles import (
     eval_B,
     functional_J,
     gradient_J,
+    gram_closed_form,
     holder_check,
     invert_A_increasing,
 )
@@ -51,7 +52,9 @@ from oracles import (
 DOMAIN = DomainSpec.unit()
 BASIS = EigenBasis(DOMAIN, 64)
 SUB = Subdomain(0.3, 0.7)
-GRAM = gram_subdomain(SUB, BASIS)
+XS_OMEGA = uniform_grid(SUB.a, SUB.b, 512)
+# the Gram matrix of the Simpson rule on the omega samples, as the commands build it
+GRAM = gram_subdomain(XS_OMEGA, observation_weights(XS_OMEGA, SUB, BASIS), BASIS)
 P_CONST = DiffusionProfile.constant(1.0, 3.0)
 P_AFFINE = DiffusionProfile.affine(1.0, 0.1, 3.0)
 P_SINUS = DiffusionProfile.sinusoidal(1.0, 0.2, 1.0, 3.0)
@@ -183,8 +186,8 @@ def test_criterion_06_gate_zero():
 
 def test_criterion_07_local_backward():
     T = 0.25
-    chain = fit_empirical_constants(BASIS, SUB, GRAM, T, P_CONST)
-    xs = uniform_grid(SUB.a, SUB.b, 512)
+    chain = fit_empirical_constants(BASIS, GRAM, T, P_CONST)
+    xs = XS_OMEGA
     w = observation_weights(xs, SUB, BASIS)
     deltas = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
     medians, envelopes = [], []
@@ -216,7 +219,8 @@ def test_criterion_07_local_backward():
 def test_criterion_08_control_certificates():
     # paper-constants mode on the whole domain: certificates must all hold
     sub_full = Subdomain.full(DOMAIN)
-    gram_full = gram_subdomain(sub_full, BASIS)
+    xs_full = uniform_grid(0.0, DOMAIN.length, 1024)
+    gram_full = gram_subdomain(xs_full, observation_weights(xs_full, sub_full, BASIS), BASIS)
     rng = np.random.default_rng(108)
     paper_ok = True
     for eps in (0.5, 0.1, 0.02):
@@ -234,7 +238,7 @@ def test_criterion_08_control_certificates():
 
     # empirical mode on the subinterval: surrogate must hold on >= 95%
     T = 0.25
-    chain = fit_empirical_constants(BASIS, SUB, GRAM, T, P_CONST)
+    chain = fit_empirical_constants(BASIS, GRAM, T, P_CONST)
     held = total = 0
     for eps in (0.1, 0.01, 1e-3, 1e-4):
         setup = ControlSetup(BASIS, T, P_CONST, GRAM, eps=eps, k=weight_from_chain(chain, T, eps))
@@ -252,7 +256,7 @@ def test_criterion_08_control_certificates():
 def test_criterion_09_observability_checks():
     chain = constants_convex(DOMAIN, 0.2, P_CONST)
     sub = Subdomain(DOMAIN.x0 - 0.2, DOMAIN.x0 + 0.2)
-    gram = gram_subdomain(sub, BASIS)
+    gram = gram_closed_form(sub, BASIS)  # the estimates are of continuous norms
     T = 0.3
     holder_holds = appendix_applicable = appendix_holds = direct_holds = 0
     for s in range(100):

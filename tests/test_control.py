@@ -29,11 +29,12 @@ from heatback import (
 from heatback.control import ControlSetup, h_values
 from heatback.harness import Run, parse_config_text
 from heatback.pipeline import control_setup, weight_from_chain
-from heatback.spectral import observation_weights
+from heatback.spectral import observation_weights, uniform_grid
 from oracles import (
     dual_pairing,
     functional_J,
     gradient_J,
+    gram_closed_form,
     physical_terminal,
     reference_assemble_fbar,
     reference_solve_control,
@@ -76,7 +77,7 @@ def sub_mid():
 
 @pytest.fixture(scope="module")
 def setup64(basis64, sub_mid, profile_constant):
-    gram = gram_subdomain(sub_mid, basis64)
+    gram = gram_closed_form(sub_mid, basis64)
     return ControlSetup(
         basis64, 0.5, profile_constant, gram,
         eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
@@ -86,7 +87,7 @@ def setup64(basis64, sub_mid, profile_constant):
 class TestAssembly:
     def test_diagonal_when_full_domain(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
-        G = gram_subdomain(sub, basis16)
+        G = gram_closed_form(sub, basis16)
         setup = ControlSetup(basis16, 0.4, profile_constant, G, eps=0.2, k=5.0)
         M = setup.system
         dT = setup.decay_to_T[: setup.active]
@@ -168,7 +169,7 @@ class TestDerivedFields:
 class TestSolve:
     def test_diagonal_closed_form(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
-        G = gram_subdomain(sub, basis16)
+        G = gram_closed_form(sub, basis16)
         setup = ControlSetup(basis16, 0.3, profile_constant, G, eps=0.2, k=4.0)
         rng = np.random.default_rng(4)
         phi0 = rng.standard_normal(16)
@@ -180,7 +181,7 @@ class TestSolve:
     def test_optimality_identity(self, basis64, sub_mid, profile_name, profile_constant,
                                  profile_sinusoidal):
         prof = {"constant": profile_constant, "sinusoidal": profile_sinusoidal}[profile_name]
-        gram = gram_subdomain(sub_mid, basis64)
+        gram = gram_closed_form(sub_mid, basis64)
         setup = ControlSetup(
             basis64, 0.5, prof, gram,
             eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
@@ -193,7 +194,7 @@ class TestSolve:
 
     def test_vanishing_weight_disables_control(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
-        G = gram_subdomain(sub, basis16)
+        G = gram_closed_form(sub, basis16)
         setup = ControlSetup(basis16, 0.3, profile_constant, G, eps=0.5, k=1e-12)
         phi0 = np.ones(16)
         sol = solve_control(setup, phi0)
@@ -216,7 +217,7 @@ class TestSolve:
     def test_rejects_overflowing_weights(self, basis16, unit_domain, profile_constant, eps, k):
         # k^2 or eps^2 beyond the float range: a named error on construction,
         # not an OverflowError from the square or an unchecked factorization
-        G = gram_subdomain(Subdomain.full(unit_domain), basis16)
+        G = gram_closed_form(Subdomain.full(unit_domain), basis16)
         with pytest.raises(ConfigError, match=re.escape(f"eps={eps}, k={k}")):
             ControlSetup(basis16, 0.3, profile_constant, G, eps=eps, k=k)
 
@@ -224,7 +225,7 @@ class TestSolve:
         # an M_a built by ControlSetup is positive definite, so an indefinite
         # block is put in its place: potrf's info > 0 must reach the caller as
         # the ConfigError naming eps and k, not as LAPACK's LinAlgError
-        setup = ControlSetup(basis16, 0.3, profile_constant, gram_subdomain(sub_mid, basis16),
+        setup = ControlSetup(basis16, 0.3, profile_constant, gram_closed_form(sub_mid, basis16),
                              eps=0.2, k=4.0)
         assert setup.active >= 2
         indefinite = setup.system.copy()
@@ -301,7 +302,7 @@ class TestPhysicalTerminal:
         np.testing.assert_allclose(out, sol.psi, rtol=1e-11, atol=1e-300)
 
     def test_differs_for_time_asymmetric_profile(self, basis64, sub_mid, profile_affine):
-        gram = gram_subdomain(sub_mid, basis64)
+        gram = gram_closed_form(sub_mid, basis64)
         setup = ControlSetup(
             basis64, 0.5, profile_affine, gram,
             eps=0.3, k=weight_from_chain(chain_full_domain(), 0.5, 0.3),
@@ -323,7 +324,7 @@ class TestCertificates:
 
     def test_full_domain_certificates(self, basis64, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
-        G = gram_subdomain(sub, basis64)
+        G = gram_closed_form(sub, basis64)
         setup = ControlSetup(
             basis64, 0.5, profile_constant, G,
             eps=0.1, k=weight_from_chain(chain_full_domain(), 0.5, 0.1),
@@ -338,7 +339,7 @@ class TestCertificates:
 class TestModeBank:
     def test_diagonal_bank_single_mode_support(self, basis16, unit_domain, profile_constant):
         sub = Subdomain.full(unit_domain)
-        G = gram_subdomain(sub, basis16)
+        G = gram_closed_form(sub, basis16)
         setup = ControlSetup(basis16, 0.3, profile_constant, G, eps=0.2, k=4.0)
         bank = control_mode_bank(setup, 8)
         for i, sol in enumerate(bank):
@@ -346,7 +347,7 @@ class TestModeBank:
             assert np.max(others) <= 1e-12 * max(abs(sol.b[i]), 1e-300)
 
     def test_per_mode_identity_and_range(self, basis64, sub_mid, profile_sinusoidal):
-        gram = gram_subdomain(sub_mid, basis64)
+        gram = gram_closed_form(sub_mid, basis64)
         setup = ControlSetup(
             basis64, 0.5, profile_sinusoidal, gram,
             eps=0.2, k=weight_from_chain(chain_full_domain(), 0.5, 0.2),
@@ -467,8 +468,6 @@ class TestWeight:
 class TestImpulseEvaluator:
     def test_matches_coefficient_projection(self, setup64, basis64, sub_mid):
         # quadrature of h against e_j must reproduce b_j
-        from heatback.spectral import observation_weights, uniform_grid
-
         rng = np.random.default_rng(60)
         phi0 = rng.standard_normal(64)
         sol = solve_control(setup64, phi0)
@@ -515,7 +514,11 @@ class TestActiveBlock:
         T = 10.0**log_T
         a, b = omega[0] * length, min(max(omega[1], omega[0] + 0.05), 1.0) * length
         basis = EigenBasis(DomainSpec(length, 0.5 * length), modes)
-        G = gram_subdomain(Subdomain(a, b), basis)
+        # the Gram matrix the commands build, the Simpson rule's on an omega grid
+        # of ExperimentConfig.panels, whose diagonal is at most 1 only up to rounding
+        panels = math.ceil(16 * modes * (b - a) / length)
+        xs = uniform_grid(a, b, max(64, panels + panels % 2))
+        G = gram_subdomain(xs, observation_weights(xs, Subdomain(a, b), basis), basis)
         args = {"constant": (1.0,), "affine": (1.0, 0.1), "sinusoidal": (1.0, 0.2, 1.0)}[kind]
         profile = getattr(DiffusionProfile, kind)(*args, 2.0 * T)
         dT = basis.decay(profile, 0.0, T)

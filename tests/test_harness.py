@@ -508,7 +508,8 @@ import contextlib, io, sys
 import numpy as np
 import heatback, heatback.cli
 from heatback import (ControlSetup, DiffusionProfile, DomainSpec, EigenBasis, FDGrid,
-                      Subdomain, fd_evolve, gram_subdomain, solve_control)
+                      Subdomain, fd_evolve, gram_subdomain, solve_control, uniform_grid)
+from heatback.spectral import observation_weights
 
 cfg, out, first_lapack_call = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -518,7 +519,9 @@ assert "scipy.linalg" not in sys.modules
 domain, profile = DomainSpec.unit(), DiffusionProfile.constant(1.0, 0.75)
 if first_lapack_call == "solve_control":
     basis = EigenBasis(domain, 8)
-    setup = ControlSetup(basis, 0.25, profile, gram_subdomain(Subdomain(0.3, 0.7), basis), 0.1, 1.0)
+    xs = uniform_grid(0.3, 0.7, 64)
+    gram = gram_subdomain(xs, observation_weights(xs, Subdomain(0.3, 0.7), basis), basis)
+    setup = ControlSetup(basis, 0.25, profile, gram, 0.1, 1.0)
     solve_control(setup, np.ones(8))
 else:
     fd_evolve(FDGrid(domain, 64), np.ones(64), profile, 0.1, 4)
@@ -1218,6 +1221,57 @@ assert "scipy.linalg" in sys.modules
         assert rc == 0
         row = rep.read_text().splitlines()[1].split(",")
         assert row[-1] == ""  # no ground truth, so no error column entry
+
+    def test_external_observation_reproduces_the_synthetic_run(self, cfg_path, tmp_path, capsys):
+        # with honest delta and priors the emitted samples are the synthetic
+        # run's own, on the same grid, so their Gram matrix is the one the
+        # synthetic run takes from the geometry, and the fields agree byte for byte
+        run = harness.Run(load_config(cfg_path))
+        u0 = run.truth()
+        obs = tmp_path / "obs.csv"
+        assert cli_main(["forward", "--config", cfg_path, "--out", str(tmp_path / "f.csv"),
+                         "--emit-observation", str(obs)]) == 0
+        with_priors = tmp_path / "priors.cfg"
+        with_priors.write_text(
+            SWEEP_CFG + f"delta = {run.cfg.delta_list[0] * u0.l2()!r}\n"
+            + f"prior_l2 = {u0.l2()!r}\nprior_h01 = {u0.h01()!r}\n"
+        )
+        external, synthetic = tmp_path / "external.csv", tmp_path / "synthetic.csv"
+        assert cli_main(["local-backward", "--config", str(with_priors), "--observation",
+                         str(obs), "--out", str(external)]) == 0
+        assert cli_main(["local-backward", "--config", str(with_priors),
+                         "--out", str(synthetic)]) == 0
+        assert external.read_bytes() == synthetic.read_bytes()
+
+    def test_external_observation_takes_the_gram_of_its_grid(self, cfg_path, tmp_path,
+                                                              monkeypatch, capsys):
+        # samples on twice the config's omega panels: the control solve takes the
+        # Gram matrix of their Simpson rule, not the one of the config's grid
+        from heatback import cli, gram_subdomain
+        from heatback.spectral import observation_weights
+
+        run = harness.Run(load_config(cfg_path))
+        u0 = run.truth()
+        xs = uniform_grid(0.3, 0.7, 2 * run.cfg.panels(local=True))
+        values = evolve(u0, 0.0, run.cfg.T, run.profile).evaluate(xs)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(harness.csv_text(("x", "value"), list(zip(xs, values))))
+        with_priors = tmp_path / "priors.cfg"
+        with_priors.write_text(SWEEP_CFG + f"delta = {1e-6 * u0.l2()!r}\n"
+                               + f"prior_l2 = {u0.l2()!r}\nprior_h01 = {u0.h01()!r}\n")
+        grams = []
+        reconstruct = cli.local_reconstruct
+
+        def spy(xs, values, delta, cfg):
+            grams.append(cfg.gram)
+            return reconstruct(xs, values, delta, cfg)
+
+        monkeypatch.setattr(cli, "local_reconstruct", spy)
+        assert cli_main(["local-backward", "--config", str(with_priors), "--observation",
+                         str(obs), "--out", str(tmp_path / "r.csv")]) == 0
+        weights = observation_weights(xs, run.subdomain, run.basis)
+        assert np.array_equal(grams[0], gram_subdomain(xs, weights, run.basis))
+        assert not np.array_equal(grams[0], run.gram)
 
     @pytest.mark.parametrize("command", ["local-backward", "global-backward"])
     def test_non_finite_observation_exits_one(self, command, cfg_path, tmp_path, capsys):

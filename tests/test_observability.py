@@ -14,11 +14,16 @@ from heatback import (
     constants_convex,
     evolve,
     fit_empirical_constants,
-    gram_subdomain,
     synthesize_initial,
 )
 from heatback.spectral import EigenBasis, SpectralField
-from oracles import appendix_stability_check, direct_backward_check, holder_check, l2_sub
+from oracles import (
+    appendix_stability_check,
+    direct_backward_check,
+    gram_closed_form,
+    holder_check,
+    l2_sub,
+)
 
 
 class TestConstantsConvex:
@@ -126,7 +131,7 @@ class TestFullDomainChain:
 
 class TestHolderCheck:
     def test_full_domain_reduces_to_energy_decay(self, basis64, unit_domain, profile_constant):
-        G = gram_subdomain(Subdomain.full(unit_domain), basis64)
+        G = gram_closed_form(Subdomain.full(unit_domain), basis64)
         chain = chain_full_domain()
         for seed in range(10):
             u0 = synthesize_initial(basis64, 2.0, seed)
@@ -134,7 +139,7 @@ class TestHolderCheck:
 
     def test_hundred_seeded_fields(self, basis64, unit_domain, profile_constant):
         sub = Subdomain(unit_domain.x0 - 0.2, unit_domain.x0 + 0.2)
-        G = gram_subdomain(sub, basis64)
+        G = gram_closed_form(sub, basis64)
         chain = constants_convex(unit_domain, 0.2, profile_constant)
         holds = sum(
             holder_check(synthesize_initial(basis64, 2.0 + 2.0 * (s % 3), s), 0.3, chain, G,
@@ -144,7 +149,7 @@ class TestHolderCheck:
         assert holds == 100
 
     def test_rejects_zero_field(self, basis64, unit_domain, profile_constant):
-        G = gram_subdomain(Subdomain.full(unit_domain), basis64)
+        G = gram_closed_form(Subdomain.full(unit_domain), basis64)
         with pytest.raises(ValueError):
             holder_check(SpectralField.zero(basis64), 0.3, chain_full_domain(), G,
                          profile_constant)
@@ -154,7 +159,7 @@ class TestAppendixStability:
     def test_single_mode_closed_form(self, basis16, unit_domain, profile_constant):
         # lhs = 1, |u(T)|_omega = e^{-pi^2 T} for omega = Omega, log arg = pi^2 T
         T = 0.3
-        G = gram_subdomain(Subdomain.full(unit_domain), basis16)
+        G = gram_closed_form(Subdomain.full(unit_domain), basis16)
         chain = chain_full_domain()
         e1 = SpectralField.unit_mode(basis16, 1)
         rep = appendix_stability_check(e1, T, chain, G, profile_constant)
@@ -166,7 +171,7 @@ class TestAppendixStability:
 
     def test_hundred_field_sweep(self, basis64, unit_domain, profile_constant):
         sub = Subdomain(unit_domain.x0 - 0.2, unit_domain.x0 + 0.2)
-        G = gram_subdomain(sub, basis64)
+        G = gram_closed_form(sub, basis64)
         chain = constants_convex(unit_domain, 0.2, profile_constant)
         applicable = held = 0
         for s in range(100):
@@ -205,8 +210,8 @@ class TestDirectBackwardEstimate:
 class TestEmpiricalFit:
     def test_fit_shape_and_coverage(self, basis64, unit_domain, profile_constant):
         sub = Subdomain(0.3, 0.7)
-        G = gram_subdomain(sub, basis64)
-        chain = fit_empirical_constants(basis64, sub, G, 0.25, profile_constant)
+        G = gram_closed_form(sub, basis64)
+        chain = fit_empirical_constants(basis64, G, 0.25, profile_constant)
         assert chain.mode == "empirical"
         assert 0.05 <= chain.mu <= 0.95
         assert chain.K > 0.0 and math.isfinite(chain.c1)
@@ -223,10 +228,10 @@ class TestEmpiricalFit:
         # intercept at every T; it is checked to within the change that one
         # float step of ln_K makes, (1 + K/T) ulp(ln_K)
         sub = Subdomain(0.3, 0.7)
-        G = gram_subdomain(sub, basis16)
+        G = gram_closed_form(sub, basis16)
         ref = None
         for T in (1e-20, 1e-100, 1e-200):
-            chain = fit_empirical_constants(basis16, sub, G, T, profile_constant)
+            chain = fit_empirical_constants(basis16, G, T, profile_constant)
             level = chain.ln_K + chain.K / T
             ref = level if ref is None else ref
             assert abs(level - ref) <= (1.0 + chain.K / T) * math.ulp(chain.ln_K)
@@ -249,7 +254,7 @@ class TestEmpiricalFit:
         # the fit one field at a time, as the regression is defined; each field
         # is divided by its largest |coefficient| before its norms are taken
         basis = EigenBasis(DomainSpec(length, 0.5 * (a + b)), n)
-        G = gram_subdomain(Subdomain(a, b), basis)
+        G = gram_closed_form(Subdomain(a, b), basis)
         xs, ys = [], []
         for j in range(60):
             v0 = synthesize_initial(basis, (1.5, 2.0, 3.0, 4.0)[j % 4], 1000 + j)
@@ -263,13 +268,13 @@ class TestEmpiricalFit:
         xc = xs - xs.mean()
         mu = min(max(float(xc @ (ys - ys.mean())) / float(xc @ xc), 0.05), 0.95)
         level = float(np.max(ys - mu * xs)) + math.log(2.0)
-        chain = fit_empirical_constants(basis, Subdomain(a, b), G, T, profile)
+        chain = fit_empirical_constants(basis, G, T, profile)
         assert chain.mu == pytest.approx(mu, rel=1e-12)
         assert chain.ln_K + chain.K / T == pytest.approx(level, rel=1e-12)
 
     def test_deterministic(self, basis64, profile_constant):
         sub = Subdomain(0.3, 0.7)
-        G = gram_subdomain(sub, basis64)
-        a = fit_empirical_constants(basis64, sub, G, 0.25, profile_constant)
-        b = fit_empirical_constants(basis64, sub, G, 0.25, profile_constant)
+        G = gram_closed_form(sub, basis64)
+        a = fit_empirical_constants(basis64, G, 0.25, profile_constant)
+        b = fit_empirical_constants(basis64, G, 0.25, profile_constant)
         assert a == b

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatback import (
     ConfigError,
@@ -24,11 +26,12 @@ from heatback import (
     uniform_grid,
 )
 from heatback import pipeline
-from heatback.control import ControlSetup, ControlSolution
-from heatback.harness import inject_noise
+from heatback.control import ControlSetup, ControlSolution, control_mode_bank
+from heatback.harness import Run, inject_noise, parse_config_text
 from heatback.pipeline import (
     assemble_fbar,
     certified_delta_3T,
+    control_setup,
     transfer_claim,
     weight_from_chain,
 )
@@ -42,14 +45,15 @@ def sub_mid():
 
 @pytest.fixture(scope="module")
 def local_setup(basis64, sub_mid, profile_constant):
-    gram = gram_subdomain(sub_mid, basis64)
-    chain = fit_empirical_constants(basis64, sub_mid, gram, 0.25, profile_constant)
+    # the Gram matrix of the Simpson rule on the samples, as the commands build it
     xs = uniform_grid(sub_mid.a, sub_mid.b, 512)
+    weights = observation_weights(xs, sub_mid, basis64)
+    gram = gram_subdomain(xs, weights, basis64)
     return {
         "gram": gram,
-        "chain": chain,
+        "chain": fit_empirical_constants(basis64, gram, 0.25, profile_constant),
         "xs": xs,
-        "weights": observation_weights(xs, sub_mid, basis64),
+        "weights": weights,
         "T": 0.25,
     }
 
@@ -69,6 +73,29 @@ def _claim_cfg(basis, profile, T, c3=1.0, c4=1.0, l2=1.0):
 def _sw(basis, profile, T):
     """S_w as transfer_claim computes it: the claim at eps = l2 = 1 and delta = 0."""
     return transfer_claim(_claim_cfg(basis, profile, T), 1.0, 0.0)[0]
+
+
+DEMO_64 = """
+length = 1.0
+T = 0.25
+delta_list = 1e-4
+omega_a = 0.3
+omega_b = 0.7
+modes = 64
+constants_mode = empirical
+"""
+
+# the README demo, its affine and sinusoidal profiles, T 0.01 at N 128, and the
+# sinusoidal profile on L 2 with omega (0.5, 1.6) at N 97 (CI's wide.cfg)
+CONTRACT_GEOMETRIES = (
+    DEMO_64,
+    DEMO_64 + "profile = affine\n",
+    DEMO_64 + "profile = sinusoidal\n",
+    DEMO_64.replace("T = 0.25", "T = 0.01").replace("modes = 64", "modes = 128"),
+    DEMO_64.replace("length = 1.0", "length = 2.0").replace("omega_a = 0.3", "omega_a = 0.5")
+    .replace("omega_b = 0.7", "omega_b = 1.6").replace("modes = 64", "modes = 97")
+    + "profile = sinusoidal\n",
+)
 
 
 class TestSelectEpsilon:
@@ -143,8 +170,6 @@ class TestAssembleFbar:
             basis64, local_setup["T"], profile_constant, local_setup["gram"],
             eps=1e-3, k=weight_from_chain(local_setup["chain"], local_setup["T"], 1e-3),
         )
-        from heatback.control import control_mode_bank
-
         bank = control_mode_bank(setup, 8)
         fbar, psi_norms, h_norms = assemble_fbar(
             bank, setup, local_setup["xs"], np.zeros(local_setup["xs"].size),
@@ -153,25 +178,46 @@ class TestAssembleFbar:
         assert fbar.l2() == 0.0
         assert psi_norms.shape == (8,) and h_norms.shape == (8,)
 
-    def test_transfer_contract_noiseless(self, basis64, sub_mid, profile_constant, local_setup):
-        # |u(3T) - fbar| <= certified <= claimed with exact data
-        T = local_setup["T"]
-        u0 = synthesize_initial(basis64, 3.0, 17)
-        l2 = u0.l2()
-        eps = 1e-4
-        setup = ControlSetup(
-            basis64, T, profile_constant, local_setup["gram"],
-            eps=eps, k=weight_from_chain(local_setup["chain"], T, eps),
-        )
-        from heatback.control import control_mode_bank
+    def test_transfer_contract_noiseless(self):
+        # |u(3T) - fbar| <= certified with exact data, on the sweep's own omega
+        # grid (410 panels at N 64) and the Gram matrix it builds there; 7.66e-12
+        # is the eps that relative noise 1e-12 selects, where a Gram matrix of
+        # another inner product than the samples' left 1.5e3 times the aggregate
+        run = Run(parse_config_text(DEMO_64))
+        T, profile, basis = run.cfg.T, run.profile, run.basis
+        u0 = synthesize_initial(basis, 3.0, 17)
+        xs = uniform_grid(run.subdomain.a, run.subdomain.b, run.cfg.panels(local=True))
+        assert xs.size == 411
+        f_clean = evolve(u0, 0.0, T, profile).evaluate(xs)
+        weights = observation_weights(xs, run.subdomain, basis)
+        u3T = evolve(u0, 0.0, 3.0 * T, profile)
+        for eps in (1e-4, 1e-8, 7.66e-12):
+            setup = ControlSetup(basis, T, profile, run.gram, eps=eps,
+                                 k=weight_from_chain(run.chain, T, eps))
+            bank = control_mode_bank(setup, 64)
+            fbar, psi_norms, h_norms = assemble_fbar(bank, setup, xs, f_clean, weights)
+            certified = certified_delta_3T(setup, psi_norms, h_norms, 1e-300, u0.l2())
+            assert (u3T - fbar).l2() <= certified * (1.0 + 1e-6), eps
 
-        bank = control_mode_bank(setup, 64)
-        xs = local_setup["xs"]
-        f_clean = evolve(u0, 0.0, T, profile_constant).evaluate(xs)
-        fbar, psi_norms, h_norms = assemble_fbar(bank, setup, xs, f_clean, local_setup["weights"])
-        u3T = evolve(u0, 0.0, 3.0 * T, profile_constant)
-        certified = certified_delta_3T(setup, psi_norms, h_norms, 1e-300, l2)
-        assert (u3T - fbar).l2() <= certified * (1.0 + 1e-6)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(text=st.sampled_from(CONTRACT_GEOMETRIES), log_delta=st.floats(-12.0, -4.0),
+           trial=st.integers(0, 5))
+    def test_transfer_contract_on_the_sweep_geometries(self, text, log_delta, trial):
+        # the sweep's own setup at relative noise 10^log_delta down to 1e-12:
+        # with float64 samples of u(T), whose rounding is far below that noise,
+        # |u(3T) - fbar| stays within the certified aggregate
+        run = Run(parse_config_text(text))
+        u0 = run.truth(trial)
+        l2 = u0.l2()
+        delta = 10.0**log_delta * l2
+        setup = control_setup(run.pipeline(l2, u0.h01()), delta)
+        bank = control_mode_bank(setup, run.cfg.bank)
+        xs = uniform_grid(run.subdomain.a, run.subdomain.b, run.cfg.panels(local=True))
+        f_clean = evolve(u0, 0.0, run.cfg.T, run.profile).evaluate(xs)
+        weights = observation_weights(xs, run.subdomain, run.basis)
+        fbar, psi_norms, h_norms = assemble_fbar(bank, setup, xs, f_clean, weights)
+        u3T = evolve(u0, 0.0, 3.0 * run.cfg.T, run.profile)
+        assert (u3T - fbar).l2() <= certified_delta_3T(setup, psi_norms, h_norms, delta, l2)
 
     def test_noise_response_bounded_by_control_norms(
         self, basis64, sub_mid, profile_constant, local_setup
@@ -182,8 +228,6 @@ class TestAssembleFbar:
             basis64, T, profile_constant, local_setup["gram"],
             eps=eps, k=weight_from_chain(local_setup["chain"], T, eps),
         )
-        from heatback.control import control_mode_bank
-
         bank = control_mode_bank(setup, 32)
         xs, w = local_setup["xs"], local_setup["weights"]
         delta = 1e-4
@@ -232,10 +276,10 @@ class TestLocalReconstruct:
         # (2T, 3T); both nonconstant families must stay certified
         T = 0.25
         for prof in (profile_affine, profile_sinusoidal):
-            gram = gram_subdomain(sub_mid, basis64)
-            chain = fit_empirical_constants(basis64, sub_mid, gram, T, prof)
             xs = uniform_grid(sub_mid.a, sub_mid.b, 512)
             w = observation_weights(xs, sub_mid, basis64)
+            gram = gram_subdomain(xs, w, basis64)
+            chain = fit_empirical_constants(basis64, gram, T, prof)
             for drel in (1e-5, 1e-7):
                 u0 = synthesize_initial(basis64, 3.0, 1)
                 l2, h01 = u0.l2(), u0.h01()
@@ -278,11 +322,11 @@ class TestLocalReconstruct:
         self, basis64, unit_domain, profile_constant
     ):
         sub = Subdomain.full(unit_domain)
-        gram = gram_subdomain(sub, basis64)
         T = 0.25
-        chain = fit_empirical_constants(basis64, sub, gram, T, profile_constant)
         xs = uniform_grid(0.0, 1.0, 1024)
         w = simpson_weights(xs.size, xs[1] - xs[0])
+        gram = gram_subdomain(xs, w, basis64)
+        chain = fit_empirical_constants(basis64, gram, T, profile_constant)
         for seed in range(3):
             u0 = synthesize_initial(basis64, 3.0, seed)
             l2, h01 = u0.l2(), u0.h01()
@@ -300,12 +344,11 @@ class TestLocalReconstruct:
     ):
         # with omega = Omega and the exact-identity bank, fbar equals the
         # forward evolution of the projected data to 3T up to quadrature error
-        sub = Subdomain.full(unit_domain)
-        gram = gram_subdomain(sub, basis64)
         T = 0.25
-        setup = ControlSetup(basis64, T, profile_constant, gram, eps=1e-3, k=1.0)
         xs = uniform_grid(0.0, 1.0, 1024)
         w = simpson_weights(xs.size, xs[1] - xs[0])
+        setup = ControlSetup(basis64, T, profile_constant, gram_subdomain(xs, w, basis64),
+                             eps=1e-3, k=1.0)
         u0 = synthesize_initial(basis64, 3.0, 11)
         f_vals = evolve(u0, 0.0, T, profile_constant).evaluate(xs)
         dT2T = basis64.decay(profile_constant, T, 2.0 * T)
@@ -420,8 +463,9 @@ class TestSampleGridCheck:
         u0 = synthesize_initial(basis16, 3.0, 5)
         values = evolve(u0, 0.0, 0.25, profile_constant).evaluate(xs)
         sub = Subdomain.full(unit_domain)
+        # the full domain's Gram matrix is the identity; a defective grid has none
         cfg = PipelineConfig(
-            basis16, 0.25, profile_constant, sub, gram_subdomain(sub, basis16), 16,
+            basis16, 0.25, profile_constant, sub, np.eye(16), 16,
             chain_full_domain(), u0.l2(), u0.h01(),
         )
         verdicts = []

@@ -22,9 +22,10 @@ from heatback import (
     synthesize_initial,
     uniform_grid,
 )
-from heatback import ConfigError, spectral
+from heatback import ConfigError, harness, spectral
+from heatback.harness import ExperimentConfig
 from heatback.spectral import _SINE_CACHE_SIZE
-from oracles import l2_sub
+from oracles import gram_closed_form, l2_sub
 
 
 NAN = float("nan")
@@ -590,37 +591,114 @@ class TestProject:
         assert modes is None
 
 
+def _omega_gram(sub, basis, panels):
+    """The Gram matrix of the Simpson rule on a uniform grid of (a, b)."""
+    xs = uniform_grid(sub.a, sub.b, panels)
+    return gram_subdomain(xs, spectral.observation_weights(xs, sub, basis), basis)
+
+
+# the CI quickstart's geometries: the README demo at N 64 and 256, T 0.01 at
+# N 128, wide.cfg, and the narrow omega; as (length, omega_a, omega_b, modes)
+CI_GEOMETRIES = [(1.0, 0.3, 0.7, 64), (1.0, 0.3, 0.7, 256), (1.0, 0.3, 0.7, 128),
+                 (2.0, 0.5, 1.6, 97), (1.0, 0.45, 0.55, 128)]
+
+
 class TestGram:
+    """gram_subdomain is the Gram matrix of the samples' Simpson rule; the
+    closed form of the continuous one (oracles.gram_closed_form) is its reference."""
+
     def test_full_domain_is_identity(self, basis16, unit_domain):
-        G = gram_subdomain(Subdomain.full(unit_domain), basis16)
+        G = _omega_gram(Subdomain.full(unit_domain), basis16, 256)
         np.testing.assert_allclose(G, np.eye(16), atol=1e-14)
+
+    @pytest.mark.parametrize("length, a, b, n", [(1.0, 0.0, 1.0, 64), *CI_GEOMETRIES])
+    def test_diagonal_is_at_most_one_up_to_rounding(self, length, a, b, n):
+        # the active-block argument in heatback.control rests on G_jj <= 1; the
+        # Simpson rule's diagonal is |e_j|^2_omega only up to rounding, and on
+        # the full domain it is 1 plus a few ulp
+        cfg = ExperimentConfig(length=length, T=0.25, delta_list=(1e-4,), omega_a=a,
+                               omega_b=b, modes=n)
+        G = harness.Run(cfg).gram
+        assert np.max(np.diag(G)) <= 1.0 + 1e-12
+        if b - a == length:
+            np.testing.assert_allclose(np.diag(G), 1.0, rtol=0.0, atol=1e-14)
 
     def test_half_interval_entries(self, basis16):
         # G11 = 1/2 by symmetry; G12 = 4/(3 pi) from the product-to-sum
         # antiderivative, cross-checked by quadrature
-        G = gram_subdomain(Subdomain(0.0, 0.5), basis16)
+        G = gram_closed_form(Subdomain(0.0, 0.5), basis16)
         assert G[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert G[0, 1] == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-14)
+        Gq = _omega_gram(Subdomain(0.0, 0.5), basis16, 4096)
+        assert Gq[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert Gq[0, 1] == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-14)
 
     def test_matches_quadrature(self, basis16):
-        from heatback.spectral import simpson_weights
-
+        # Simpson's gap at 4096 panels is 3.5e-12
         sub = Subdomain(0.22, 0.81)
-        G = gram_subdomain(sub, basis16)
-        xs = uniform_grid(sub.a, sub.b, 4096)
-        w = simpson_weights(xs.size, xs[1] - xs[0])
-        E = basis16.eigenfunction_matrix(xs)
-        Gq = E.T @ (w[:, None] * E)
-        np.testing.assert_allclose(G, Gq, atol=1e-12)
+        G = _omega_gram(sub, basis16, 4096)
+        np.testing.assert_allclose(G, gram_closed_form(sub, basis16), rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("length, a, b, n", CI_GEOMETRIES[::2] + [(1.0, 0.22, 0.81, 16)])
+    def test_tends_to_the_closed_form_as_panels_grow(self, length, a, b, n):
+        # Simpson's rule is fourth order: each doubling of the panels from the
+        # grid the commands sample cuts the gap to the continuous Gram matrix
+        # by about 16, down to rounding
+        basis = EigenBasis(DomainSpec(length, length / 2.0), n)
+        sub = Subdomain(a, b)
+        exact = gram_closed_form(sub, basis)
+        first = ExperimentConfig(length=length, T=0.25, delta_list=(), omega_a=a, omega_b=b,
+                                 modes=n).panels(local=True)
+        gaps = [np.max(np.abs(_omega_gram(sub, basis, first * 2**j) - exact)) for j in range(4)]
+        assert all(12.0 * late <= early for early, late in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] <= 1e-9
+
+    @pytest.mark.parametrize("n, panels", [(1, 64), (16, 64), (16, 130), (64, 410), (97, 2000)])
+    def test_blocks_equal_the_one_shot_product(self, n, panels):
+        # N samples a block, the last one shorter when N does not divide the
+        # point count; the sum equals E' W E to rounding and is symmetric
+        basis = EigenBasis(DomainSpec.unit(), n)
+        sub = Subdomain(0.3, 0.7)
+        xs = uniform_grid(sub.a, sub.b, panels)
+        w = spectral.observation_weights(xs, sub, basis)
+        E = basis.eigenfunction_matrix(xs)
+        G = gram_subdomain(xs, w, basis)
+        assert np.array_equal(G, G.T)
+        np.testing.assert_allclose(G, E.T @ (w[:, None] * E), rtol=0.0, atol=1e-15)
+
+    def test_build_holds_no_temporary_larger_than_the_matrix(self):
+        # a fresh Gram matrix of the benchmark's geometry, N 256 on omega (0.3, 0.7):
+        # built in blocks of N samples, it frees nothing larger than N x N float64,
+        # as the closed form did; a one-shot E' W E frees a 1641 x 256 matrix
+        # (3.4 MB), which raises glibc's dynamic mmap threshold and so changes
+        # the speed of the benchmark's reference kernel
+        run = harness.Run(ExperimentConfig(length=1.0, T=0.25, delta_list=(1e-4,), omega_a=0.3,
+                                           omega_b=0.7, modes=256))
+        tracemalloc.start()
+        try:
+            G = run.gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+        assert peak <= 4 * G.nbytes + 128 * 1024
 
     def test_gram_sandwich_and_psd(self, basis16):
-        G = gram_subdomain(Subdomain(0.3, 0.7), basis16)
+        G = _omega_gram(Subdomain(0.3, 0.7), basis16, 256)
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = rng.standard_normal(16)
             q = a @ G @ a
             assert -1e-12 * (a @ a) <= q <= (a @ a) * (1.0 + 1e-12)
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-12
+
+    def test_subinterval_past_the_domain_is_rejected(self, basis16):
+        # observation_weights checks the subinterval, and every sampled grid,
+        # the Gram matrix's and local_reconstruct's, passes through it
+        sub = Subdomain(0.5, 1.5)
+        xs = uniform_grid(sub.a, sub.b, 256)
+        with pytest.raises(ValueError, match=r"subinterval \(0.5, 1.5\) exceeds \(0, 1.0\)"):
+            spectral.observation_weights(xs, sub, basis16)
 
     @pytest.mark.parametrize(
         "length, a, b, n",
@@ -644,7 +722,7 @@ class TestGram:
             ) / (summ * math.pi)
         diag = (b - a) / length - (s(2 * k, b) - s(2 * k, a)) / (2 * k * math.pi)
         np.fill_diagonal(off, diag)
-        assert np.array_equal(gram_subdomain(Subdomain(a, b), basis), 0.5 * (off + off.T))
+        assert np.array_equal(gram_closed_form(Subdomain(a, b), basis), 0.5 * (off + off.T))
 
     def test_windows_equal_the_index_gather(self):
         # the same f table gathered through two N x N index arrays, kept as the
@@ -664,7 +742,7 @@ class TestGram:
             i = np.arange(n)
             off = f[np.subtract.outer(i, i) + (n - 1)] - f[np.add.outer(i, i) + (n + 1)]
             off[i, i] = (b - a) / length - f[2 * i + (n + 1)]
-            assert np.array_equal(gram_subdomain(Subdomain(a, b), basis), 0.5 * (off + off.T)), n
+            assert np.array_equal(gram_closed_form(Subdomain(a, b), basis), 0.5 * (off + off.T)), n
 
 
 class TestNorms:
@@ -697,7 +775,7 @@ class TestNorms:
 
     def test_subdomain_norm_from_gram(self, basis16):
         # frozen from the half-interval Gram entries above
-        G = gram_subdomain(Subdomain(0.0, 0.5), basis16)
+        G = gram_closed_form(Subdomain(0.0, 0.5), basis16)
         coeffs = np.zeros(16)
         coeffs[:2] = 1.0
         sub = l2_sub(SpectralField(basis16, coeffs), G)
