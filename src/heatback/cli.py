@@ -120,9 +120,8 @@ def _observation(run: Run, args, local: bool):
 def _cmd_backward(cfg: ExperimentConfig, args, local: bool) -> int:
     run = Run(cfg)
     u0, xs, values, l2, h01, delta_abs = _observation(run, args, local)
-    if local:  # external samples bring their own grid, so their own Gram matrix
-        pipe = run.pipeline(l2, h01, xs if args.observation else None)
-        report = local_reconstruct(xs, values, delta_abs, pipe)
+    if local:  # samples off the omega grid bring their own Gram matrix
+        report = local_reconstruct(values, delta_abs, run.pipeline(l2, h01, xs))
         g, sel, epsilon = report.g, report.selection, report.epsilon
     else:
         g, sel = global_backward(xs, values, run.basis, cfg.T, run.profile, delta_abs, l2, h01)
@@ -157,7 +156,7 @@ def _cmd_control(cfg: ExperimentConfig, args) -> int:
     rows = []
     for i, sol in enumerate(bank, start=1):
         cert = verify_control_bounds(setup, sol, SpectralField.unit_mode(run.basis, i).coeffs)
-        rows.append((i, sol.h_norm_omega, cert.psi_norm, cert.psi_ok, cert.h_ok))
+        rows.append((i, cert.h_norm, cert.psi_norm, cert.psi_ok, cert.h_ok))
     columns = ("i", "h_norm", "psi_norm", "eps_bound_ok", "h_bound_ok")
     _write(args.out, csv_text(columns, rows))
     bad = [f"mode {row[0]} {name}" for row in rows

@@ -122,8 +122,12 @@ class ControlSolution:
     c: np.ndarray
     b: np.ndarray
     psi: np.ndarray
-    h_norm_omega: float
     identity_residual: float
+
+    @property
+    def psi_norm(self) -> float:
+        """|psi|, as verify_control_bounds and pipeline.certified_delta_3T read it."""
+        return math.sqrt(self.psi @ self.psi)
 
 
 def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
@@ -178,15 +182,13 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
         raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")
 
     if best == math.inf:  # c_a = 0, so D_T c, b and h are zero
-        b, psi, h_norm = np.zeros(c.size), rhs, 0.0
+        b, psi = np.zeros(c.size), rhs
     else:
         dT = setup.decay_to_T
-        dTc = dT[:m] * c_a
-        b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
+        b = -(setup.k**2) * (setup.gram[:, :m] @ (dT[:m] * c_a))
         psi = rhs + dT * b
-        h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
     gap = psi - eps2 * c
-    return ControlSolution(c, b, psi, h_norm, math.sqrt(gap @ gap))
+    return ControlSolution(c, b, psi, math.sqrt(gap @ gap))
 
 
 def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.ndarray:
@@ -221,12 +223,19 @@ def verify_control_bounds(
     s = |h|^2/k^2 + |psi|^2/eps^2 equals <phi0, D_2T c> algebraically; the
     surrogate |D_2T c|^2 <= k^2 (D_T c)' G (D_T c) + eps^2 |c|^2 is geometry
     dependent, and when it holds it forces |h| <= k |phi0| and
-    |psi| <= eps |phi0|.  Failures are reported, not raised.
+    |psi| <= eps |phi0|.  |h| = k^2 sqrt(q) comes from the one quadratic form
+    q = (D_T c)' G (D_T c) that s, the surrogate and h_ok all read; G need not
+    come from samples (the tests pass closed-form Grams).  Failures are
+    reported, not raised.
     """
     phi0 = np.asarray(phi0, dtype=float)
     eps2 = setup.eps**2
-    psi_norm = float(np.linalg.norm(sol.psi))
-    s = sol.h_norm_omega**2 / setup.k**2 + psi_norm**2 / eps2
+    m = setup.active
+    dTc = setup.decay_to_T[:m] * sol.c[:m]
+    q = float(dTc @ setup.gram[:m, :m] @ dTc)
+    h_norm = (setup.k**2) * math.sqrt(max(q, 0.0))
+    psi_norm = sol.psi_norm
+    s = h_norm**2 / setup.k**2 + psi_norm**2 / eps2
     d2Tc = setup.decay_to_2T * sol.c
     s_inner = float(phi0 @ d2Tc)
     identity_rel = abs(s - s_inner) / max(abs(s), abs(s_inner), 1e-300)
@@ -235,18 +244,13 @@ def verify_control_bounds(
     d2Tc_norm = float(np.linalg.norm(d2Tc))
     cauchy_ok = s <= phi0_norm * d2Tc_norm * (1.0 + _REL_SLACK) + 1e-300
 
-    m = setup.active
-    dTc = setup.decay_to_T[:m] * sol.c[:m]
-    surrogate_rhs = (
-        setup.k**2 * float(dTc @ setup.gram[:m, :m] @ dTc) + eps2 * float(sol.c @ sol.c)
-    )
+    surrogate_rhs = setup.k**2 * q + eps2 * float(sol.c @ sol.c)
     surrogate_ok = d2Tc_norm**2 <= surrogate_rhs * (1.0 + _REL_SLACK) + 1e-300
 
-    h_ok = sol.h_norm_omega <= setup.k * phi0_norm * (1.0 + _REL_SLACK)
+    h_ok = h_norm <= setup.k * phi0_norm * (1.0 + _REL_SLACK)
     psi_ok = psi_norm <= setup.eps * phi0_norm * (1.0 + _REL_SLACK)
     return ControlCertificate(
-        s, s_inner, identity_rel, cauchy_ok, surrogate_ok, h_ok, psi_ok,
-        sol.h_norm_omega, psi_norm,
+        s, s_inner, identity_rel, cauchy_ok, surrogate_ok, h_ok, psi_ok, h_norm, psi_norm
     )
 
 

@@ -71,22 +71,14 @@ def invert_B(y: float) -> float:
 
 @dataclass(frozen=True)
 class FilterSelection:
-    """Regularization choice and the certified error bound that comes with it.
-
-    lambda_bar and theta are diagnostics of the worst-mode analysis behind
-    the cap: the critical eigenvalue scale and the convex weight attached to
-    it (always in (0, 1); asserted, not assumed).
-    """
+    """Regularization choice and the certified error bound that comes with it."""
 
     gate_zero: bool
     alpha: float | None
     zeta: float
     bound: float
     log_argument: float
-    gate_threshold: float
     effective_delta: float
-    lambda_bar: float | None = None
-    theta: float | None = None
 
 
 def default_zeta(lambda1: float, p2: float, horizon: float) -> float:
@@ -151,7 +143,7 @@ def select_alpha(
 
     threshold = l2_prior * math.exp(-lambda1 * p2tau)
     if effective_delta >= threshold:
-        return FilterSelection(True, None, z, bound, log_arg, threshold, effective_delta)
+        return FilterSelection(True, None, z, bound, log_arg, effective_delta)
 
     ratio = math.sqrt(p2tau) * h01_prior / effective_delta
     x_bar = invert_B(ratio)
@@ -163,6 +155,8 @@ def select_alpha(
             f"{h01_prior}: cap alpha={alpha} from sqrt(p2 tau) |u0|_H1 / delta = {ratio} is not "
             f"above A(lambda1 p2 tau)={eval_A(lambda1 * p2tau)}; raise T or lower the noise"
         )
+    # the worst-mode analysis behind the cap puts the convex weight theta on the
+    # critical eigenvalue scale x_bar / (p2 tau); it must lie in (0, 1)
     theta = 1.0 / (1.0 + 2.0 * x_bar)  # = alpha e^{-x_bar}
     if not 0.0 < theta < 1.0:
         # theta rounds to 1 only for x_bar below roundoff; with delta < l2 <= h01 / sqrt(lambda1)
@@ -171,10 +165,7 @@ def select_alpha(
             f"T too small: convex weight theta={theta} outside (0, 1) at horizon {horizon} "
             f"(lambda1 p2 tau = {lambda1 * p2tau:.6g})"
         )
-    return FilterSelection(
-        False, alpha, z, bound, log_arg, threshold, effective_delta,
-        lambda_bar=x_bar / p2tau, theta=theta,
-    )
+    return FilterSelection(False, alpha, z, bound, log_arg, effective_delta)
 
 
 def apply_filter(

@@ -193,13 +193,14 @@ def inject_noise(
 
 
 class _Geometry:
-    """The basis, Gram matrix and constants chain of one geometry.
+    """The basis, omega quadrature and constants chain of one geometry.
 
     None of them depends on the noise levels, seed, trials or bank, and only
     the paper chain reads x0, so ``_geometry`` keeps the last one a
-    process used, with its basis's sine matrices.  The Gram matrix (read-only,
-    on the omega grid of ``panels`` panels) and the chain are built on first
-    use, so a command that needs neither never builds them.
+    process used, with its basis's sine matrices.  ``omega`` is the omega
+    grid of ``panels`` panels, its Simpson weights and their Gram matrix, all
+    read-only; it and the chain are built on first use, so a command that
+    needs neither never builds them.
     """
 
     def __init__(self, domain, modes, subdomain, profile, T, constants_mode, panels):
@@ -208,18 +209,20 @@ class _Geometry:
         self.basis = EigenBasis(domain, modes)
 
     @cached_property
-    def gram(self) -> np.ndarray:
+    def omega(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sub, basis = self.subdomain, self.basis
         xs = uniform_grid(sub.a, sub.b, self.panels)
-        G = gram_subdomain(xs, observation_weights(xs, sub, basis), basis)
-        G.flags.writeable = False
-        return G
+        weights = observation_weights(xs, sub, basis)
+        omega = xs, weights, gram_subdomain(xs, weights, basis)
+        for arr in omega:
+            arr.flags.writeable = False
+        return omega
 
     @cached_property
     def chain(self) -> ObservabilityConstants:
         domain, sub = self.domain, self.subdomain
         if self.constants_mode == "empirical":
-            return fit_empirical_constants(self.basis, self.gram, self.T, self.profile)
+            return fit_empirical_constants(self.basis, self.omega[2], self.T, self.profile)
         if sub.is_full(domain):
             return chain_full_domain()
         try:
@@ -235,10 +238,10 @@ _geometry = lru_cache(maxsize=1)(_Geometry)
 class Run:
     """The objects one config describes: domain, basis, profile and subdomain.
 
-    The basis, Gram matrix and constants chain come from ``_geometry``, so
-    the runs of one geometry in a process share them: a sweep that differs
+    The basis, omega quadrature and constants chain come from ``_geometry``,
+    so the runs of one geometry in a process share them: a sweep that differs
     from the last only in noise levels, seed, trials or bank, or in x0 under
-    the empirical fit, builds none of them again.  The Gram matrix and
+    the empirical fit, builds none of them again.  The omega quadrature and
     the chain are built on first use.
     """
 
@@ -279,7 +282,7 @@ class Run:
 
     @property
     def gram(self) -> np.ndarray:
-        return self._geo.gram
+        return self._geo.omega[2]
 
     @property
     def chain(self) -> ObservabilityConstants:
@@ -287,19 +290,16 @@ class Run:
         return self._geo.chain
 
     def pipeline(self, l2_prior: float, h01_prior: float, xs=None) -> PipelineConfig:
-        """Data of one local reconstruction, on the Gram matrix of the samples xs if given."""
+        """Data of one local reconstruction on the omega quadrature, or on the
+        samples' grid xs when it differs from the omega grid: then
+        observation_weights checks xs and the Gram matrix of its weights is built."""
         cfg, sub, basis = self.cfg, self.subdomain, self.basis
+        omega = self._geo.omega
+        if xs is not None and not np.array_equal(xs, omega[0]):
+            weights = observation_weights(xs, sub, basis)
+            omega = np.asarray(xs, dtype=float), weights, gram_subdomain(xs, weights, basis)
         return PipelineConfig(
-            basis=basis,
-            T=cfg.T,
-            profile=self.profile,
-            subdomain=sub,
-            gram=self.gram if xs is None else gram_subdomain(
-                xs, observation_weights(xs, sub, basis), basis),
-            n_bank=cfg.bank,
-            chain=self.chain,
-            l2_prior=l2_prior,
-            h01_prior=h01_prior,
+            basis, cfg.T, self.profile, *omega, cfg.bank, self.chain, l2_prior, h01_prior
         )
 
 
@@ -349,7 +349,7 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
 
     xs_omega, noisy_omega = run.observe(uT, delta_abs, seed, local=True)
     try:
-        report = local_reconstruct(xs_omega, noisy_omega, delta_abs, run.pipeline(l2, h01))
+        report = local_reconstruct(noisy_omega, delta_abs, run.pipeline(l2, h01, xs_omega))
     except ConfigError as exc:
         # the other methods' rows stand; the CLI writes them, then exits 1 with exc
         rows.append({"delta": delta_abs, "method": "local", "failure": exc})

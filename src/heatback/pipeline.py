@@ -31,13 +31,7 @@ from .control import ControlSetup, ControlSolution, control_mode_bank, h_values
 from .errors import ConfigError
 from .filtering import FilterSelection, apply_filter, require_finite, select_alpha
 from .observability import ObservabilityConstants
-from .spectral import (
-    DiffusionProfile,
-    EigenBasis,
-    SpectralField,
-    Subdomain,
-    observation_weights,
-)
+from .spectral import DiffusionProfile, EigenBasis, SpectralField
 
 _LN_MAX = math.log(sys.float_info.max)
 
@@ -76,12 +70,16 @@ def weight_from_chain(chain: ObservabilityConstants, T: float, eps: float) -> fl
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Fixed data of one local reconstruction: geometry, chain, priors."""
+    """Fixed data of one local reconstruction: geometry, chain, priors, and
+    the samples' omega grid xs with their Simpson weights and the Gram matrix
+    of that quadrature, which the control solve reads; harness.Run.pipeline
+    builds all three from one grid."""
 
     basis: EigenBasis
     T: float
     profile: DiffusionProfile
-    subdomain: Subdomain
+    xs: np.ndarray
+    weights: np.ndarray
     gram: np.ndarray
     n_bank: int
     chain: ObservabilityConstants
@@ -130,12 +128,13 @@ def assemble_fbar(
     xs: np.ndarray,
     values: np.ndarray,
     weights: np.ndarray,
-) -> tuple[SpectralField, np.ndarray, np.ndarray]:
+) -> tuple[SpectralField, np.ndarray]:
     """Surrogate data at 3T from the control bank and the observed samples.
 
-    Returns (fbar, psi_norms, h_quad_norms); coefficient i of fbar is
+    Returns (fbar, h_quad_norms); coefficient i of fbar is
     -exp(-lambda_i int_{2T}^{3T} p) * quadrature of h_i against the samples,
-    zero beyond the bank.
+    zero beyond the bank, and |h_i|_quad is the samples' Simpson sum
+    sqrt(sum_k w_k h_i(x_k)^2), the quadrature that meets the noise.
     """
     n_bank = len(bank)
     if n_bank == 0:
@@ -146,20 +145,18 @@ def assemble_fbar(
         raise ValueError("xs and values must match")
     decay23 = basis.decay(setup.profile, 2.0 * setup.T, 3.0 * setup.T)
     coeffs = np.zeros(basis.size)
-    psi_norms = np.zeros(n_bank)
     h_qnorms = np.zeros(n_bank)
     wv = weights * values
     for idx, sol in enumerate(bank):
         h = h_values(setup, sol, xs)
         coeffs[idx] = -decay23[idx] * (h @ wv)
-        psi_norms[idx] = math.sqrt(sol.psi @ sol.psi)
         h_qnorms[idx] = math.sqrt(h @ (weights * h))
-    return SpectralField(basis, coeffs), psi_norms, h_qnorms
+    return SpectralField(basis, coeffs), h_qnorms
 
 
 def certified_delta_3T(
     setup: ControlSetup,
-    psi_norms: np.ndarray,
+    bank: list[ControlSolution],
     h_qnorms: np.ndarray,
     delta: float,
     l2_prior: float,
@@ -168,11 +165,13 @@ def certified_delta_3T(
 
     Mode i of the mismatch is exp(-lambda_i int_{2T}^{3T} p) times
     (<psi_i, u0> + quadrature of h_i against the noise), so |psi_i| l2 +
-    |h_i|_quad delta bounds it; unbanked modes contribute at most their
+    |h_i|_quad delta bounds it, with |psi_i| from the bank and |h_i|_quad
+    from assemble_fbar; unbanked modes contribute at most their
     uncontrolled decay from the initial prior.
     """
     basis, profile, T = setup.basis, setup.profile, setup.T
-    n_bank = psi_norms.size
+    n_bank = len(bank)
+    psi_norms = np.array([sol.psi_norm for sol in bank])
     decay23 = basis.decay(profile, 2.0 * T, 3.0 * T)[:n_bank]
     banked = math.sqrt(
         float(np.sum((decay23 * (psi_norms * l2_prior + h_qnorms * delta)) ** 2))
@@ -210,24 +209,26 @@ def transfer_claim(cfg: PipelineConfig, eps: float, delta: float) -> tuple[float
 
 
 def local_reconstruct(
-    xs: np.ndarray,
     values: np.ndarray,
     delta: float,
     cfg: PipelineConfig,
 ) -> ReconstructionReport:
-    """Full pipeline: eps selection, bank, surrogate at 3T, capped-gain inversion."""
-    require_finite("local_reconstruct", xs=xs, values=values, delta=delta)
+    """Full pipeline: eps selection, bank, surrogate at 3T, capped-gain inversion.
+
+    values are the samples on cfg.xs; the surrogate's quadrature uses
+    cfg.weights, and the control solve cfg.gram, so all three share one grid.
+    """
+    require_finite("local_reconstruct", values=values, delta=delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if not delta < cfg.l2_prior:
         raise ConfigError(f"needs delta < |u0|_L2 prior, got {delta} >= {cfg.l2_prior}")
-    weights = observation_weights(xs, cfg.subdomain, cfg.basis)
     setup = control_setup(cfg, delta)
     bank = control_mode_bank(setup, cfg.n_bank)
-    fbar, psi_norms, h_qnorms = assemble_fbar(bank, setup, xs, values, weights)
+    fbar, h_qnorms = assemble_fbar(bank, setup, cfg.xs, values, cfg.weights)
 
     claimed, zeta = transfer_claim(cfg, setup.eps, delta)
-    certified = certified_delta_3T(setup, psi_norms, h_qnorms, delta, cfg.l2_prior)
+    certified = certified_delta_3T(setup, bank, h_qnorms, delta, cfg.l2_prior)
 
     horizon = 3.0 * cfg.T
     sel = select_alpha(

@@ -72,12 +72,15 @@ def physical_terminal(setup: ControlSetup, phi0: np.ndarray, b: np.ndarray) -> n
     return decay_T_to_2T * (setup.decay_to_T * phi0 + b)
 
 
-def reference_solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
+def reference_solve_control(
+    setup: ControlSetup, phi0: np.ndarray
+) -> tuple[ControlSolution, float, float]:
     """The control solve in its solve-then-refine form: one Cholesky solve of
     the active block, then refinement steps while the residual halves, with
     scipy's finiteness check in every cho_factor and cho_solve call.
     solve_control refines from c = 0 instead and must match it bit for bit
-    on every bank mode."""
+    on every bank mode.  Returns the solution, |psi| and |h|_omega =
+    k^2 sqrt((D_T c)' G (D_T c)), the norms the package's certificate reads."""
     M, m = setup.system, setup.active
     rhs = setup.decay_to_2T * phi0
     factor = cho_factor(M)
@@ -97,25 +100,25 @@ def reference_solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSol
     b = -(setup.k**2) * (setup.gram[:, :m] @ dTc)
     psi = rhs + dT * b
     h_norm = (setup.k**2) * math.sqrt(max(float(dTc @ setup.gram[:m, :m] @ dTc), 0.0))
-    return ControlSolution(c, b, psi, h_norm, float(np.linalg.norm(psi - eps2 * c)))
+    sol = ControlSolution(c, b, psi, float(np.linalg.norm(psi - eps2 * c)))
+    return sol, float(np.linalg.norm(psi)), h_norm
 
 
 def reference_assemble_fbar(
     bank: list[ControlSolution], setup: ControlSetup, xs: np.ndarray, values: np.ndarray,
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """assemble_fbar's (coeffs, psi_norms, h_quad_norms) by its per-mode
-    expressions before it formed weights * values once: a three-factor
-    np.sum for each coefficient and quad_norm for each quadrature norm."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """assemble_fbar's (coeffs, h_quad_norms) by its per-mode expressions
+    before it formed weights * values once: a three-factor np.sum for each
+    coefficient and quad_norm for each quadrature norm."""
     decay23 = setup.basis.decay(setup.profile, 2.0 * setup.T, 3.0 * setup.T)
     coeffs = np.zeros(setup.basis.size)
-    psi_norms, h_qnorms = np.zeros(len(bank)), np.zeros(len(bank))
+    h_qnorms = np.zeros(len(bank))
     for idx, sol in enumerate(bank):
         h = h_values(setup, sol, xs)
         coeffs[idx] = -decay23[idx] * np.sum(weights * h * values)
-        psi_norms[idx] = math.sqrt(sol.psi @ sol.psi)
         h_qnorms[idx] = quad_norm(weights, h)
-    return coeffs, psi_norms, h_qnorms
+    return coeffs, h_qnorms
 
 
 def functional_J(setup: ControlSetup, z: np.ndarray, phi0: np.ndarray) -> float:

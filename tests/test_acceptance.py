@@ -198,11 +198,11 @@ def test_criterion_07_local_backward():
             u0 = synthesize_initial(BASIS, 3.0, seed)
             l2, h01 = u0.l2(), u0.h01()
             dabs = drel * l2
-            cfg = PipelineConfig(BASIS, T, P_CONST, SUB, GRAM, 32, chain, l2, h01)
+            cfg = PipelineConfig(BASIS, T, P_CONST, xs, w, GRAM, 32, chain, l2, h01)
             noisy = inject_noise(
                 evolve(u0, 0.0, T, P_CONST).evaluate(xs), dabs, [seed, 7], w
             )
-            rep = local_reconstruct(xs, noisy, dabs, cfg)
+            rep = local_reconstruct(noisy, dabs, cfg)
             err = (u0 - rep.g).l2()
             errs.append(err)
             envelopes.append(err * math.sqrt(math.log(l2 / dabs)))

@@ -455,6 +455,18 @@ class TestGeometryMemo:
         with pytest.raises(ValueError, match="read-only"):
             gram[0, 0] = 0.0
 
+    def test_pipeline_on_the_omega_grid_returns_the_geometry_quadrature(self):
+        # the sweep's samples lie on the omega grid, so Run.pipeline checks that
+        # and hands back the geometry's own read-only grid, weights and Gram matrix
+        run = harness.Run(ExperimentConfig(**self.BASE))
+        u0 = run.truth()
+        uT = evolve(u0, 0.0, run.cfg.T, run.profile)
+        xs, _ = run.observe(uT, 1e-4 * u0.l2(), [0, 0], local=True)
+        pipe = run.pipeline(u0.l2(), u0.h01(), xs)
+        assert pipe.xs is not xs and np.array_equal(pipe.xs, xs)
+        for got, own in zip((pipe.xs, pipe.weights, pipe.gram), run._geo.omega):
+            assert got is own and not got.flags.writeable
+
 
 class TestCsvEmission:
     def test_format(self):
@@ -903,7 +915,7 @@ assert "scipy.linalg" in sys.modules
         setup = control_setup(run.pipeline(l2, h01), delta_abs)
         uT = evolve(u0, 0.0, cfg.T, run.profile)
         xs, values = run.observe(uT, delta_abs, [cfg.seed, 0], local=True)
-        report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
+        report = local_reconstruct(values, delta_abs, run.pipeline(l2, h01, xs))
         assert (setup.eps, setup.k) == (report.epsilon, report.k)
 
     def test_local_reconstruct_builds_one_control_setup(self, monkeypatch):
@@ -921,7 +933,7 @@ assert "scipy.linalg" in sys.modules
             post_init(setup)
 
         monkeypatch.setattr(ControlSetup, "__post_init__", counted)
-        report = local_reconstruct(xs, values, delta_abs, run.pipeline(l2, h01))
+        report = local_reconstruct(values, delta_abs, run.pipeline(l2, h01, xs))
         assert built == [report.k]
 
     def test_reports_match_the_sweep_rows(self, cfg_path, tmp_path, sweep_rows):
@@ -1222,10 +1234,10 @@ assert "scipy.linalg" in sys.modules
         row = rep.read_text().splitlines()[1].split(",")
         assert row[-1] == ""  # no ground truth, so no error column entry
 
-    def test_external_observation_reproduces_the_synthetic_run(self, cfg_path, tmp_path, capsys):
-        # with honest delta and priors the emitted samples are the synthetic
-        # run's own, on the same grid, so their Gram matrix is the one the
-        # synthetic run takes from the geometry, and the fields agree byte for byte
+    @staticmethod
+    def _emitted_observation(cfg_path, tmp_path):
+        """The samples ``forward --emit-observation`` writes, and a config with
+        the seeded truth's delta and priors that reads them back."""
         run = harness.Run(load_config(cfg_path))
         u0 = run.truth()
         obs = tmp_path / "obs.csv"
@@ -1236,11 +1248,40 @@ assert "scipy.linalg" in sys.modules
             SWEEP_CFG + f"delta = {run.cfg.delta_list[0] * u0.l2()!r}\n"
             + f"prior_l2 = {u0.l2()!r}\nprior_h01 = {u0.h01()!r}\n"
         )
+        return str(obs), str(with_priors)
+
+    def test_external_observation_reproduces_the_synthetic_run(self, cfg_path, tmp_path, capsys):
+        # with honest delta and priors the emitted samples are the synthetic
+        # run's own, on the same grid, so their Gram matrix is the one the
+        # synthetic run takes from the geometry, and the fields agree byte for byte
+        obs, with_priors = self._emitted_observation(cfg_path, tmp_path)
         external, synthetic = tmp_path / "external.csv", tmp_path / "synthetic.csv"
-        assert cli_main(["local-backward", "--config", str(with_priors), "--observation",
-                         str(obs), "--out", str(external)]) == 0
-        assert cli_main(["local-backward", "--config", str(with_priors),
+        assert cli_main(["local-backward", "--config", with_priors, "--observation",
+                         obs, "--out", str(external)]) == 0
+        assert cli_main(["local-backward", "--config", with_priors,
                          "--out", str(synthetic)]) == 0
+        assert external.read_bytes() == synthetic.read_bytes()
+
+    def test_external_observation_on_the_omega_grid_builds_one_gram(self, cfg_path, tmp_path,
+                                                                   monkeypatch, capsys):
+        # emitted samples lie on the config's omega grid, so the control solve
+        # reads the geometry's Gram matrix, the one the empirical chain is fit
+        # on: one build, and the field the synthetic run writes
+        obs, with_priors = self._emitted_observation(cfg_path, tmp_path)
+        external, synthetic = tmp_path / "external.csv", tmp_path / "synthetic.csv"
+        assert cli_main(["local-backward", "--config", with_priors,
+                         "--out", str(synthetic)]) == 0
+        builds, build = [], harness.gram_subdomain
+
+        def spy(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness, "gram_subdomain", spy)
+        harness._geometry.cache_clear()
+        assert cli_main(["local-backward", "--config", with_priors, "--observation",
+                         obs, "--out", str(external)]) == 0
+        assert len(builds) == 1
         assert external.read_bytes() == synthetic.read_bytes()
 
     def test_external_observation_takes_the_gram_of_its_grid(self, cfg_path, tmp_path,
@@ -1262,9 +1303,9 @@ assert "scipy.linalg" in sys.modules
         grams = []
         reconstruct = cli.local_reconstruct
 
-        def spy(xs, values, delta, cfg):
+        def spy(values, delta, cfg):
             grams.append(cfg.gram)
-            return reconstruct(xs, values, delta, cfg)
+            return reconstruct(values, delta, cfg)
 
         monkeypatch.setattr(cli, "local_reconstruct", spy)
         assert cli_main(["local-backward", "--config", str(with_priors), "--observation",

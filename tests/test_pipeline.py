@@ -15,7 +15,6 @@ from heatback import (
     PipelineConfig,
     SpectralField,
     Subdomain,
-    chain_full_domain,
     evolve,
     fit_empirical_constants,
     global_backward,
@@ -58,16 +57,19 @@ def local_setup(basis64, sub_mid, profile_constant):
     }
 
 
-def _pipe_cfg(basis, profile, sub, setup, l2, h01):
+def _pipe_cfg(basis, profile, setup, l2, h01):
     return PipelineConfig(
-        basis, setup["T"], profile, sub, setup["gram"], 32, setup["chain"], l2, h01
+        basis, setup["T"], profile, setup["xs"], setup["weights"], setup["gram"], 32,
+        setup["chain"], l2, h01,
     )
 
 
 def _claim_cfg(basis, profile, T, c3=1.0, c4=1.0, l2=1.0):
     """A PipelineConfig holding only what transfer_claim reads: the basis, the
     profile, T, the chain's c3 and c4, and the L2 prior."""
-    return PipelineConfig(basis, T, profile, None, None, 1, SimpleNamespace(c3=c3, c4=c4), l2, 1.0)
+    return PipelineConfig(
+        basis, T, profile, None, None, None, 1, SimpleNamespace(c3=c3, c4=c4), l2, 1.0
+    )
 
 
 def _sw(basis, profile, T):
@@ -82,6 +84,17 @@ delta_list = 1e-4
 omega_a = 0.3
 omega_b = 0.7
 modes = 64
+constants_mode = empirical
+"""
+
+# CI's narrow.cfg: omega (0.45, 0.55) at T 0.05 and N 128, 206 omega panels
+NARROW_128 = """
+length = 1.0
+T = 0.05
+delta_list = 1e-4, 1e-8, 1e-12
+omega_a = 0.45
+omega_b = 0.55
+modes = 128
 constants_mode = empirical
 """
 
@@ -171,12 +184,12 @@ class TestAssembleFbar:
             eps=1e-3, k=weight_from_chain(local_setup["chain"], local_setup["T"], 1e-3),
         )
         bank = control_mode_bank(setup, 8)
-        fbar, psi_norms, h_norms = assemble_fbar(
+        fbar, h_norms = assemble_fbar(
             bank, setup, local_setup["xs"], np.zeros(local_setup["xs"].size),
             local_setup["weights"],
         )
         assert fbar.l2() == 0.0
-        assert psi_norms.shape == (8,) and h_norms.shape == (8,)
+        assert h_norms.shape == (8,)
 
     def test_transfer_contract_noiseless(self):
         # |u(3T) - fbar| <= certified with exact data, on the sweep's own omega
@@ -186,17 +199,17 @@ class TestAssembleFbar:
         run = Run(parse_config_text(DEMO_64))
         T, profile, basis = run.cfg.T, run.profile, run.basis
         u0 = synthesize_initial(basis, 3.0, 17)
-        xs = uniform_grid(run.subdomain.a, run.subdomain.b, run.cfg.panels(local=True))
+        pipe = run.pipeline(u0.l2(), u0.h01())
+        xs, weights = pipe.xs, pipe.weights
         assert xs.size == 411
         f_clean = evolve(u0, 0.0, T, profile).evaluate(xs)
-        weights = observation_weights(xs, run.subdomain, basis)
         u3T = evolve(u0, 0.0, 3.0 * T, profile)
         for eps in (1e-4, 1e-8, 7.66e-12):
-            setup = ControlSetup(basis, T, profile, run.gram, eps=eps,
-                                 k=weight_from_chain(run.chain, T, eps))
+            setup = ControlSetup(basis, T, profile, pipe.gram, eps=eps,
+                                 k=weight_from_chain(pipe.chain, T, eps))
             bank = control_mode_bank(setup, 64)
-            fbar, psi_norms, h_norms = assemble_fbar(bank, setup, xs, f_clean, weights)
-            certified = certified_delta_3T(setup, psi_norms, h_norms, 1e-300, u0.l2())
+            fbar, h_norms = assemble_fbar(bank, setup, xs, f_clean, weights)
+            certified = certified_delta_3T(setup, bank, h_norms, 1e-300, u0.l2())
             assert (u3T - fbar).l2() <= certified * (1.0 + 1e-6), eps
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -210,14 +223,43 @@ class TestAssembleFbar:
         u0 = run.truth(trial)
         l2 = u0.l2()
         delta = 10.0**log_delta * l2
-        setup = control_setup(run.pipeline(l2, u0.h01()), delta)
+        pipe = run.pipeline(l2, u0.h01())
+        setup = control_setup(pipe, delta)
         bank = control_mode_bank(setup, run.cfg.bank)
-        xs = uniform_grid(run.subdomain.a, run.subdomain.b, run.cfg.panels(local=True))
-        f_clean = evolve(u0, 0.0, run.cfg.T, run.profile).evaluate(xs)
-        weights = observation_weights(xs, run.subdomain, run.basis)
-        fbar, psi_norms, h_norms = assemble_fbar(bank, setup, xs, f_clean, weights)
+        f_clean = evolve(u0, 0.0, run.cfg.T, run.profile).evaluate(pipe.xs)
+        fbar, h_norms = assemble_fbar(bank, setup, pipe.xs, f_clean, pipe.weights)
         u3T = evolve(u0, 0.0, 3.0 * run.cfg.T, run.profile)
-        assert (u3T - fbar).l2() <= certified_delta_3T(setup, psi_norms, h_norms, delta, l2)
+        assert (u3T - fbar).l2() <= certified_delta_3T(setup, bank, h_norms, delta, l2)
+
+    def test_quadrature_norms_match_a_50_digit_sum(self):
+        # |h_i|_quad, which the certificate reads, is the samples' Simpson sum:
+        # on the narrow omega at relative noise 1e-12 it stays within 1e-11 of
+        # the sum at 50 digits from the same c, D_T, k, xs and w (2e-13 on mode
+        # 9), where the Gram form k^2 sqrt((D_T c)' G (D_T c)) reads 9.8e-7 low
+        import mpmath  # a test dependency only; the other tests run without it
+
+        run = Run(parse_config_text(NARROW_128))
+        u0 = run.truth(0)
+        l2 = u0.l2()
+        pipe = run.pipeline(l2, u0.h01())
+        setup = control_setup(pipe, run.cfg.delta_list[2] * l2)
+        bank = control_mode_bank(setup, run.cfg.bank)
+        values = evolve(u0, 0.0, run.cfg.T, run.profile).evaluate(pipe.xs)
+        _, h_qnorms = assemble_fbar(bank, setup, pipe.xs, values, pipe.weights)
+        m, L = setup.active, run.basis.domain.length
+        assert 1 <= m < len(bank)
+        with mpmath.workdps(50):
+            scale = mpmath.sqrt(mpmath.mpf(2) / L)
+            sines = [[scale * mpmath.sin(j * mpmath.pi * mpmath.mpf(float(x)) / L)
+                      for j in range(1, m + 1)] for x in pipe.xs]
+            k2 = mpmath.mpf(setup.k) ** 2
+            for i, sol in enumerate(bank):
+                dTc = [mpmath.mpf(float(setup.decay_to_T[j])) * mpmath.mpf(float(sol.c[j]))
+                       for j in range(m)]
+                h = [-k2 * mpmath.fsum(row[j] * dTc[j] for j in range(m)) for row in sines]
+                exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(wk)) * hk**2
+                                                for wk, hk in zip(pipe.weights, h)))
+                assert abs(mpmath.mpf(float(h_qnorms[i])) - exact) <= 1e-11 * exact, i
 
     def test_noise_response_bounded_by_control_norms(
         self, basis64, sub_mid, profile_constant, local_setup
@@ -233,8 +275,8 @@ class TestAssembleFbar:
         delta = 1e-4
         clean = np.zeros(xs.size)
         noisy = inject_noise(clean, delta, [3, 1], w)
-        fb_noisy, psi_norms, h_norms = assemble_fbar(bank, setup, xs, noisy, w)
-        fb_clean, _, _ = assemble_fbar(bank, setup, xs, clean, w)
+        fb_noisy, h_norms = assemble_fbar(bank, setup, xs, noisy, w)
+        fb_clean, _ = assemble_fbar(bank, setup, xs, clean, w)
         w23 = profile_constant.integral(2.0 * T, 3.0 * T)
         decay = np.exp(-basis64.eigenvalues[:32] * w23)
         cap = math.sqrt(float(np.sum((decay * h_norms * delta) ** 2)))
@@ -252,12 +294,12 @@ class TestLocalReconstruct:
                 u0 = synthesize_initial(basis64, 3.0, seed)
                 l2, h01 = u0.l2(), u0.h01()
                 dabs = drel * l2
-                cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, l2, h01)
+                cfg = _pipe_cfg(basis64, profile_constant, local_setup, l2, h01)
                 noisy = inject_noise(
                     evolve(u0, 0.0, local_setup["T"], profile_constant).evaluate(xs),
                     dabs, [seed, 0, 1], w,
                 )
-                rep = local_reconstruct(xs, noisy, dabs, cfg)
+                rep = local_reconstruct(noisy, dabs, cfg)
                 err = (u0 - rep.g).l2()
                 errs.append(err)
                 assert err <= rep.selection.bound
@@ -284,9 +326,9 @@ class TestLocalReconstruct:
                 u0 = synthesize_initial(basis64, 3.0, 1)
                 l2, h01 = u0.l2(), u0.h01()
                 dabs = drel * l2
-                cfg = PipelineConfig(basis64, T, prof, sub_mid, gram, 32, chain, l2, h01)
+                cfg = PipelineConfig(basis64, T, prof, xs, w, gram, 32, chain, l2, h01)
                 noisy = inject_noise(evolve(u0, 0.0, T, prof).evaluate(xs), dabs, [1, 0, 1], w)
-                rep = local_reconstruct(xs, noisy, dabs, cfg)
+                rep = local_reconstruct(noisy, dabs, cfg)
                 assert (u0 - rep.g).l2() <= rep.selection.bound
                 assert rep.consistency_ok
 
@@ -295,12 +337,12 @@ class TestLocalReconstruct:
         rng = np.random.default_rng(0)
         f1 = 1e-3 * rng.standard_normal(xs.size)
         f2 = 1e-3 * rng.standard_normal(xs.size)
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, 1.0, math.pi)
+        cfg = _pipe_cfg(basis64, profile_constant, local_setup, 1.0, math.pi)
         d = 1e-5
-        g12 = local_reconstruct(xs, f1 + f2, d, cfg).g
-        g1 = local_reconstruct(xs, f1, d, cfg).g
-        g2 = local_reconstruct(xs, f2, d, cfg).g
-        g0 = local_reconstruct(xs, np.zeros(xs.size), d, cfg).g
+        g12 = local_reconstruct(f1 + f2, d, cfg).g
+        g1 = local_reconstruct(f1, d, cfg).g
+        g2 = local_reconstruct(f2, d, cfg).g
+        g0 = local_reconstruct(np.zeros(xs.size), d, cfg).g
         gap = (g12 + g0 - (g1 + g2)).l2()
         assert gap <= 1e-12 * max(g1.l2(), g2.l2(), 1e-300)
 
@@ -310,18 +352,17 @@ class TestLocalReconstruct:
         u0 = synthesize_initial(basis64, 3.0, 5)
         l2, h01 = u0.l2(), u0.h01()
         dabs = 1e-2 * l2
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, l2, h01)
+        cfg = _pipe_cfg(basis64, profile_constant, local_setup, l2, h01)
         noisy = inject_noise(
             evolve(u0, 0.0, local_setup["T"], profile_constant).evaluate(xs), dabs, [5, 0, 1], w
         )
-        rep = local_reconstruct(xs, noisy, dabs, cfg)
+        rep = local_reconstruct(noisy, dabs, cfg)
         assert rep.selection.gate_zero and rep.g.l2() == 0.0
         assert (u0 - rep.g).l2() <= rep.selection.bound
 
     def test_full_domain_matches_global_within_factor(
         self, basis64, unit_domain, profile_constant
     ):
-        sub = Subdomain.full(unit_domain)
         T = 0.25
         xs = uniform_grid(0.0, 1.0, 1024)
         w = simpson_weights(xs.size, xs[1] - xs[0])
@@ -335,8 +376,8 @@ class TestLocalReconstruct:
                 evolve(u0, 0.0, T, profile_constant).evaluate(xs), dabs, [seed, 0, 0], w
             )
             g_dir, _ = global_backward(xs, noisy, basis64, T, profile_constant, dabs, l2, h01)
-            cfg = PipelineConfig(basis64, T, profile_constant, sub, gram, 64, chain, l2, h01)
-            rep = local_reconstruct(xs, noisy, dabs, cfg)
+            cfg = PipelineConfig(basis64, T, profile_constant, xs, w, gram, 64, chain, l2, h01)
+            rep = local_reconstruct(noisy, dabs, cfg)
             assert (u0 - rep.g).l2() <= 10.0 * (u0 - g_dir).l2()
 
     def test_ideal_bank_reduces_to_global_data_path(
@@ -357,7 +398,7 @@ class TestLocalReconstruct:
             b = np.zeros(64)
             b[i] = -dT2T[i]
             psi = setup.decay_to_2T * np.eye(64)[i] + setup.decay_to_T * b
-            bank.append(ControlSolution(np.zeros(64), b, psi, 0.0, 0.0))
+            bank.append(ControlSolution(np.zeros(64), b, psi, 0.0))
         E = basis64.eigenfunction_matrix(xs)
         w23 = profile_constant.integral(2.0 * T, 3.0 * T)
         decay23 = np.exp(-basis64.eigenvalues * w23)
@@ -380,41 +421,48 @@ class TestLocalReconstruct:
         u0 = synthesize_initial(basis64, 3.0, 1)
         l2, h01 = u0.l2(), u0.h01()
         dabs = 1e-5 * l2
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, l2, h01)
+        cfg = _pipe_cfg(basis64, profile_constant, local_setup, l2, h01)
         noisy = inject_noise(
             evolve(u0, 0.0, local_setup["T"], profile_constant).evaluate(xs), dabs, [1, 0, 1], w
         )
-        rep = local_reconstruct(xs, noisy, dabs, cfg)
+        rep = local_reconstruct(noisy, dabs, cfg)
         assert rep.certified_delta > rep.claimed_delta
         assert not rep.consistency_ok
 
     def test_rejects_delta_at_prior(self, basis64, sub_mid, profile_constant, local_setup):
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, 1.0, math.pi)
+        cfg = _pipe_cfg(basis64, profile_constant, local_setup, 1.0, math.pi)
         with pytest.raises(ConfigError):
-            local_reconstruct(local_setup["xs"], np.zeros(local_setup["xs"].size), 1.0, cfg)
+            local_reconstruct(np.zeros(local_setup["xs"].size), 1.0, cfg)
 
-    def test_rejects_coarse_observation_grid(self, basis64, sub_mid, profile_constant,
-                                             local_setup):
+    def test_rejects_coarse_observation_grid(self, sub_mid):
+        # the samples' grid is checked where the reconstruction's data are built
+        run = Run(parse_config_text(DEMO_64))
         xs = uniform_grid(sub_mid.a, sub_mid.b, 64)
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, 1.0, math.pi)
         with pytest.raises(ConfigError, match="coarse"):
-            local_reconstruct(xs, np.zeros(xs.size), 1e-4, cfg)
+            run.pipeline(1.0, math.pi, xs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("arg", ["xs", "values", "delta"])
-    def test_rejects_non_finite_input(self, arg, bad, basis64, sub_mid, profile_constant,
-                                      local_setup):
-        args = {"xs": local_setup["xs"].copy(), "values": np.ones(local_setup["xs"].size),
-                "delta": 1e-4}
+    def test_rejects_non_finite_input(self, arg, bad, basis64, profile_constant, local_setup):
+        # a non-finite sample position fails Run.pipeline's grid check, a
+        # non-finite sample or noise level local_reconstruct's finiteness check
+        if arg == "xs":
+            run = Run(parse_config_text(DEMO_64))
+            xs = run.pipeline(1.0, math.pi).xs.copy()
+            xs[7] = bad
+            with pytest.raises(ConfigError, match="samples must lie on a uniform grid"):
+                run.pipeline(1.0, math.pi, xs)
+            return
+        args = {"values": np.ones(local_setup["xs"].size), "delta": 1e-4}
         if arg == "delta":
             args["delta"] = bad
             label = "delta"
         else:
             args[arg][7] = bad
             label = rf"{arg}\[7\]"
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, 1.0, math.pi)
+        cfg = _pipe_cfg(basis64, profile_constant, local_setup, 1.0, math.pi)
         with pytest.raises(ValueError, match=rf"local_reconstruct: {label} = .* is not finite"):
-            local_reconstruct(args["xs"], args["values"], args["delta"], cfg)
+            local_reconstruct(args["values"], args["delta"], cfg)
 
 
 class TestPaperZeta:
@@ -425,7 +473,7 @@ class TestPaperZeta:
         T = local_setup["T"]
         l2, delta = 1.3, 1e-6
         eps = select_epsilon(delta, T, chain.c3, chain.c4, l2)
-        cfg = _pipe_cfg(basis64, profile_constant, sub_mid, local_setup, l2, math.pi)
+        cfg = _pipe_cfg(basis64, profile_constant, local_setup, l2, math.pi)
         claimed, zeta = transfer_claim(cfg, eps, delta)
         arg = math.sqrt(2.0 * zeta * basis64.lambda1 * profile_constant.p2 * 3.0 * T) * l2 / claimed
         k1 = 1.0 / (1.0 + chain.c4)
@@ -446,7 +494,7 @@ class TestPaperZeta:
 
 
 class TestSampleGridCheck:
-    """project and local_reconstruct run one Simpson-grid check, with one tolerance."""
+    """project and Run.pipeline run one Simpson-grid check, with one tolerance."""
 
     @pytest.mark.parametrize("defect", [None, "shifted ends", "moved point", "odd panels", "coarse"])
     def test_both_callers_give_one_verdict(self, defect, basis16, unit_domain, profile_constant):
@@ -462,16 +510,14 @@ class TestSampleGridCheck:
             xs = uniform_grid(0.0, L, panels - 2)
         u0 = synthesize_initial(basis16, 3.0, 5)
         values = evolve(u0, 0.0, 0.25, profile_constant).evaluate(xs)
-        sub = Subdomain.full(unit_domain)
-        # the full domain's Gram matrix is the identity; a defective grid has none
-        cfg = PipelineConfig(
-            basis16, 0.25, profile_constant, sub, np.eye(16), 16,
-            chain_full_domain(), u0.l2(), u0.h01(),
-        )
+        # the full domain at N 16, whose omega grid has 256 panels: every xs
+        # here is off it, so Run.pipeline checks it and builds its Gram matrix
+        run = Run(parse_config_text("length = 1.0\nT = 0.25\ndelta_list = 1e-4\nmodes = 16\n"))
+        l2, h01 = u0.l2(), u0.h01()
         verdicts = []
         for call in (
             lambda: project(xs, values, basis16),
-            lambda: local_reconstruct(xs, values, 1e-4 * u0.l2(), cfg),
+            lambda: local_reconstruct(values, 1e-4 * l2, run.pipeline(l2, h01, xs)),
         ):
             try:
                 call()
