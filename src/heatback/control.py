@@ -139,10 +139,11 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     once the residual is small against eps^2 |c| (the scale of psi) or no
     longer halves; the optimality identity psi = eps^2 c then holds as tightly
     as the conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved
-    residual is recorded on the solution.  A phi0 that is zero on the block
-    (a bank mode past it) has a zero first residual and ends with no
-    triangular solve, and then c = 0 on the block gives b = 0, psi = D_2T phi0
-    and h = 0 in closed form; M_a is still factored once per solve.
+    residual is recorded on the solution.  When D_2T phi0 is zero on the
+    block (a bank mode past it), c = 0 there solves the block exactly: the
+    loop is skipped, with no triangular solve, and b = 0, psi = D_2T phi0 and
+    h = 0 in closed form, bit for bit what the loop ends in; M_a is still
+    factored once per solve.
 
     M_a is factored by one LAPACK potrf call and each solve is one potrs call
     (cho_factor, cho_solve: bit for bit scipy.linalg's functions of those
@@ -171,13 +172,14 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     c_a, rhs_a = c[:m], rhs[:m]
     c_a[:] = 0.0
     resid, best = rhs_a, math.inf  # best stays inf until a solve runs
-    for _ in range(31):  # the solve, then up to 30 refinement steps
-        res_norm = math.sqrt(resid @ resid)
-        if res_norm <= 0.25e-12 * eps2 * math.sqrt(c @ c) or res_norm >= 0.5 * best:
-            break
-        best = res_norm
-        c_a += cho_solve(factor, resid)
-        resid = rhs_a - M @ c_a
+    if rhs_a.any():  # else c_a = 0 solves the block exactly: no residual to refine
+        for _ in range(31):  # the solve, then up to 30 refinement steps
+            res_norm = math.sqrt(resid @ resid)
+            if res_norm <= 0.25e-12 * eps2 * math.sqrt(c @ c) or res_norm >= 0.5 * best:
+                break
+            best = res_norm
+            c_a += cho_solve(factor, resid)
+            resid = rhs_a - M @ c_a
     if not np.isfinite(c).all():
         raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")
 
@@ -204,8 +206,6 @@ def h_values(setup: ControlSetup, sol: ControlSolution, xs: np.ndarray) -> np.nd
 class ControlCertificate:
     """Per-instance inequality checks attached to one control solve."""
 
-    s: float
-    s_inner: float
     identity_rel: float
     cauchy_ok: bool
     surrogate_ok: bool
@@ -250,7 +250,7 @@ def verify_control_bounds(
     h_ok = h_norm <= setup.k * phi0_norm * (1.0 + _REL_SLACK)
     psi_ok = psi_norm <= setup.eps * phi0_norm * (1.0 + _REL_SLACK)
     return ControlCertificate(
-        s, s_inner, identity_rel, cauchy_ok, surrogate_ok, h_ok, psi_ok, h_norm, psi_norm
+        identity_rel, cauchy_ok, surrogate_ok, h_ok, psi_ok, h_norm, psi_norm
     )
 
 

@@ -112,7 +112,8 @@ def select_alpha(
     """Pick the gain cap and evaluate the a-priori error bound.
 
     Gate branch: when effective_delta >= l2_prior * exp(-lambda_1 p2 tau) the
-    zero reconstruction already meets the bound and no cap is selected.
+    zero reconstruction already meets the bound and no cap is selected; its
+    error is |u0| <= l2_prior, so the bound reported is min(bound, l2_prior).
     Otherwise alpha = A(B^{-1}(sqrt(p2 tau) h01 / delta)), and the bound is
     sqrt((1+zeta) p2 tau) h01 / sqrt(log(sqrt(2 zeta lambda_1 p2 tau) l2 / delta)).
     """
@@ -143,7 +144,7 @@ def select_alpha(
 
     threshold = l2_prior * math.exp(-lambda1 * p2tau)
     if effective_delta >= threshold:
-        return FilterSelection(True, None, z, bound, log_arg, effective_delta)
+        return FilterSelection(True, None, z, min(bound, l2_prior), log_arg, effective_delta)
 
     ratio = math.sqrt(p2tau) * h01_prior / effective_delta
     x_bar = invert_B(ratio)

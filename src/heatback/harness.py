@@ -192,15 +192,21 @@ def inject_noise(
     return values + scale * noise
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class _Geometry:
-    """The basis, omega quadrature and constants chain of one geometry.
+    """The basis, sample grids, omega Gram and constants chain of one geometry.
 
     None of them depends on the noise levels, seed, trials or bank, and only
     the paper chain reads x0, so ``_geometry`` keeps the last one a
-    process used, with its basis's sine matrices.  ``omega`` is the omega
-    grid of ``panels`` panels, its Simpson weights and their Gram matrix, all
-    read-only; it and the chain are built on first use, so a command that
-    needs neither never builds them.
+    process used, with its basis's sine matrices.  ``full`` and ``omega`` are
+    the full-domain and omega grids of ``panels`` = (full, omega) panels,
+    each with its Simpson weights; ``gram`` is the Gram matrix of the omega
+    weights.  All are read-only and, like the chain, built on first use, so a
+    command never builds what it does not read.
     """
 
     def __init__(self, domain, modes, subdomain, profile, T, constants_mode, panels):
@@ -208,21 +214,27 @@ class _Geometry:
         self.T, self.constants_mode, self.panels = T, constants_mode, panels
         self.basis = EigenBasis(domain, modes)
 
+    def _samples(self, sub: Subdomain, panels: int) -> tuple[np.ndarray, np.ndarray]:
+        xs = uniform_grid(sub.a, sub.b, panels)
+        return _read_only(xs), _read_only(observation_weights(xs, sub, self.basis))
+
     @cached_property
-    def omega(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sub, basis = self.subdomain, self.basis
-        xs = uniform_grid(sub.a, sub.b, self.panels)
-        weights = observation_weights(xs, sub, basis)
-        omega = xs, weights, gram_subdomain(xs, weights, basis)
-        for arr in omega:
-            arr.flags.writeable = False
-        return omega
+    def full(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._samples(Subdomain.full(self.domain), self.panels[0])
+
+    @cached_property
+    def omega(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._samples(self.subdomain, self.panels[1])
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _read_only(gram_subdomain(*self.omega, self.basis))
 
     @cached_property
     def chain(self) -> ObservabilityConstants:
         domain, sub = self.domain, self.subdomain
         if self.constants_mode == "empirical":
-            return fit_empirical_constants(self.basis, self.omega[2], self.T, self.profile)
+            return fit_empirical_constants(self.basis, self.gram, self.T, self.profile)
         if sub.is_full(domain):
             return chain_full_domain()
         try:
@@ -238,11 +250,11 @@ _geometry = lru_cache(maxsize=1)(_Geometry)
 class Run:
     """The objects one config describes: domain, basis, profile and subdomain.
 
-    The basis, omega quadrature and constants chain come from ``_geometry``,
-    so the runs of one geometry in a process share them: a sweep that differs
-    from the last only in noise levels, seed, trials or bank, or in x0 under
-    the empirical fit, builds none of them again.  The omega quadrature and
-    the chain are built on first use.
+    The basis, sample grids, omega Gram and constants chain come from
+    ``_geometry``, so the runs and sweep cells of one geometry in a process
+    share them: a sweep that differs from the last only in noise levels,
+    seed, trials or bank, or in x0 under the empirical fit, builds none of
+    them again.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -261,7 +273,8 @@ class Run:
         paper = cfg.constants_mode == "paper"
         self._geo = _geometry(
             self.domain if paper else DomainSpec(cfg.length, 0.5 * cfg.length), cfg.modes,
-            self.subdomain, self.profile, cfg.T, cfg.constants_mode, cfg.panels(True),
+            self.subdomain, self.profile, cfg.T, cfg.constants_mode,
+            (cfg.panels(False), cfg.panels(True)),
         )
         self.basis = self._geo.basis
 
@@ -275,14 +288,12 @@ class Run:
         The noise has quadrature norm ``delta_abs`` and is seeded by
         ``[*seed, 1]`` on omega and ``[*seed, 0]`` on the whole domain.
         """
-        sub = self.subdomain if local else Subdomain.full(self.domain)
-        xs = uniform_grid(sub.a, sub.b, self.cfg.panels(local))
-        weights = observation_weights(xs, sub, self.basis)
+        xs, weights = self._geo.omega if local else self._geo.full
         return xs, inject_noise(uT.evaluate(xs), delta_abs, [*seed, int(local)], weights)
 
     @property
     def gram(self) -> np.ndarray:
-        return self._geo.omega[2]
+        return self._geo.gram
 
     @property
     def chain(self) -> ObservabilityConstants:
@@ -292,10 +303,12 @@ class Run:
     def pipeline(self, l2_prior: float, h01_prior: float, xs=None) -> PipelineConfig:
         """Data of one local reconstruction on the omega quadrature, or on the
         samples' grid xs when it differs from the omega grid: then
-        observation_weights checks xs and the Gram matrix of its weights is built."""
-        cfg, sub, basis = self.cfg, self.subdomain, self.basis
-        omega = self._geo.omega
-        if xs is not None and not np.array_equal(xs, omega[0]):
+        observation_weights checks xs and the Gram matrix of its weights is
+        built.  xs is compared with the grid before any Gram matrix is built."""
+        cfg, sub, basis, geo = self.cfg, self.subdomain, self.basis, self._geo
+        if xs is None or np.array_equal(xs, geo.omega[0]):
+            omega = *geo.omega, geo.gram
+        else:
             weights = observation_weights(xs, sub, basis)
             omega = np.asarray(xs, dtype=float), weights, gram_subdomain(xs, weights, basis)
         return PipelineConfig(
@@ -361,13 +374,14 @@ def _sweep_cell(run: Run, delta_idx: int, trial: int) -> list[dict]:
 
     if sel.gate_zero:
         # the data hold no mode above the noise, so the baseline is the zero
-        # answer too, not mode 1's noise blown up by its decay
-        g_base = SpectralField.zero(basis)
+        # answer too, not mode 1's noise blown up by its decay; its error is |u0|
+        err_base = (u0 - SpectralField.zero(basis)).l2()
+        rows.append(row("baseline", None, None, l2, err_base, err_base <= l2))
     else:
         w0T = profile.integral(0.0, cfg.T)
         cutoff = max(1, int(np.sum(basis.eigenvalues * w0T <= math.log(sel.alpha))))
         g_base = truncation_baseline(project(xs_full, noisy_full, basis), cutoff, cfg.T, profile)
-    rows.append(row("baseline", None, None, None, (u0 - g_base).l2(), True))
+        rows.append(row("baseline", None, None, None, (u0 - g_base).l2(), True))
     return rows
 
 

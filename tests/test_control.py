@@ -404,6 +404,36 @@ class TestModeBank:
                     assert calls["cho_solve"] == 0
 
     @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
+    def test_phi0_zero_on_the_block_skips_the_refinement(self, text, monkeypatch):
+        # a phi0 that is zero on the block, with -0.0 entries there and several
+        # modes past it, is solved by c = 0 on the block: no triangular solve,
+        # the reference's values, and the closed form bit for bit (+0.0 on the block)
+        solves = []
+        inner = heatback.control.cho_solve
+        monkeypatch.setattr(heatback.control, "cho_solve",
+                            lambda *args: solves.append(1) or inner(*args))
+        cfg, setups = bank_setups(text)
+        for setup in setups:
+            m, n = setup.active, setup.basis.size
+            phi0 = np.zeros(n)
+            phi0[:m:2] = -0.0
+            phi0[m:] = np.linspace(1.0, -2.0, n - m)
+            solves.clear()
+            sol = solve_control(setup, phi0)
+            assert solves == []
+            ref, psi_norm, _ = reference_solve_control(setup, phi0)
+            for name in ("c", "b", "psi"):
+                np.testing.assert_array_equal(getattr(sol, name), getattr(ref, name))
+            assert sol.psi_norm == psi_norm
+            assert sol.identity_residual == ref.identity_residual
+            rhs = setup.decay_to_2T * phi0
+            c = rhs / setup.eps**2
+            c[:m] = 0.0
+            assert sol.c.tobytes() == c.tobytes()
+            assert sol.b.tobytes() == np.zeros(n).tobytes()
+            assert sol.psi.tobytes() == rhs.tobytes()
+
+    @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
     def test_modes_past_the_block_are_closed_form(self, text):
         cfg, setups = bank_setups(text)
         run = Run(cfg)

@@ -100,6 +100,16 @@ class TestSelectAlpha:
         sel = select_alpha(0.5, profile_constant, basis64.lambda1, 1.0, 0.9, 1.0)
         assert sel.gate_zero and sel.alpha is None
 
+    @pytest.mark.parametrize("h01", [1.0, 50.0, 0.1])
+    def test_gate_bound_is_at_most_the_l2_prior(self, h01, basis64, profile_constant):
+        # the zero answer's error is |u0| <= l2_prior, so the gate reports the
+        # paper's bound only where it is the smaller (h01 = 0.1 < sqrt(lambda1))
+        sel = select_alpha(0.5, profile_constant, basis64.lambda1, h01, 0.9, 1.0)
+        paper = (math.sqrt((1.0 + sel.zeta) * profile_constant.p2 * 0.5) * h01
+                 / math.sqrt(math.log(sel.log_argument)))
+        assert sel.gate_zero and sel.bound == min(paper, 1.0)
+        assert (paper < 1.0) == (h01 == 0.1)
+
     def test_alpha_increases_as_delta_shrinks(self, basis64, profile_constant):
         alphas = [
             select_alpha(0.5, profile_constant, basis64.lambda1, 2.0, d, 1.0).alpha

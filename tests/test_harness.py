@@ -450,6 +450,26 @@ class TestGeometryMemo:
         assert warm == _sweep_outcome(changed)
         assert warm != warm_from
 
+    def test_sweeps_of_one_geometry_build_each_sample_grid_once(self, monkeypatch):
+        # the full and omega grids and their Simpson weights are the geometry's:
+        # two sweeps on it build each once, and observe hands out those arrays
+        calls = []
+        for name in ("uniform_grid", "observation_weights"):
+            fn = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        cfg = ExperimentConfig(**self.BASE)
+        run_sweep(cfg)
+        run_sweep(replace(cfg, delta_list=(1e-6,), seed=3, trials=2))
+        assert sorted(calls) == ["observation_weights"] * 2 + ["uniform_grid"] * 2
+        run = harness.Run(cfg)
+        uT = evolve(run.truth(), 0.0, cfg.T, run.profile)
+        for local, (xs, weights) in ((False, run._geo.full), (True, run._geo.omega)):
+            for seed in ([0, 0], [1, 2]):
+                assert run.observe(uT, 1e-4, seed, local)[0] is xs
+            assert not xs.flags.writeable and not weights.flags.writeable
+        assert len(calls) == 4
+
     def test_gram_is_read_only(self):
         gram = harness.Run(ExperimentConfig(**self.BASE)).gram
         with pytest.raises(ValueError, match="read-only"):
@@ -457,15 +477,17 @@ class TestGeometryMemo:
 
     def test_pipeline_on_the_omega_grid_returns_the_geometry_quadrature(self):
         # the sweep's samples lie on the omega grid, so Run.pipeline checks that
-        # and hands back the geometry's own read-only grid, weights and Gram matrix
+        # and hands back the geometry's own read-only grid, weights and Gram
+        # matrix; a grid with the same bytes but another identity is found too
         run = harness.Run(ExperimentConfig(**self.BASE))
         u0 = run.truth()
         uT = evolve(u0, 0.0, run.cfg.T, run.profile)
         xs, _ = run.observe(uT, 1e-4 * u0.l2(), [0, 0], local=True)
-        pipe = run.pipeline(u0.l2(), u0.h01(), xs)
-        assert pipe.xs is not xs and np.array_equal(pipe.xs, xs)
-        for got, own in zip((pipe.xs, pipe.weights, pipe.gram), run._geo.omega):
-            assert got is own and not got.flags.writeable
+        for grid in (xs, xs.copy()):
+            pipe = run.pipeline(u0.l2(), u0.h01(), grid)
+            own = (*run._geo.omega, run._geo.gram)
+            for got, mine in zip((pipe.xs, pipe.weights, pipe.gram), own):
+                assert got is mine and not got.flags.writeable
 
 
 class TestCsvEmission:
@@ -781,13 +803,16 @@ assert "scipy.linalg" in sys.modules
             assert "T = 1000000.0 too large" in err and "Traceback" not in err
         if command == "sweep":
             # the global gate fires on every cell, so the baseline is the zero
-            # answer too, not mode 1's noise inverted (errors near 1e298)
+            # answer too, not mode 1's noise inverted (errors near 1e298); the
+            # zero answer's error is |u0|, which both rows report as their bound
             lines = (tmp_path / "o.csv").read_text().splitlines()
             rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
             by_method = {m: [r for r in rows if r["method"] == m] for m in ("global", "baseline")}
             assert len(by_method["global"]) == len(by_method["baseline"]) == 2
             for glob, base in zip(by_method["global"], by_method["baseline"]):
                 assert base["delta"] == glob["delta"] and base["error"] == glob["error"]
+                for row in (glob, base):
+                    assert row["bound"] == row["error"] and row["bound_ok"] == "true"
 
     @pytest.mark.parametrize("command", ["sweep", "global-backward"])
     def test_short_horizon_cap_names_horizon_noise_and_prior(self, command, tmp_path, capsys):
@@ -1283,6 +1308,34 @@ assert "scipy.linalg" in sys.modules
                          obs, "--out", str(external)]) == 0
         assert len(builds) == 1
         assert external.read_bytes() == synthetic.read_bytes()
+
+    @pytest.mark.parametrize("factor", [1, 2], ids=["on-grid", "off-grid"])
+    def test_paper_whole_domain_observation_builds_one_gram(self, factor, tmp_path,
+                                                            monkeypatch, capsys):
+        # the whole domain's paper chain reads no Gram matrix, so the control
+        # solve's is the only one: the geometry's for samples on the config's
+        # grid, the file's own for samples on twice its panels, and xs is
+        # compared with the grid before any Gram matrix is built
+        text = "length = 1.0\nT = 0.25\ndelta_list = 1e-4\nmodes = 16\ntrials = 1\n"
+        run = harness.Run(parse_config_text(text))
+        u0 = run.truth()
+        xs = uniform_grid(0.0, 1.0, factor * run.cfg.panels(local=True))
+        values = evolve(u0, 0.0, run.cfg.T, run.profile).evaluate(xs)
+        obs, path = tmp_path / "obs.csv", tmp_path / "paper.cfg"
+        obs.write_text(harness.csv_text(("x", "value"), list(zip(xs, values))))
+        path.write_text(text + f"delta = {1e-6 * u0.l2()!r}\nprior_l2 = {u0.l2()!r}\n"
+                        + f"prior_h01 = {u0.h01()!r}\n")
+        builds, build = [], harness.gram_subdomain
+
+        def spy(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(harness, "gram_subdomain", spy)
+        harness._geometry.cache_clear()
+        assert cli_main(["local-backward", "--config", str(path), "--observation", str(obs),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        assert len(builds) == 1 and np.array_equal(builds[0], xs)
 
     def test_external_observation_takes_the_gram_of_its_grid(self, cfg_path, tmp_path,
                                                               monkeypatch, capsys):
