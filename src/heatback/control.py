@@ -98,7 +98,7 @@ class ControlSetup:
             m = int(np.count_nonzero(self.k * dT >= 2.0**-60 * self.eps))
             k2, eps2 = np.float64(self.k) ** 2, np.float64(self.eps) ** 2
             M = k2 * (dT[:m, None] * self.gram[:m, :m] * dT[None, :m])
-            M[np.diag_indices_from(M)] += eps2
+            M.flat[:: m + 1] += eps2  # the diagonal, without diag_indices_from's np.diff
         if not (np.isfinite(k2) and np.isfinite(eps2) and np.isfinite(M).all()):
             raise ConfigError(
                 f"control system not finite: k^2 or eps^2 overflows (eps={self.eps}, k={self.k})"
@@ -133,32 +133,38 @@ class ControlSolution:
 def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     """Solve the normal equations for phi0 and package the control quantities.
 
-    On the active block the system is solved by iterative refinement from
-    c = 0 (Higham 2002, sec. 12.1), so the first step is the plain Cholesky
-    solve; below the block it reads eps^2 c = D_2T phi0.  Refinement stops
-    once the residual is small against eps^2 |c| (the scale of psi) or no
-    longer halves; the optimality identity psi = eps^2 c then holds as tightly
-    as the conditioning k^2 |D_T G D_T| / eps^2 allows, and the achieved
-    residual is recorded on the solution.  When D_2T phi0 is zero on the
-    block (a bank mode past it), c = 0 there solves the block exactly: the
-    loop is skipped, with no triangular solve, and b = 0, psi = D_2T phi0 and
-    h = 0 in closed form, bit for bit what the loop ends in; M_a is still
-    factored once per solve.
+    On the active block the system is solved by one Cholesky solve, then
+    iterative refinement (Higham 2002, sec. 12.1); below the block it reads
+    eps^2 c = D_2T phi0.  Refinement stops once the residual is small
+    against eps^2 |c| (the scale of psi) or no longer halves; the optimality
+    identity psi = eps^2 c then holds as tightly as the conditioning
+    k^2 |D_T G D_T| / eps^2 allows, and the achieved residual is recorded on
+    the solution.  The stopping test follows each solve, so a phi0 whose
+    block residual norm underflows (entries near 1e-170) or is below the
+    rounding of a huge tail still has its block solved.  When D_2T phi0 is
+    zero on the block (a bank mode past it), c = 0 there solves the block
+    exactly: the loop is skipped, with no triangular solve, and b = 0,
+    psi = D_2T phi0 and h = 0 in closed form; M_a is still factored once per
+    solve.
 
     M_a is factored by one LAPACK potrf call and each solve is one potrs call
     (cho_factor, cho_solve: bit for bit scipy.linalg's functions of those
     names); a block potrf rejects raises a ConfigError naming eps and k.
     Finiteness is checked once per solve rather than by every LAPACK call:
     phi0 on entry (a ValueError naming phi0), M_a when the setup was built,
-    and c on exit (a ConfigError naming eps and k).
+    and c on exit (a ConfigError naming eps and k), each by one np.vdot
+    (which, unlike @, warns on no overflow): a sum of squares in (0, inf)
+    proves the vector finite and nonzero, and only a sum of 0, inf or nan
+    falls back to the element-wise checks, which name the error.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (setup.basis.size,):
         raise ValueError(f"phi0 must have {setup.basis.size} coefficients")
-    if not np.isfinite(phi0).all():
-        raise ValueError("phi0 must be finite")
-    if not phi0.any():
-        raise ValueError("phi0 must be nonzero")
+    if not 0.0 < np.vdot(phi0, phi0) < math.inf:
+        if not np.isfinite(phi0).all():
+            raise ValueError("phi0 must be finite")
+        if not phi0.any():
+            raise ValueError("phi0 must be nonzero")
     M, m = setup.system, setup.active
     rhs = setup.decay_to_2T * phi0
     try:
@@ -171,24 +177,25 @@ def solve_control(setup: ControlSetup, phi0: np.ndarray) -> ControlSolution:
     c = rhs / eps2
     c_a, rhs_a = c[:m], rhs[:m]
     c_a[:] = 0.0
-    resid, best = rhs_a, math.inf  # best stays inf until a solve runs
-    if rhs_a.any():  # else c_a = 0 solves the block exactly: no residual to refine
+    solved = np.count_nonzero(rhs_a) > 0  # else c_a = 0 solves the block exactly
+    if solved:
+        resid, best = rhs_a, math.inf
         for _ in range(31):  # the solve, then up to 30 refinement steps
+            c_a += cho_solve(factor, resid)
+            resid = rhs_a - M @ c_a
             res_norm = math.sqrt(resid @ resid)
             if res_norm <= 0.25e-12 * eps2 * math.sqrt(c @ c) or res_norm >= 0.5 * best:
                 break
             best = res_norm
-            c_a += cho_solve(factor, resid)
-            resid = rhs_a - M @ c_a
-    if not np.isfinite(c).all():
+    if not np.vdot(c, c) < math.inf and not np.isfinite(c).all():
         raise ConfigError(f"control solution not finite (eps={setup.eps}, k={setup.k})")
 
-    if best == math.inf:  # c_a = 0, so D_T c, b and h are zero
-        b, psi = np.zeros(c.size), rhs
-    else:
+    if solved:
         dT = setup.decay_to_T
         b = -(setup.k**2) * (setup.gram[:, :m] @ (dT[:m] * c_a))
         psi = rhs + dT * b
+    else:  # c_a = 0, so D_T c, b and h are zero
+        b, psi = np.zeros(c.size), rhs
     gap = psi - eps2 * c
     return ControlSolution(c, b, psi, math.sqrt(gap @ gap))
 

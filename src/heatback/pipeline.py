@@ -147,10 +147,12 @@ def assemble_fbar(
     coeffs = np.zeros(basis.size)
     h_qnorms = np.zeros(n_bank)
     wv = weights * values
+    wh = np.empty_like(wv)  # w * h_i, one buffer for the bank
     for idx, sol in enumerate(bank):
         h = h_values(setup, sol, xs)
-        coeffs[idx] = -decay23[idx] * (h @ wv)
-        h_qnorms[idx] = math.sqrt(h @ (weights * h))
+        # ndarray.dot is the same BLAS ddot as @, without matmul's dispatch
+        coeffs[idx] = -decay23[idx] * h.dot(wv)
+        h_qnorms[idx] = math.sqrt(h.dot(np.multiply(weights, h, wh)))
     return SpectralField(basis, coeffs), h_qnorms
 
 

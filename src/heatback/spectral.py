@@ -231,7 +231,9 @@ class EigenBasis:
         xs = np.ascontiguousarray(xs, dtype=float)
         data = xs.tobytes()
         with self._sines_lock:
-            for i, (n_i, data_i, E) in enumerate(self._sines):
+            # newest first: a control bank asks for one key once per mode
+            for i in range(len(self._sines) - 1, -1, -1):
+                n_i, data_i, E = self._sines[i]
                 if n_i == n and data_i == data:
                     del self._sines[i]
                     break

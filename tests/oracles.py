@@ -78,9 +78,11 @@ def reference_solve_control(
     """The control solve in its solve-then-refine form: one Cholesky solve of
     the active block, then refinement steps while the residual halves, with
     scipy's finiteness check in every cho_factor and cho_solve call.
-    solve_control refines from c = 0 instead and must match it bit for bit
-    on every bank mode.  Returns the solution, |psi| and |h|_omega =
-    k^2 sqrt((D_T c)' G (D_T c)), the norms the package's certificate reads."""
+    solve_control adds its solves to c = 0 instead (so its zeros are +0.0)
+    and must match it entry by entry on every bank mode, and on a phi0 whose
+    sum of squares overflows or underflows.  Returns the solution, |psi| and
+    |h|_omega = k^2 sqrt((D_T c)' G (D_T c)), the norms the package's
+    certificate reads."""
     M, m = setup.system, setup.active
     rhs = setup.decay_to_2T * phi0
     factor = cho_factor(M)

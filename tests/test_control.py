@@ -165,6 +165,31 @@ class TestDerivedFields:
         expect[np.diag_indices_from(expect)] += setup64.eps**2
         np.testing.assert_allclose(scaled.system, expect, rtol=1e-14)
 
+    @staticmethod
+    def _system_by_diag_indices(setup):
+        k2, eps2 = np.float64(setup.k) ** 2, np.float64(setup.eps) ** 2
+        dT = setup.decay_to_T
+        M = (k2 * (dT[:, None] * setup.gram * dT[None, :]))[: setup.active, : setup.active]
+        M[np.diag_indices_from(M)] += eps2
+        return M
+
+    @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
+    def test_system_is_the_shifted_block_bit_for_bit(self, text):
+        # eps^2 goes onto M_a's diagonal through a strided view: the same sums
+        # as diag_indices_from, in every bit
+        for setup in bank_setups(text)[1]:
+            assert setup.system.tobytes() == self._system_by_diag_indices(setup).tobytes()
+
+    def test_system_of_one_active_mode(self, basis16, sub_mid, profile_constant):
+        # at T 1.5 only mode 1 passes k D_T_j >= 2^-60 eps; k D_T_1 = eps, so
+        # the coupling is of the size of eps^2
+        T, eps = 1.5, 0.1
+        k = eps / basis16.decay(profile_constant, 0.0, T)[0]
+        setup = ControlSetup(basis16, T, profile_constant, gram_closed_form(sub_mid, basis16),
+                             eps=eps, k=k)
+        assert setup.active == 1 and setup.system[0, 0] > 1.1 * eps**2
+        assert setup.system.tobytes() == self._system_by_diag_indices(setup).tobytes()
+
 
 class TestSolve:
     def test_diagonal_closed_form(self, basis16, unit_domain, profile_constant):
@@ -206,12 +231,51 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_control(setup64, np.zeros(64))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_phi0(self, setup64, bad):
         phi0 = np.ones(64)
         phi0[5] = bad
         with pytest.raises(ValueError, match="phi0 must be finite"):
             solve_control(setup64, phi0)
+
+    @pytest.mark.parametrize("shape", [(63,), (1, 64)], ids=["short", "row"])
+    def test_rejects_phi0_of_the_wrong_shape(self, setup64, shape):
+        with pytest.raises(ValueError, match="^phi0 must have 64 coefficients$"):
+            solve_control(setup64, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beats_zero(self, setup64, bad):
+        # one bad entry among zeros is named non-finite, as the element-wise
+        # checks order it
+        phi0 = np.zeros(64)
+        phi0[40] = bad
+        with pytest.raises(ValueError, match="^phi0 must be finite$"):
+            solve_control(setup64, phi0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_rejects_zero_phi0_by_name(self, setup64, zero):
+        with pytest.raises(ValueError, match="^phi0 must be nonzero$"):
+            solve_control(setup64, np.full(64, zero))
+
+    @pytest.mark.parametrize("on_block, past_block", [
+        (0.0, 1e200), (1.0, 1e200), (1e155, 0.0),
+        (1e-170, 1e-170), (1e-310, 1e-310), (5e-324, 5e-324),
+    ])
+    def test_accepts_phi0_whose_square_sum_leaves_the_range(self, setup64, on_block,
+                                                            past_block):
+        # phi0 . phi0 overflows to inf or underflows to 0, so the one-dot check
+        # falls back to the element-wise ones, which accept: the solve is the
+        # reference's, entry by entry (the sign of a zero aside), also where
+        # the block's residual norm underflows or is below the tail's rounding
+        phi0 = np.full(setup64.basis.size, past_block)
+        phi0[: setup64.active] = on_block
+        assert np.vdot(phi0, phi0) in (0.0, math.inf)
+        sol = solve_control(setup64, phi0)
+        ref, psi_norm, _ = reference_solve_control(setup64, phi0)
+        for name in ("c", "b", "psi"):
+            np.testing.assert_array_equal(getattr(sol, name), getattr(ref, name))
+        assert sol.identity_residual == ref.identity_residual
+        assert sol.psi_norm == psi_norm
 
     @pytest.mark.parametrize("eps, k", [(0.3, 1e200), (0.3, math.inf), (1e200, 1.0)])
     def test_rejects_overflowing_weights(self, basis16, unit_domain, profile_constant, eps, k):
@@ -377,6 +441,34 @@ class TestModeBank:
                 assert sol.psi_norm == psi_norm
                 assert verify_control_bounds(setup, sol, phi0).h_norm == h_norm
                 assert sol.identity_residual == ref.identity_residual
+
+    @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
+    def test_bank_is_one_solve_control_per_mode(self, text, monkeypatch):
+        # the bank goes through the module's solve_control and cho_factor once
+        # per mode, where a caller-side wrapper (perfbench's trace) sees them,
+        # and each mode is byte for byte the lone solve of its unit vector
+        solve, factor = heatback.control.solve_control, heatback.control.cho_factor
+        calls = {"solve_control": 0, "cho_factor": 0}
+
+        def spy(name, inner):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return counted
+
+        cfg, setups = bank_setups(text)
+        for setup in setups:
+            monkeypatch.setattr(heatback.control, "solve_control", spy("solve_control", solve))
+            monkeypatch.setattr(heatback.control, "cho_factor", spy("cho_factor", factor))
+            calls.update(solve_control=0, cho_factor=0)
+            bank = control_mode_bank(setup, cfg.bank)
+            assert calls == {"solve_control": cfg.bank, "cho_factor": cfg.bank}
+            monkeypatch.undo()
+            for i, sol in enumerate(bank):
+                alone = solve(setup, SpectralField.unit_mode(setup.basis, i + 1).coeffs)
+                for name in ("c", "b", "psi"):
+                    assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes()
+                assert sol.identity_residual == alone.identity_residual
 
     @pytest.mark.parametrize("text", GEOMETRIES, ids=["demo", "T0.01", "sinusoidal"])
     def test_mode_past_the_block_makes_no_triangular_solve(self, text, monkeypatch):
